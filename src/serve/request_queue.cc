@@ -190,7 +190,11 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
                                  static_cast<double>(t.depth));
         while (t.deficit >= 1.0 && t.depth > 0 && delivered < max_n) {
           ServeRequest req = PopHighest(&t);
-          if (Expired(req, now_ns)) {
+          // `now_ns` is sampled before the lock is taken, so a request
+          // admitted in between carries a later enqueue stamp. Clamp to it
+          // so the unsigned age cannot wrap and the wait is never negative.
+          const uint64_t pop_ns = std::max(now_ns, req.enqueue_ns);
+          if (Expired(req, pop_ns)) {
             // Expiry consumes no deficit: the tenant should not lose its
             // turn to requests nobody will be answered for.
             ++stats_.shed_expired;
@@ -200,7 +204,7 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
           }
           t.deficit -= 1.0;
           ++t.stats.popped;
-          req.dequeue_ns = now_ns;
+          req.dequeue_ns = pop_ns;
           out->push_back(std::move(req));
           ++delivered;
         }
@@ -215,7 +219,7 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
   for (size_t i = first_new; i < out->size(); ++i) {
     const ServeRequest& req = (*out)[i];
     TraceRecorder::Global().RecordSpan("serve/queue_wait", req.enqueue_ns,
-                                       now_ns, req.trace,
+                                       req.dequeue_ns, req.trace,
                                        static_cast<int64_t>(req.id),
                                        req.tenant);
   }

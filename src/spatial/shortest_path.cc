@@ -1,10 +1,11 @@
 #include "src/spatial/shortest_path.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <set>
+#include <string>
 
 namespace tsdm {
 
@@ -24,13 +25,23 @@ using MinQueue =
     std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                         std::greater<QueueEntry>>;
 
+Status CheckEndpoints(const RoadNetwork& network, int source, int target) {
+  const int n = static_cast<int>(network.NumNodes());
+  if (source >= 0 && target >= 0 && source < n && target < n) {
+    return Status::OK();
+  }
+  return Status::OutOfRange("ShortestPath: node id out of range");
+}
+
+Status NoPath(int source, int target) {
+  return Status::NotFound("no path from " + std::to_string(source) + " to " +
+                          std::to_string(target));
+}
+
 Result<Path> ReconstructPath(const RoadNetwork& network, int source,
                              int target, const std::vector<int>& parent_edge,
                              const std::vector<double>& dist) {
-  if (dist[target] == kInf) {
-    return Status::NotFound("no path from " + std::to_string(source) +
-                            " to " + std::to_string(target));
-  }
+  if (dist[target] == kInf) return NoPath(source, target);
   Path path;
   path.cost = dist[target];
   int node = target;
@@ -46,40 +57,140 @@ Result<Path> ReconstructPath(const RoadNetwork& network, int source,
   return path;
 }
 
-/// Dijkstra supporting removed nodes/edges (for Yen's spur computation).
-Result<Path> DijkstraWithBans(const RoadNetwork& network, int source,
-                              int target, const EdgeCostFn& cost,
-                              const std::set<int>& banned_nodes,
-                              const std::set<int>& banned_edges) {
-  size_t n = network.NumNodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<int> parent_edge(n, -1);
-  std::vector<bool> settled(n, false);
-  MinQueue queue;
-  dist[source] = 0.0;
-  queue.push({0.0, source});
-  while (!queue.empty()) {
-    auto [priority, node] = queue.top();
-    queue.pop();
-    if (settled[node]) continue;
-    settled[node] = true;
-    if (node == target) break;
-    for (int eid : network.OutEdges(node)) {
-      if (banned_edges.count(eid) > 0) continue;
-      int to = network.edge(eid).to;
-      if (banned_nodes.count(to) > 0 || settled[to]) continue;
-      double c = cost(eid);
-      if (c < 0.0) c = 0.0;
-      double candidate = dist[node] + c;
-      if (candidate < dist[to]) {
-        dist[to] = candidate;
-        parent_edge[to] = eid;
-        queue.push({candidate, to});
-      }
+/// The scratch of one call's Dijkstra searches, reused by every search of
+/// the call (Yen runs one per spur node). Per-node state and the ban marks
+/// are epoch-stamped, so starting a search or a ban set is O(1) rather than
+/// a clear of per-node arrays.
+class DijkstraWorkspace {
+ public:
+  DijkstraWorkspace(const RoadNetwork& network, const EdgeCostFn& cost)
+      : network_(network),
+        cost_(cost),
+        dist_(network.NumNodes()),
+        parent_edge_(network.NumNodes()),
+        mark_(network.NumNodes(), 0),
+        banned_node_(network.NumNodes(), 0),
+        banned_edge_(network.NumEdges(), 0) {}
+
+  /// Evaluates every edge's cost once, for a call that runs many searches;
+  /// without it each search evaluates the edges it relaxes.
+  void TabulateCosts() {
+    edge_cost_.resize(network_.NumEdges());
+    for (size_t e = 0; e < edge_cost_.size(); ++e) {
+      edge_cost_[e] = ClampedCost(static_cast<int>(e));
     }
   }
-  return ReconstructPath(network, source, target, parent_edge, dist);
-}
+
+  /// The edge's cost, with negative costs read as zero.
+  double EdgeCost(int eid) const {
+    return edge_cost_.empty() ? ClampedCost(eid) : edge_cost_[eid];
+  }
+
+  /// Clears the ban set: every node and edge is usable again.
+  void NewBans() { ++ban_epoch_; }
+  void BanNode(int node) { banned_node_[node] = ban_epoch_; }
+  void BanEdge(int eid) { banned_edge_[eid] = ban_epoch_; }
+
+  /// Dijkstra from `source`, skipping the current bans, until `target` is
+  /// settled (target -1 settles everything reachable). The heap is driven
+  /// by push_heap/pop_heap over the same container and comparator as
+  /// std::priority_queue, so nodes pop in exactly its order, ties included.
+  /// Gives up once `offset` plus a popped priority exceeds `stop_above`:
+  /// every path still to be found costs at least that much. Returns
+  /// whether `target` was settled.
+  bool Run(int source, int target, double offset = 0.0,
+           double stop_above = kInf) {
+    reached_ += 2;
+    const uint32_t settled = reached_ + 1;
+    heap_.clear();
+    Reach(source, 0.0, -1);
+    heap_.push_back({0.0, source});
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
+      const QueueEntry top = heap_.back();
+      heap_.pop_back();
+      if (offset + top.priority > stop_above) return false;
+      const int node = top.node;
+      if (mark_[node] == settled) continue;
+      mark_[node] = settled;
+      if (node == target) return true;
+      for (int eid : network_.OutEdges(node)) {
+        if (banned_edge_[eid] == ban_epoch_) continue;
+        const int to = network_.edge(eid).to;
+        if (banned_node_[to] == ban_epoch_ || mark_[to] == settled) continue;
+        const double candidate = dist_[node] + EdgeCost(eid);
+        if (candidate < Dist(to)) {
+          Reach(to, candidate, eid);
+          heap_.push_back({candidate, to});
+          std::push_heap(heap_.begin(), heap_.end(),
+                         std::greater<QueueEntry>());
+        }
+      }
+    }
+    return false;
+  }
+
+  /// Distance of `node` in the last search (infinity when unreached).
+  double Dist(int node) const {
+    return mark_[node] >= reached_ ? dist_[node] : kInf;
+  }
+
+  /// Appends the last search's path to `target`, minus its source node.
+  void AppendPath(int source, int target, std::vector<int>* nodes,
+                  std::vector<int>* edges) const {
+    size_t hops = 0;
+    for (int v = target; v != source; v = network_.edge(parent_edge_[v]).from) {
+      ++hops;
+    }
+    const size_t n0 = nodes->size();
+    const size_t e0 = edges->size();
+    nodes->resize(n0 + hops);
+    edges->resize(e0 + hops);
+    int v = target;
+    for (size_t h = hops; h > 0; --h) {
+      const int eid = parent_edge_[v];
+      (*nodes)[n0 + h - 1] = v;
+      (*edges)[e0 + h - 1] = eid;
+      v = network_.edge(eid).from;
+    }
+  }
+
+  /// The unbanned shortest path; NotFound when `target` is unreachable.
+  Result<Path> ShortestPath(int source, int target) {
+    if (!Run(source, target)) return NoPath(source, target);
+    Path path;
+    path.cost = dist_[target];
+    path.nodes.push_back(source);
+    AppendPath(source, target, &path.nodes, &path.edges);
+    return path;
+  }
+
+ private:
+  double ClampedCost(int eid) const {
+    const double c = cost_(eid);
+    return c < 0.0 ? 0.0 : c;
+  }
+
+  void Reach(int node, double dist, int parent_edge) {
+    mark_[node] = reached_;
+    dist_[node] = dist;
+    parent_edge_[node] = parent_edge;
+  }
+
+  const RoadNetwork& network_;
+  const EdgeCostFn& cost_;
+  std::vector<double> edge_cost_;  ///< empty until TabulateCosts
+  std::vector<double> dist_;
+  std::vector<int> parent_edge_;
+  /// Per-node search state: `reached_` when reached by the current search,
+  /// `reached_ + 1` when settled, anything lower when untouched.
+  std::vector<uint32_t> mark_;
+  uint32_t reached_ = 0;
+  std::vector<uint32_t> banned_node_;
+  std::vector<uint32_t> banned_edge_;
+  uint32_t ban_epoch_ = 1;  ///< the marks start at 0: nothing banned
+  std::vector<QueueEntry> heap_;
+};
 
 }  // namespace
 
@@ -93,36 +204,18 @@ EdgeCostFn LengthCost(const RoadNetwork& network) {
 
 Result<Path> ShortestPath(const RoadNetwork& network, int source, int target,
                           const EdgeCostFn& cost) {
-  if (source < 0 || target < 0 ||
-      source >= static_cast<int>(network.NumNodes()) ||
-      target >= static_cast<int>(network.NumNodes())) {
-    return Status::OutOfRange("ShortestPath: node id out of range");
-  }
-  return DijkstraWithBans(network, source, target, cost, {}, {});
+  Status endpoints = CheckEndpoints(network, source, target);
+  if (!endpoints.ok()) return endpoints;
+  return DijkstraWorkspace(network, cost).ShortestPath(source, target);
 }
 
 std::vector<double> ShortestPathTree(const RoadNetwork& network, int source,
                                      const EdgeCostFn& cost) {
-  size_t n = network.NumNodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<bool> settled(n, false);
-  MinQueue queue;
-  dist[source] = 0.0;
-  queue.push({0.0, source});
-  while (!queue.empty()) {
-    auto [priority, node] = queue.top();
-    queue.pop();
-    if (settled[node]) continue;
-    settled[node] = true;
-    for (int eid : network.OutEdges(node)) {
-      int to = network.edge(eid).to;
-      if (settled[to]) continue;
-      double candidate = dist[node] + std::max(0.0, cost(eid));
-      if (candidate < dist[to]) {
-        dist[to] = candidate;
-        queue.push({candidate, to});
-      }
-    }
+  DijkstraWorkspace workspace(network, cost);
+  workspace.Run(source, /*target=*/-1);
+  std::vector<double> dist(network.NumNodes());
+  for (size_t v = 0; v < dist.size(); ++v) {
+    dist[v] = workspace.Dist(static_cast<int>(v));
   }
   return dist;
 }
@@ -166,51 +259,70 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
                                          int source, int target, int k,
                                          const EdgeCostFn& cost) {
   if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
-  Result<Path> first = ShortestPath(network, source, target, cost);
+  Status endpoints = CheckEndpoints(network, source, target);
+  if (!endpoints.ok()) return endpoints;
+  DijkstraWorkspace workspace(network, cost);
+  if (k > 1) workspace.TabulateCosts();
+  Result<Path> first = workspace.ShortestPath(source, target);
   if (!first.ok()) return first.status();
 
-  std::vector<Path> result = {*first};
+  std::vector<Path> result = {*std::move(first)};
   // Candidate paths ordered by cost; compare node sequences for dedup.
   auto path_less = [](const Path& a, const Path& b) {
     if (a.cost != b.cost) return a.cost < b.cost;
     return a.nodes < b.nodes;
   };
-  std::set<std::vector<int>> known = {first->nodes};
+  std::set<std::vector<int>> known = {result[0].nodes};
   std::vector<Path> candidates;
+  std::vector<double> candidate_costs;
 
   for (int ki = 1; ki < k; ++ki) {
     const Path& prev = result.back();
+    // Once `need` candidates exist, the need-th smallest candidate cost
+    // bounds every path still to be picked: a spur path costing more can
+    // never be picked, now or later (the bound only falls), so its search
+    // stops early. The relative margin keeps summation-order rounding from
+    // ever pruning a path the full search would have tied or beaten.
+    const size_t need = static_cast<size_t>(k - ki);
+    double root_cost = 0.0;  // cost of prev's first i edges, summed in order
     // Each node of the previous path (except the last) is a spur node.
     for (size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      int spur_node = prev.nodes[i];
-      std::vector<int> root_nodes(prev.nodes.begin(),
-                                  prev.nodes.begin() + i + 1);
-      std::set<int> banned_edges;
-      std::set<int> banned_nodes;
+      if (i > 0) {
+        root_cost += std::max(0.0, workspace.EdgeCost(prev.edges[i - 1]));
+      }
+      const int spur_node = prev.nodes[i];
+      workspace.NewBans();
       // Ban edges that would recreate an already-known path sharing the root.
       for (const Path& p : result) {
         if (p.nodes.size() > i &&
-            std::equal(root_nodes.begin(), root_nodes.end(),
+            std::equal(prev.nodes.begin(), prev.nodes.begin() + i + 1,
                        p.nodes.begin())) {
-          if (i < p.edges.size()) banned_edges.insert(p.edges[i]);
+          if (i < p.edges.size()) workspace.BanEdge(p.edges[i]);
         }
       }
       // Ban root nodes except the spur node to keep paths loopless.
-      for (size_t j = 0; j < i; ++j) banned_nodes.insert(prev.nodes[j]);
+      for (size_t j = 0; j < i; ++j) workspace.BanNode(prev.nodes[j]);
 
-      Result<Path> spur = DijkstraWithBans(network, spur_node, target, cost,
-                                           banned_nodes, banned_edges);
-      if (!spur.ok()) continue;
+      double stop_above = kInf;
+      if (candidates.size() >= need) {
+        candidate_costs.clear();
+        for (const Path& c : candidates) candidate_costs.push_back(c.cost);
+        std::nth_element(candidate_costs.begin(),
+                         candidate_costs.begin() + (need - 1),
+                         candidate_costs.end());
+        const double bound = candidate_costs[need - 1];
+        stop_above = bound + 1e-9 * bound;
+      }
+      if (!workspace.Run(spur_node, target, root_cost, stop_above)) continue;
 
       Path total;
-      total.nodes = root_nodes;
-      total.nodes.insert(total.nodes.end(), spur->nodes.begin() + 1,
-                         spur->nodes.end());
+      total.nodes.assign(prev.nodes.begin(), prev.nodes.begin() + i + 1);
       total.edges.assign(prev.edges.begin(), prev.edges.begin() + i);
-      total.edges.insert(total.edges.end(), spur->edges.begin(),
-                         spur->edges.end());
-      total.cost = 0.0;
-      for (int eid : total.edges) total.cost += std::max(0.0, cost(eid));
+      workspace.AppendPath(spur_node, target, &total.nodes, &total.edges);
+      total.cost = root_cost;
+      for (size_t e = i; e < total.edges.size(); ++e) {
+        total.cost += std::max(0.0, workspace.EdgeCost(total.edges[e]));
+      }
       if (known.insert(total.nodes).second) {
         candidates.push_back(std::move(total));
       }
@@ -218,7 +330,7 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
     if (candidates.empty()) break;
     auto best = std::min_element(candidates.begin(), candidates.end(),
                                  path_less);
-    result.push_back(*best);
+    result.push_back(std::move(*best));
     candidates.erase(best);
   }
   return result;

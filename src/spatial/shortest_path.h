@@ -40,6 +40,19 @@ Result<Path> AStarPath(const RoadNetwork& network, int source, int target,
 
 /// Yen's algorithm: the K shortest loopless paths (ordered by cost).
 /// Returns fewer than K when the graph does not contain K distinct paths.
+///
+/// Contract:
+/// - `cost` is evaluated at most once per edge per call and the value is
+///   reused by every spur search, so it must be pure: the same edge id must
+///   always give the same cost.
+/// - The candidate order is part of the contract, ties included. Each
+///   search settles nodes in the pop order of a binary min-heap keyed on
+///   distance; the next path is the cheapest candidate, with equal costs
+///   broken by lexicographic node sequence (`path_less`).
+///   tests/k_shortest_equivalence_test.cc pins both against the original
+///   set-based implementation.
+/// - With k == 1 the single path is exactly ShortestPath's path, and
+///   errors carry ShortestPath's codes and messages.
 Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
                                          int source, int target, int k,
                                          const EdgeCostFn& cost);

@@ -88,6 +88,49 @@ TEST(RequestQueueTest, ZeroBudgetMeansNoExpiry) {
   EXPECT_EQ(queue.PopBatch(much_later, 10, &out), 1u);
 }
 
+// The dispatcher samples `now` before PopBatch takes the lock, so a request
+// admitted in between is popped with `now_ns` earlier than its enqueue
+// stamp. Its age must clamp to zero rather than wrap to a huge unsigned
+// value: not shed, never dequeued before it was enqueued, and its
+// queue-wait span is empty rather than negative.
+TEST(RequestQueueTest, PopBeforeEnqueueStampDoesNotWrap) {
+  TraceRecorder::Global().Clear();
+  TraceRecorder::Global().Enable();
+  RequestQueue queue;
+  std::atomic<int> shed_callbacks{0};
+  const uint64_t now = TraceRecorder::NowNs();
+  ServeRequest req = MakeRequest(7, 0, /*budget_seconds=*/0.001);
+  req.enqueue_ns = now + 1000000ull;  // admitted 1 ms after `now`
+  req.trace = TraceContext{7, 0};
+  req.on_done = [&shed_callbacks](const RouteAnswer&) {
+    shed_callbacks.fetch_add(1);
+  };
+  const uint64_t enqueue_ns = req.enqueue_ns;
+  ASSERT_TRUE(queue.Push(std::move(req)).ok());
+
+  std::vector<ServeRequest> out;
+  EXPECT_EQ(queue.PopBatch(now, 10, &out), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(shed_callbacks.load(), 0);
+  EXPECT_EQ(queue.GetStats().shed_expired, 0u);
+  EXPECT_GE(out[0].dequeue_ns, out[0].enqueue_ns);
+  const uint64_t dequeue_ns = out[0].dequeue_ns;
+
+  std::vector<TraceEvent> spans = TraceRecorder::Global().Snapshot();
+  TraceRecorder::Global().Disable();
+  TraceRecorder::Global().Clear();
+  int queue_waits = 0;
+  for (const TraceEvent& ev : spans) {
+    if (ev.name != "serve/queue_wait" || ev.request_id != 7) continue;
+    ++queue_waits;
+    // The span ends where the request was dequeued, so it tiles with the
+    // batch-wait span that starts there.
+    EXPECT_EQ(ev.start_ns, enqueue_ns);
+    EXPECT_EQ(ev.start_ns + ev.dur_ns, dequeue_ns);
+  }
+  EXPECT_EQ(queue_waits, 1);
+}
+
 TEST(RequestQueueTest, CloseDrainsAndRejects) {
   RequestQueue queue;
   std::atomic<int> drained{0};
