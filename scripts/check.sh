@@ -28,9 +28,9 @@ fi
 GATED_TESTS=(executor_test inject_recovery_test pipeline_report_test
              stream_test series_view_test obs_test serve_test
              serve_trace_test health_test ingest_wal_test tick_parser_test
-             net_wire_test net_test shard_test shard_equivalence_test
-             load_test flight_recorder_test debug_endpoint_test
-             k_shortest_equivalence_test)
+             framed_parser_test net_wire_test net_test shard_test
+             shard_equivalence_test load_test flight_recorder_test
+             debug_endpoint_test k_shortest_equivalence_test)
 
 for SAN in "${SANITIZERS[@]}"; do
   BUILD="$ROOT/build-${SAN/thread/tsan}"

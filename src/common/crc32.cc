@@ -1,4 +1,4 @@
-#include "src/ingest/crc32.h"
+#include "src/common/crc32.h"
 
 #include <array>
 

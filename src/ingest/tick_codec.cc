@@ -1,7 +1,6 @@
 #include "src/ingest/tick_codec.h"
 
 #include "src/common/bytes.h"
-#include "src/ingest/crc32.h"
 
 namespace tsdm {
 
@@ -13,12 +12,9 @@ void EncodeTickPayload(const TickMsg& msg, std::vector<uint8_t>* out) {
 }
 
 void EncodeTickFrame(const TickMsg& msg, std::vector<uint8_t>* out) {
-  size_t start = out->size();
-  PutU8(out, kTickFrameMagic);
-  PutU8(out, static_cast<uint8_t>(kTickPayloadSize));
+  const size_t start = TickFrameFormat::Begin(out);
   EncodeTickPayload(msg, out);
-  uint32_t crc = Crc32(out->data() + start, out->size() - start);
-  PutU32(out, crc);
+  TickFrameFormat::End(start, out);
 }
 
 Status DecodeTickPayload(const uint8_t* payload, size_t size, TickMsg* out) {
@@ -30,25 +26,6 @@ Status DecodeTickPayload(const uint8_t* payload, size_t size, TickMsg* out) {
   out->timestamp = GetI64(payload + 8);
   out->value = GetF64(payload + 16);
   return Status::OK();
-}
-
-Result<TickMsg> DecodeTickFrame(const uint8_t* data, size_t size) {
-  if (size != kTickFrameSize) {
-    return Status::InvalidArgument("tick frame: expected 30 bytes");
-  }
-  if (data[0] != kTickFrameMagic) {
-    return Status::InvalidArgument("tick frame: bad magic");
-  }
-  if (data[1] != kTickPayloadSize) {
-    return Status::InvalidArgument("tick frame: unsupported payload length");
-  }
-  uint32_t crc = Crc32(data, 2 + kTickPayloadSize);
-  if (crc != GetU32(data + 2 + kTickPayloadSize)) {
-    return Status::DataLoss("tick frame: CRC mismatch");
-  }
-  TickMsg msg;
-  TSDM_RETURN_IF_ERROR(DecodeTickPayload(data + 2, kTickPayloadSize, &msg));
-  return msg;
 }
 
 }  // namespace tsdm

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/framed_parser.h"
 #include "src/common/status.h"
 #include "src/stream/stream_buffer.h"
 
@@ -40,6 +41,9 @@ struct TickMsg {
 inline constexpr uint8_t kTickFrameMagic = 0xB7;
 inline constexpr size_t kTickPayloadSize = 24;
 inline constexpr size_t kTickFrameSize = 2 + kTickPayloadSize + 4;
+/// Every u8 length is in the window: a length other than 24 is a decode
+/// reject of a CRC-verified frame (TickParser), not a framing error.
+using TickFrameFormat = FrameFormat<kTickFrameMagic, uint8_t, 0, 255>;
 
 /// Appends the encoded frame of `msg` to *out.
 void EncodeTickFrame(const TickMsg& msg, std::vector<uint8_t>* out);
@@ -50,12 +54,6 @@ void EncodeTickPayload(const TickMsg& msg, std::vector<uint8_t>* out);
 
 /// Decodes a 24-byte payload. Fails with InvalidArgument on a size mismatch.
 Status DecodeTickPayload(const uint8_t* payload, size_t size, TickMsg* out);
-
-/// Strict single-frame decode of exactly kTickFrameSize bytes: checks magic,
-/// length, and CRC. Returns InvalidArgument for framing violations and
-/// DataLoss for a CRC mismatch. The incremental TickParser builds on the
-/// same checks but adds resynchronization and sequencing policy.
-Result<TickMsg> DecodeTickFrame(const uint8_t* data, size_t size);
 
 }  // namespace tsdm
 

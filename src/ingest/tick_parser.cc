@@ -1,114 +1,44 @@
 #include "src/ingest/tick_parser.h"
 
-#include <limits>
-
-#include "src/common/bytes.h"
-#include "src/ingest/crc32.h"
-
 namespace tsdm {
 
-namespace {
-
-// A frame's total extent given its length prefix. The length byte bounds the
-// payload at 255, so a hostile length can stall at most 261 bytes in the
-// pending buffer before the frame completes or fails its CRC.
-size_t FrameExtent(uint8_t len) { return 2 + static_cast<size_t>(len) + 4; }
-
-}  // namespace
-
-void TickParser::PrimeSequence(uint32_t last_seq) {
-  last_seq_ = last_seq;
-  has_seq_ = true;
-}
-
-bool TickParser::AcceptFrame(const uint8_t* payload,
-                             std::vector<TickMsg>* out) {
+FrameVerdict<TickParserStats> TickFrameSpec::Decode(
+    const uint8_t* body, size_t len, TickParserStats* stats,
+    std::vector<TickMsg>* out) {
+  if (len != kTickPayloadSize) {
+    return {&Stats::rejected_bad_length,
+            len == 0 ? Status::InvalidArgument(
+                           "tick parser: zero-length payload")
+                     : Status::InvalidArgument(
+                           "tick parser: unsupported payload length")};
+  }
   TickMsg msg;
-  // Size was checked by the caller; payload decode cannot fail here.
-  (void)DecodeTickPayload(payload, kTickPayloadSize, &msg);
+  // The size was checked above; payload decode cannot fail here.
+  (void)DecodeTickPayload(body, len, &msg);
   if (num_sensors_ != 0 && msg.sensor >= num_sensors_) {
-    ++stats_.rejected_bad_sensor;
-    last_error_ = Status::OutOfRange("tick parser: sensor id out of range");
-    return false;
+    return {&Stats::rejected_bad_sensor,
+            Status::OutOfRange("tick parser: sensor id out of range")};
   }
   if (has_seq_ && msg.seq <= last_seq_) {
-    ++stats_.rejected_duplicate_seq;
-    last_error_ = Status::FailedPrecondition(
-        "tick parser: duplicate or regressed sequence number");
-    return false;
+    return {&Stats::rejected_duplicate_seq,
+            Status::FailedPrecondition(
+                "tick parser: duplicate or regressed sequence number")};
   }
   if (num_sensors_ != 0) {
-    if (last_timestamp_.empty()) {
-      last_timestamp_.assign(num_sensors_,
-                             std::numeric_limits<int64_t>::min());
-    }
     if (msg.timestamp < last_timestamp_[msg.sensor]) {
-      ++stats_.rejected_out_of_order;
-      last_error_ = Status::FailedPrecondition(
-          "tick parser: timestamp regressed for sensor");
-      return false;
+      return {&Stats::rejected_out_of_order,
+              Status::FailedPrecondition(
+                  "tick parser: timestamp regressed for sensor")};
     }
     last_timestamp_[msg.sensor] = msg.timestamp;
   }
   if (has_seq_ && msg.seq > last_seq_ + 1) {
-    stats_.gaps_detected += msg.seq - last_seq_ - 1;
+    stats->gaps_detected += msg.seq - last_seq_ - 1;
   }
   last_seq_ = msg.seq;
   has_seq_ = true;
-  ++stats_.frames_accepted;
   out->push_back(msg);
-  return true;
-}
-
-size_t TickParser::Consume(const uint8_t* data, size_t size,
-                          std::vector<TickMsg>* out) {
-  stats_.bytes_consumed += size;
-  pending_.insert(pending_.end(), data, data + size);
-
-  size_t emitted = 0;
-  size_t pos = 0;
-  while (pos < pending_.size()) {
-    // Resynchronize: hunt for the next magic byte.
-    if (pending_[pos] != kTickFrameMagic) {
-      ++pos;
-      ++stats_.resync_bytes;
-      continue;
-    }
-    size_t avail = pending_.size() - pos;
-    if (avail < 2) break;  // length prefix not here yet
-    uint8_t len = pending_[pos + 1];
-    size_t extent = FrameExtent(len);
-    if (avail < extent) break;  // wait for the rest of the claimed frame
-
-    const uint8_t* frame = pending_.data() + pos;
-    uint32_t crc = Crc32(frame, 2 + len);
-    if (crc != GetU32(frame + 2 + len)) {
-      // The length prefix itself may be the corrupted byte, so the claimed
-      // extent cannot be trusted: skip only the magic byte and rescan. The
-      // corrupt frame's bytes are absorbed into resync_bytes.
-      ++stats_.rejected_bad_crc;
-      last_error_ = Status::DataLoss("tick parser: frame CRC mismatch");
-      ++pos;
-      ++stats_.resync_bytes;
-      continue;
-    }
-    // CRC-verified frame; the extent is trustworthy from here on.
-    if (len != kTickPayloadSize) {
-      ++stats_.rejected_bad_length;
-      last_error_ = len == 0
-                        ? Status::InvalidArgument(
-                              "tick parser: zero-length payload")
-                        : Status::InvalidArgument(
-                              "tick parser: unsupported payload length");
-      pos += extent;
-      continue;
-    }
-    if (AcceptFrame(frame + 2, out)) ++emitted;
-    pos += extent;
-  }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<ptrdiff_t>(pos));
-  return emitted;
+  return {};
 }
 
 }  // namespace tsdm

@@ -2,31 +2,21 @@
 #define TSDM_INGEST_TICK_PARSER_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
-#include "src/common/status.h"
+#include "src/common/framed_parser.h"
 #include "src/ingest/tick_codec.h"
 
 namespace tsdm {
 
-/// Exact bookkeeping of everything the parser has seen: every byte is either
-/// inside an accepted frame, inside a rejected frame, skipped during
-/// resynchronization, or still pending — the adversarial-corpus tests
-/// reconcile these counters against the input size.
-struct TickParserStats {
-  uint64_t bytes_consumed = 0;   ///< total bytes handed to Consume
-  uint64_t frames_accepted = 0;  ///< well-formed, in-sequence ticks emitted
-
-  // Rejection counters, one per failure class. A frame lands in exactly one.
-  uint64_t rejected_bad_length = 0;     ///< length prefix 0 or unsupported
-  uint64_t rejected_bad_crc = 0;        ///< CRC mismatch (corruption)
+/// Tick parser bookkeeping. The tick length window admits every u8, so
+/// rejected_bad_length counts CRC-verified frames whose payload is not 24
+/// bytes (consumed whole, like the policy rejects below).
+struct TickParserStats : FrameStats {
   uint64_t rejected_bad_sensor = 0;     ///< sensor id >= configured fleet
   uint64_t rejected_duplicate_seq = 0;  ///< seq <= newest accepted seq
   uint64_t rejected_out_of_order = 0;   ///< timestamp regressed per sensor
-
-  /// Bytes skipped hunting for the next magic byte (garbage between frames
-  /// and the debris of rejected frames).
-  uint64_t resync_bytes = 0;
   /// Forward jumps in the sequence number: sum of (seq - expected) over
   /// accepted frames — the feed's lost-upstream-ticks signal.
   uint64_t gaps_detected = 0;
@@ -37,65 +27,54 @@ struct TickParserStats {
   }
 };
 
-/// Incremental feed-handler parser for the tick frame format
-/// (src/ingest/tick_codec.h): bytes go in chunk by chunk with arbitrary
-/// split points, validated TickMsgs come out. Designed for hostile input —
-/// no byte sequence may crash it or desynchronize it past the next intact
-/// frame:
+/// Frame spec of the tick stream (src/ingest/tick_codec.h) for
+/// FramedParser, holding the feed policy a CRC-verified frame must pass:
 ///
-/// - Framing recovery: after any malformed frame the parser resynchronizes
-///   by scanning forward one byte at a time for the next magic byte, so a
-///   single corrupted frame never swallows its intact successors.
-/// - Integrity: the CRC covers magic and length, so a flipped length byte
-///   fails the checksum instead of silently reframing the stream.
-/// - Sequencing policy: seq must advance (duplicates/regressions are
+/// - Length: the payload must be exactly 24 bytes (InvalidArgument).
+/// - Sensors: ids must be below the configured fleet size (OutOfRange).
+/// - Sequencing: seq must advance (duplicates/regressions are
 ///   retransmission debris and are rejected); per-sensor timestamps must be
-///   non-decreasing; forward seq gaps are accepted but counted.
-///
-/// Single-threaded, like the WAL writer behind it; the stats are plain
-/// counters read from the same thread (snapshotted for export).
-class TickParser {
+///   non-decreasing; forward seq gaps are accepted but counted
+///   (FailedPrecondition for the rejects).
+class TickFrameSpec : public TickFrameFormat {
  public:
+  using Message = TickMsg;
+  using Stats = TickParserStats;
+  static constexpr const char* kCrcError = "tick parser: frame CRC mismatch";
+
   /// `num_sensors` bounds the accepted sensor ids; 0 disables the check.
-  explicit TickParser(size_t num_sensors = 0) : num_sensors_(num_sensors) {}
+  explicit TickFrameSpec(size_t num_sensors = 0)
+      : num_sensors_(num_sensors),
+        last_timestamp_(num_sensors, std::numeric_limits<int64_t>::min()) {}
 
-  /// Consumes `size` bytes, appending every accepted tick to *out (which is
-  /// not cleared). Returns the number of ticks appended. Partial trailing
-  /// frames are buffered until the next call.
-  size_t Consume(const uint8_t* data, size_t size, std::vector<TickMsg>* out);
-
-  const TickParserStats& stats() const { return stats_; }
-
-  /// The most recent rejection, as a typed Status (OK if nothing was ever
-  /// rejected): InvalidArgument for framing, DataLoss for CRC corruption,
-  /// OutOfRange for sensor ids, FailedPrecondition for sequencing.
-  const Status& last_error() const { return last_error_; }
-
-  /// Bytes buffered waiting for the rest of a frame.
-  size_t PendingBytes() const { return pending_.size(); }
-
-  /// Newest accepted sequence number (meaningful once has_seq()).
+  /// Newest accepted (or primed) sequence number.
   uint32_t last_seq() const { return last_seq_; }
-  bool has_seq() const { return has_seq_; }
 
   /// Primes the sequencing state, e.g. after WAL replay, so the resumed
   /// live feed continues from the recovered sequence instead of treating
   /// replayed ticks' successors as duplicates of nothing.
-  void PrimeSequence(uint32_t last_seq);
+  void PrimeSequence(uint32_t last_seq) {
+    last_seq_ = last_seq;
+    has_seq_ = true;
+  }
+
+ protected:
+  FrameVerdict<Stats> Decode(const uint8_t* body, size_t len, Stats* stats,
+                             std::vector<TickMsg>* out);
 
  private:
-  /// Handles one syntactically complete frame (magic/length/CRC already
-  /// verified); applies sensor and sequencing policy.
-  bool AcceptFrame(const uint8_t* payload, std::vector<TickMsg>* out);
-
   size_t num_sensors_;
-  std::vector<uint8_t> pending_;
-  std::vector<int64_t> last_timestamp_;  // per sensor, sized lazily
+  std::vector<int64_t> last_timestamp_;  // per sensor
   uint32_t last_seq_ = 0;
   bool has_seq_ = false;
-  TickParserStats stats_;
-  Status last_error_;
 };
+
+/// Incremental feed-handler parser: bytes go in chunk by chunk with
+/// arbitrary split points, validated TickMsgs come out (see FramedParser for
+/// the framing and resynchronization rules). Single-threaded, like the WAL
+/// writer behind it; the stats are plain counters read from the same thread
+/// (snapshotted for export).
+using TickParser = FramedParser<TickFrameSpec>;
 
 }  // namespace tsdm
 

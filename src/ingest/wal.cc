@@ -12,7 +12,7 @@
 #include <filesystem>
 
 #include "src/common/bytes.h"
-#include "src/ingest/crc32.h"
+#include "src/common/crc32.h"
 
 namespace tsdm {
 

@@ -6,39 +6,8 @@
 #include <utility>
 
 #include "src/common/bytes.h"
-#include "src/ingest/crc32.h"
 
 namespace tsdm {
-
-namespace {
-
-/// Payload length field of a buffered record start (requires >= 5 bytes).
-uint32_t PeekPayloadLen(const uint8_t* p) { return GetU32(p + 1); }
-
-bool PayloadLenValid(uint32_t len) {
-  return len >= kLoadTraceMinPayload && len <= kLoadTraceMaxPayload;
-}
-
-/// Strict payload decode; the CRC already passed, so a failure here means
-/// the record was *written* malformed (or forged), not corrupted.
-bool DecodePayload(const uint8_t* p, size_t size, TimedQuery* out) {
-  if (size < kLoadTraceFixedPayload) return false;
-  const size_t tenant_len = p[9];
-  if (size != kLoadTraceFixedPayload + tenant_len) return false;
-  out->at_seconds = GetF64(p);
-  out->priority = p[8];
-  out->tenant.assign(reinterpret_cast<const char*>(p + 10), tenant_len);
-  const uint8_t* q = p + 10 + tenant_len;
-  out->query.source = static_cast<int>(GetU32(q));
-  out->query.target = static_cast<int>(GetU32(q + 4));
-  out->query.k = static_cast<int>(GetU32(q + 8));
-  out->query.snapshot_id = static_cast<int>(GetU32(q + 12));
-  out->query.depart_seconds = GetF64(q + 16);
-  out->query.arrival_deadline_seconds = GetF64(q + 24);
-  return true;
-}
-
-}  // namespace
 
 void EncodeLoadTraceHeader(std::vector<uint8_t>* out) {
   out->insert(out->end(), kLoadTraceFileMagic, kLoadTraceFileMagic + 4);
@@ -47,9 +16,7 @@ void EncodeLoadTraceHeader(std::vector<uint8_t>* out) {
 
 void EncodeLoadTraceRecord(const TimedQuery& q, std::vector<uint8_t>* out) {
   const size_t tenant_len = std::min<size_t>(q.tenant.size(), 255);
-  const size_t start = out->size();
-  PutU8(out, kLoadTraceRecordMagic);
-  PutU32(out, static_cast<uint32_t>(kLoadTraceFixedPayload + tenant_len));
+  const size_t start = LoadTraceFormat::Begin(out);
   PutF64(out, q.at_seconds);
   PutU8(out, static_cast<uint8_t>(std::clamp(q.priority, 0, 255)));
   PutU8(out, static_cast<uint8_t>(tenant_len));
@@ -61,62 +28,31 @@ void EncodeLoadTraceRecord(const TimedQuery& q, std::vector<uint8_t>* out) {
   PutU32(out, static_cast<uint32_t>(q.query.snapshot_id));
   PutF64(out, q.query.depart_seconds);
   PutF64(out, q.query.arrival_deadline_seconds);
-  PutU32(out, Crc32(out->data() + start, out->size() - start));
+  LoadTraceFormat::End(start, out);
 }
 
-size_t LoadTraceParser::Consume(const uint8_t* data, size_t size,
-                                std::vector<TimedQuery>* out) {
-  stats_.bytes_consumed += size;
-  pending_.insert(pending_.end(), data, data + size);
-  size_t accepted = 0;
-  size_t pos = 0;
-  while (pos < pending_.size()) {
-    // Resynchronize: hunt for the next magic byte.
-    if (pending_[pos] != kLoadTraceRecordMagic) {
-      ++pos;
-      ++stats_.resync_bytes;
-      continue;
-    }
-    if (pending_.size() - pos < 5) break;  // need magic + length
-    const uint32_t len = PeekPayloadLen(pending_.data() + pos);
-    if (!PayloadLenValid(len)) {
-      ++stats_.rejected_bad_length;
-      last_error_ = Status::InvalidArgument(
-          "load trace: payload length " + std::to_string(len) +
-          " outside [" + std::to_string(kLoadTraceMinPayload) + ", " +
-          std::to_string(kLoadTraceMaxPayload) + "]");
-      ++pos;  // the magic byte itself becomes resync debris
-      ++stats_.resync_bytes;
-      continue;
-    }
-    const size_t frame_size = 5 + static_cast<size_t>(len) + 4;
-    if (pending_.size() - pos < frame_size) break;  // wait for the rest
-    const uint8_t* frame = pending_.data() + pos;
-    const uint32_t want_crc = GetU32(frame + 5 + len);
-    const uint32_t got_crc = Crc32(frame, 5 + len);
-    if (want_crc != got_crc) {
-      ++stats_.rejected_bad_crc;
-      last_error_ = Status::DataLoss("load trace: record CRC mismatch");
-      ++pos;
-      ++stats_.resync_bytes;
-      continue;
-    }
-    TimedQuery q;
-    if (!DecodePayload(frame + 5, len, &q)) {
-      ++stats_.rejected_bad_payload;
-      last_error_ =
-          Status::InvalidArgument("load trace: malformed record payload");
-      ++pos;
-      ++stats_.resync_bytes;
-      continue;
-    }
-    out->push_back(std::move(q));
-    ++accepted;
-    ++stats_.records_accepted;
-    pos += frame_size;
+FrameVerdict<LoadTraceParserStats> LoadTraceSpec::Decode(
+    const uint8_t* p, size_t size, LoadTraceParserStats*,
+    std::vector<TimedQuery>* out) {
+  // The length window guarantees the fixed fields are present; the tenant
+  // length must account for exactly the rest.
+  const size_t tenant_len = p[9];
+  if (size != kLoadTraceFixedPayload + tenant_len) {
+    return {&Stats::rejected_bad_payload,
+            Status::InvalidArgument("load trace: malformed record payload")};
   }
-  pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(pos));
-  return accepted;
+  TimedQuery& q = out->emplace_back();
+  q.at_seconds = GetF64(p);
+  q.priority = p[8];
+  q.tenant.assign(reinterpret_cast<const char*>(p + 10), tenant_len);
+  const uint8_t* f = p + 10 + tenant_len;
+  q.query.source = static_cast<int>(GetU32(f));
+  q.query.target = static_cast<int>(GetU32(f + 4));
+  q.query.k = static_cast<int>(GetU32(f + 8));
+  q.query.snapshot_id = static_cast<int>(GetU32(f + 12));
+  q.query.depart_seconds = GetF64(f + 16);
+  q.query.arrival_deadline_seconds = GetF64(f + 24);
+  return {};
 }
 
 Status WriteTraceFile(const std::string& path,

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/framed_parser.h"
 #include "src/common/status.h"
 #include "src/load/scenario.h"
 #include "src/serve/query_service.h"
@@ -14,11 +15,11 @@
 namespace tsdm {
 
 /// Workload trace format — the compact binary stream a LoadTraceRecorder
-/// writes and a TraceReplayer reads back. Same framing discipline as the
-/// tick WAL (0xB7) and the wire protocol (0xC9): a magic byte, an explicit
-/// length, and a trailing CRC-32 that covers the header too, so a
-/// corrupted length byte fails the checksum instead of silently reframing
-/// the stream. All integers little-endian.
+/// writes and a TraceReplayer reads back. Same framing as the tick stream
+/// (0xB7) and the wire protocol (0xC9), see src/common/framed_parser.h: a
+/// magic byte, an explicit length, and a trailing CRC-32 that covers the
+/// header too, so a corrupted length byte fails the checksum instead of
+/// silently reframing the stream. All integers little-endian.
 ///
 /// A trace file/stream is a fixed header followed by any number of
 /// records:
@@ -58,6 +59,8 @@ inline constexpr uint8_t kLoadTraceRecordMagic = 0xD6;
 inline constexpr size_t kLoadTraceFixedPayload = 42;
 inline constexpr size_t kLoadTraceMinPayload = kLoadTraceFixedPayload;
 inline constexpr size_t kLoadTraceMaxPayload = 1 << 16;
+using LoadTraceFormat = FrameFormat<kLoadTraceRecordMagic, uint32_t,
+                                    kLoadTraceMinPayload, kLoadTraceMaxPayload>;
 
 /// Appends the 8-byte stream header to *out.
 void EncodeLoadTraceHeader(std::vector<uint8_t>* out);
@@ -66,52 +69,33 @@ void EncodeLoadTraceHeader(std::vector<uint8_t>* out);
 /// Tenants longer than 255 bytes are truncated.
 void EncodeLoadTraceRecord(const TimedQuery& q, std::vector<uint8_t>* out);
 
-/// Exact bookkeeping of everything a LoadTraceParser has seen, mirroring
-/// the tick/net parser stats: every byte is inside an accepted record,
-/// inside a rejected record, skipped during resynchronization, or pending.
-struct LoadTraceParserStats {
-  uint64_t bytes_consumed = 0;
-  uint64_t records_accepted = 0;
-  uint64_t rejected_bad_length = 0;  ///< payload length outside bounds
-  uint64_t rejected_bad_crc = 0;     ///< CRC mismatch (corruption)
-  uint64_t rejected_bad_payload = 0; ///< CRC-valid but malformed payload
-  uint64_t resync_bytes = 0;         ///< bytes skipped hunting for magic
+struct LoadTraceParserStats : FrameStats {
+  uint64_t rejected_bad_payload = 0;  ///< CRC-valid but malformed payload
 
   uint64_t RejectedTotal() const {
     return rejected_bad_length + rejected_bad_crc + rejected_bad_payload;
   }
 };
 
-/// Incremental parser for the record stream (header already consumed):
-/// bytes go in chunk by chunk with arbitrary split points, validated
-/// TimedQuerys come out. Hostile-input hardened exactly like the tick and
-/// net parsers — no byte sequence may crash it or desynchronize it past
-/// the next intact record; after any malformed record it scans forward one
-/// byte at a time for the next magic byte, so a single flipped byte costs
-/// at most one record.
-///
-/// Single-threaded: one parser per stream.
-class LoadTraceParser {
- public:
-  /// Consumes `size` bytes, appending every accepted record to *out (not
-  /// cleared). Returns the number of records appended. Partial trailing
-  /// records are buffered until the next call.
-  size_t Consume(const uint8_t* data, size_t size,
-                 std::vector<TimedQuery>* out);
+/// Record spec of the trace stream for FramedParser. A CRC-verified record
+/// whose payload does not decode was written malformed (or forged), not
+/// corrupted; it is rejected and skipped whole.
+struct LoadTraceSpec : LoadTraceFormat {
+  using Message = TimedQuery;
+  using Stats = LoadTraceParserStats;
+  static constexpr const char* kLengthError = "load trace: payload length";
+  static constexpr const char* kCrcError = "load trace: record CRC mismatch";
 
-  const LoadTraceParserStats& stats() const { return stats_; }
-
-  /// The most recent rejection, as a typed Status (OK if nothing was ever
-  /// rejected): InvalidArgument for framing, DataLoss for CRC corruption.
-  const Status& last_error() const { return last_error_; }
-
-  size_t PendingBytes() const { return pending_.size(); }
-
- private:
-  std::vector<uint8_t> pending_;
-  LoadTraceParserStats stats_;
-  Status last_error_;
+ protected:
+  static FrameVerdict<Stats> Decode(const uint8_t* body, size_t len,
+                                    Stats* stats,
+                                    std::vector<TimedQuery>* out);
 };
+
+/// Incremental parser for the record stream (header already consumed; see
+/// FramedParser for the framing and resynchronization rules). One parser
+/// per stream.
+using LoadTraceParser = FramedParser<LoadTraceSpec>;
 
 /// Writes header + records to `path` (truncating). One fsync-free pass —
 /// traces are workload artifacts, not durability-critical state.

@@ -435,21 +435,11 @@ void SocketServer::HandleReadable(EventLoop* loop, Connection* conn) {
         const NetFrameStats before = conn->frames.stats();
         conn->frames.Consume(buf, static_cast<size_t>(n), &frames);
         const NetFrameStats& after = conn->frames.stats();
-        frame_bytes_consumed_.fetch_add(
-            after.bytes_consumed - before.bytes_consumed,
-            std::memory_order_relaxed);
-        frames_accepted_.fetch_add(
-            after.frames_accepted - before.frames_accepted,
-            std::memory_order_relaxed);
-        frames_bad_length_.fetch_add(
-            after.rejected_bad_length - before.rejected_bad_length,
-            std::memory_order_relaxed);
-        frames_bad_crc_.fetch_add(
-            after.rejected_bad_crc - before.rejected_bad_crc,
-            std::memory_order_relaxed);
-        frame_resync_bytes_.fetch_add(
-            after.resync_bytes - before.resync_bytes,
-            std::memory_order_relaxed);
+        for (size_t i = 0; i < std::size(kFrameStatsCounters); ++i) {
+          const auto counter = kFrameStatsCounters[i];
+          frame_counters_[i].fetch_add(after.*counter - before.*counter,
+                                       std::memory_order_relaxed);
+        }
         if (!frames.empty()) ProcessBinaryFrames(loop, conn, &frames);
         if (loop->fd_to_conn.count(fd) == 0) return;  // closed
         if (conn->frames.PendingBytes() == 0) conn->request_start_ns = 0;
@@ -944,13 +934,10 @@ NetStatsSnapshot SocketServer::Stats() const {
   s.shed_conn_cap = shed_conn_cap_.load(std::memory_order_relaxed);
   s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
   s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.frames.bytes_consumed =
-      frame_bytes_consumed_.load(std::memory_order_relaxed);
-  s.frames.frames_accepted = frames_accepted_.load(std::memory_order_relaxed);
-  s.frames.rejected_bad_length =
-      frames_bad_length_.load(std::memory_order_relaxed);
-  s.frames.rejected_bad_crc = frames_bad_crc_.load(std::memory_order_relaxed);
-  s.frames.resync_bytes = frame_resync_bytes_.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < std::size(kFrameStatsCounters); ++i) {
+    s.frames.*kFrameStatsCounters[i] =
+        frame_counters_[i].load(std::memory_order_relaxed);
+  }
   s.rejected_bad_opcode = rejected_bad_opcode_.load(std::memory_order_relaxed);
   s.queries_answered = queries_answered_.load(std::memory_order_relaxed);
   s.queries_failed = queries_failed_.load(std::memory_order_relaxed);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -180,11 +181,8 @@ class SocketServer {
   std::atomic<uint64_t> shed_conn_cap_{0};
   std::atomic<uint64_t> shed_queue_full_{0};
   std::atomic<uint64_t> shed_deadline_{0};
-  std::atomic<uint64_t> frame_bytes_consumed_{0};
-  std::atomic<uint64_t> frames_accepted_{0};
-  std::atomic<uint64_t> frames_bad_length_{0};
-  std::atomic<uint64_t> frames_bad_crc_{0};
-  std::atomic<uint64_t> frame_resync_bytes_{0};
+  /// All connections' FrameParser counters, one per kFrameStatsCounters.
+  std::atomic<uint64_t> frame_counters_[std::size(kFrameStatsCounters)]{};
   std::atomic<uint64_t> rejected_bad_opcode_{0};
   std::atomic<uint64_t> queries_answered_{0};
   std::atomic<uint64_t> queries_failed_{0};

@@ -4,87 +4,27 @@
 #include <cstring>
 
 #include "src/common/bytes.h"
-#include "src/ingest/crc32.h"
 
 namespace tsdm {
 
-namespace {
-
-/// Body length field of a buffered frame start (requires >= 5 bytes).
-uint32_t PeekBodyLen(const uint8_t* p) { return GetU32(p + 1); }
-
-bool BodyLenValid(uint32_t len) {
-  return len >= kNetBodyMinSize && len <= kNetBodyMaxSize;
-}
-
-}  // namespace
-
-size_t FrameParser::Consume(const uint8_t* data, size_t size,
-                            std::vector<NetFrame>* out) {
-  stats_.bytes_consumed += size;
-  pending_.insert(pending_.end(), data, data + size);
-
-  size_t emitted = 0;
-  size_t pos = 0;
-  const size_t n = pending_.size();
-  while (pos < n) {
-    // Resynchronize: skip to the next candidate magic byte.
-    if (pending_[pos] != kNetFrameMagic) {
-      ++pos;
-      ++stats_.resync_bytes;
-      continue;
-    }
-    // Need magic + length to size the frame.
-    if (n - pos < 5) break;
-    const uint32_t body_len = PeekBodyLen(&pending_[pos]);
-    if (!BodyLenValid(body_len)) {
-      ++stats_.rejected_bad_length;
-      last_error_ = Status::InvalidArgument(
-          "net: frame body length " + std::to_string(body_len) +
-          " outside [" + std::to_string(kNetBodyMinSize) + ", " +
-          std::to_string(kNetBodyMaxSize) + "]");
-      ++pos;  // one-byte resync: a bad frame costs at most itself
-      ++stats_.resync_bytes;
-      continue;
-    }
-    const size_t frame_size = kNetFrameOverhead + body_len;
-    if (n - pos < frame_size) break;  // wait for the rest
-    const uint8_t* frame = &pending_[pos];
-    const uint32_t want = Crc32(frame, 5 + body_len);
-    const uint32_t got = GetU32(frame + 5 + body_len);
-    if (want != got) {
-      ++stats_.rejected_bad_crc;
-      last_error_ = Status::DataLoss("net: frame CRC mismatch");
-      ++pos;
-      ++stats_.resync_bytes;
-      continue;
-    }
-    NetFrame parsed;
-    parsed.request_id = GetU64(frame + 5);
-    parsed.opcode = frame[13];
-    parsed.payload.assign(frame + kNetFrameHeaderSize,
-                          frame + 5 + body_len);
-    out->push_back(std::move(parsed));
-    ++stats_.frames_accepted;
-    ++emitted;
-    pos += frame_size;
-  }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<ptrdiff_t>(pos));
-  return emitted;
+FrameVerdict<NetFrameStats> NetFrameSpec::Decode(const uint8_t* body,
+                                                 size_t len, NetFrameStats*,
+                                                 std::vector<NetFrame>* out) {
+  NetFrame& frame = out->emplace_back();
+  frame.request_id = GetU64(body);
+  frame.opcode = body[8];
+  frame.payload.assign(body + kNetBodyMinSize, body + len);
+  return {};
 }
 
 void EncodeNetFrame(uint64_t request_id, NetOpcode opcode,
                     const uint8_t* payload, size_t payload_size,
                     std::vector<uint8_t>* out) {
-  const size_t start = out->size();
-  PutU8(out, kNetFrameMagic);
-  PutU32(out, static_cast<uint32_t>(kNetBodyMinSize + payload_size));
+  const size_t start = NetFrameFormat::Begin(out);
   PutU64(out, request_id);
   PutU8(out, static_cast<uint8_t>(opcode));
   if (payload_size > 0) out->insert(out->end(), payload, payload + payload_size);
-  const uint32_t crc = Crc32(out->data() + start, out->size() - start);
-  PutU32(out, crc);
+  NetFrameFormat::End(start, out);
 }
 
 void EncodeRouteQueryPayload(const RouteQuery& query,

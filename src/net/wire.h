@@ -5,14 +5,15 @@
 #include <string>
 #include <vector>
 
+#include "src/common/framed_parser.h"
 #include "src/common/status.h"
 #include "src/serve/request_queue.h"
 
 namespace tsdm {
 
 /// Binary request/response frame — the compact length-prefixed format the
-/// network front door speaks. Same framing discipline as the tick format
-/// (src/ingest/tick_codec.h): a magic byte, an explicit length, and a
+/// network front door speaks. Same framing as the tick format
+/// (src/common/framed_parser.h): a magic byte, an explicit length, and a
 /// trailing CRC-32 that covers the header too, so a corrupted length byte
 /// fails the checksum instead of silently reframing the stream. All
 /// integers little-endian:
@@ -30,10 +31,10 @@ namespace tsdm {
 /// them, so clients may pipeline any number of requests on one connection
 /// and match answers by id.
 inline constexpr uint8_t kNetFrameMagic = 0xC9;
-inline constexpr size_t kNetFrameHeaderSize = 14;  ///< magic..opcode
 inline constexpr size_t kNetBodyMinSize = 9;       ///< request id + opcode
 inline constexpr size_t kNetBodyMaxSize = 1 << 20;
-inline constexpr size_t kNetFrameOverhead = 9;     ///< magic+len+crc wrap
+using NetFrameFormat =
+    FrameFormat<kNetFrameMagic, uint32_t, kNetBodyMinSize, kNetBodyMaxSize>;
 
 /// Request opcodes (client -> server) occupy [0x01, 0x7E]; response opcodes
 /// (server -> client) are the request opcode | 0x80. 0x7F is the typed
@@ -53,54 +54,30 @@ struct NetFrame {
   std::vector<uint8_t> payload;
 };
 
-/// Exact bookkeeping of everything a FrameParser has seen, mirroring
-/// TickParserStats: every byte is inside an accepted frame, inside a
-/// rejected frame, skipped during resynchronization, or still pending.
-struct NetFrameStats {
-  uint64_t bytes_consumed = 0;
-  uint64_t frames_accepted = 0;
-  uint64_t rejected_bad_length = 0;  ///< body length outside [9, 2^20]
-  uint64_t rejected_bad_crc = 0;     ///< CRC mismatch (corruption)
-  /// Bytes skipped hunting for the next magic byte (garbage between frames
-  /// and the debris of rejected frames).
-  uint64_t resync_bytes = 0;
-
+struct NetFrameStats : FrameStats {
   uint64_t RejectedTotal() const {
     return rejected_bad_length + rejected_bad_crc;
   }
 };
 
-/// Incremental parser for the net frame format: bytes go in chunk by chunk
-/// with arbitrary split points, validated NetFrames come out. Designed for
-/// hostile input exactly like the tick parser — no byte sequence may crash
-/// it or desynchronize it past the next intact frame. After any malformed
-/// frame it resynchronizes by scanning forward one byte at a time for the
-/// next magic byte, so a single flipped byte costs at most one frame.
-///
-/// Single-threaded: one parser per connection, driven by that connection's
-/// event loop.
-class FrameParser {
- public:
-  /// Consumes `size` bytes, appending every accepted frame to *out (not
-  /// cleared). Returns the number of frames appended. Partial trailing
-  /// frames are buffered until the next call; the pending buffer is
-  /// bounded by the maximum frame size.
-  size_t Consume(const uint8_t* data, size_t size, std::vector<NetFrame>* out);
+/// Frame spec of the wire protocol for FramedParser. Every CRC-verified
+/// frame is accepted: opcodes are checked by the SocketServer, which answers
+/// an unknown one with a typed error instead of dropping it.
+struct NetFrameSpec : NetFrameFormat {
+  using Message = NetFrame;
+  using Stats = NetFrameStats;
+  static constexpr const char* kLengthError = "net: frame body length";
+  static constexpr const char* kCrcError = "net: frame CRC mismatch";
 
-  const NetFrameStats& stats() const { return stats_; }
-
-  /// The most recent rejection, as a typed Status (OK if nothing was ever
-  /// rejected): InvalidArgument for framing, DataLoss for CRC corruption.
-  const Status& last_error() const { return last_error_; }
-
-  /// Bytes buffered waiting for the rest of a frame.
-  size_t PendingBytes() const { return pending_.size(); }
-
- private:
-  std::vector<uint8_t> pending_;
-  NetFrameStats stats_;
-  Status last_error_;
+ protected:
+  static FrameVerdict<Stats> Decode(const uint8_t* body, size_t len,
+                                    Stats* stats, std::vector<NetFrame>* out);
 };
+
+/// Incremental parser for the net frame format (see FramedParser for the
+/// framing and resynchronization rules). One parser per connection, driven
+/// by that connection's event loop.
+using FrameParser = FramedParser<NetFrameSpec>;
 
 /// Appends the encoded frame (header, body, CRC) to *out.
 void EncodeNetFrame(uint64_t request_id, NetOpcode opcode,

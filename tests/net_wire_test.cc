@@ -1,17 +1,14 @@
-// Hostile-input tests for the network front door's two protocols: the
-// binary frame codec (round-trips, chunk-split invariance, and a seeded
-// byte-flip sweep mirroring tick_parser_test's corpus pattern — the parser
-// must never crash, must keep exact byte accounting, and a single flipped
-// byte must cost at most one frame) and the incremental HTTP/1.1 parser
-// (split-across-read headers, oversized request lines, pipelining, bad
-// framing).
+// Tests for the network front door's two protocols: the binary frame
+// codec's opcode payloads (the framing itself — chunking, byte flips,
+// garbage, length windows — is covered for every framed stream by
+// framed_parser_test) and the incremental HTTP/1.1 parser (split-across-read
+// headers, oversized request lines, pipelining, bad framing).
 
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/common/rng.h"
 #include "src/net/http.h"
 #include "src/net/wire.h"
 #include "src/spatial/shortest_path.h"
@@ -28,18 +25,6 @@ RouteQuery SampleQuery(int i) {
   q.depart_seconds = 8 * 3600.0 + i;
   q.arrival_deadline_seconds = q.depart_seconds + 1500.0;
   return q;
-}
-
-/// `n` well-formed query frames with distinct ids.
-std::vector<uint8_t> CleanFeed(size_t n) {
-  std::vector<uint8_t> bytes;
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<uint8_t> payload;
-    EncodeRouteQueryPayload(SampleQuery(static_cast<int>(i)), &payload);
-    EncodeNetFrame(100 + i, NetOpcode::kRouteQuery, payload.data(),
-                   payload.size(), &bytes);
-  }
-  return bytes;
 }
 
 // --- Binary frame codec ---------------------------------------------------
@@ -108,127 +93,6 @@ TEST(NetWireTest, FrameRoundTripAllOpcodes) {
                                         frames[3].payload.size());
   EXPECT_EQ(err.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(err.message(), "queue full");
-}
-
-TEST(NetWireTest, ChunkSplitInvariance) {
-  const std::vector<uint8_t> feed = CleanFeed(12);
-
-  FrameParser whole;
-  std::vector<NetFrame> whole_frames;
-  whole.Consume(feed.data(), feed.size(), &whole_frames);
-
-  // Byte-at-a-time must produce byte-identical frames in order.
-  FrameParser drip;
-  std::vector<NetFrame> drip_frames;
-  for (size_t i = 0; i < feed.size(); ++i) {
-    drip.Consume(&feed[i], 1, &drip_frames);
-  }
-  ASSERT_EQ(whole_frames.size(), 12u);
-  ASSERT_EQ(drip_frames.size(), whole_frames.size());
-  for (size_t i = 0; i < whole_frames.size(); ++i) {
-    EXPECT_EQ(drip_frames[i].request_id, whole_frames[i].request_id);
-    EXPECT_EQ(drip_frames[i].opcode, whole_frames[i].opcode);
-    EXPECT_EQ(drip_frames[i].payload, whole_frames[i].payload);
-  }
-  EXPECT_EQ(drip.stats().bytes_consumed, whole.stats().bytes_consumed);
-  EXPECT_EQ(drip.PendingBytes(), 0u);
-}
-
-TEST(NetWireTest, RejectsBadLengthWithOneByteResync) {
-  // A frame claiming a body smaller than the fixed request id + opcode
-  // prefix is structurally impossible; it must be rejected by length, not
-  // CRC, and the intact frame behind it must survive.
-  std::vector<uint8_t> feed;
-  feed.push_back(kNetFrameMagic);
-  feed.push_back(4);  // body_len 4 < kNetBodyMinSize
-  feed.push_back(0);
-  feed.push_back(0);
-  feed.push_back(0);
-  EncodeNetFrame(42, NetOpcode::kPing, nullptr, 0, &feed);
-
-  FrameParser parser;
-  std::vector<NetFrame> frames;
-  parser.Consume(feed.data(), feed.size(), &frames);
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].request_id, 42u);
-  EXPECT_GE(parser.stats().rejected_bad_length, 1u);
-  EXPECT_EQ(parser.last_error().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(NetWireTest, SeededByteFlipSweepLosesAtMostOneFrame) {
-  const size_t kFrames = 16;
-  const std::vector<uint8_t> clean = CleanFeed(kFrames);
-  const size_t frame_size =
-      kNetFrameOverhead + kNetBodyMinSize + kRouteQueryPayloadSize;
-  ASSERT_EQ(clean.size(), kFrames * frame_size);
-
-  Rng rng(4321);
-  for (int trial = 0; trial < 120; ++trial) {
-    std::vector<uint8_t> feed = clean;
-    const size_t pos = static_cast<size_t>(
-        rng.Int(0, static_cast<int>(feed.size()) - 1));
-    const uint8_t flip = static_cast<uint8_t>(rng.Int(1, 255));
-    feed[pos] ^= flip;
-
-    FrameParser parser;
-    std::vector<NetFrame> frames;
-    parser.Consume(feed.data(), feed.size(), &frames);
-    // A flipped length byte can leave the parser waiting for a claimed
-    // extent that never arrives, with intact frames queued behind it.
-    // Flush with enough non-magic bytes to complete any claimable extent
-    // (max body + framing); the claim then fails its CRC and the queued
-    // frames parse.
-    const std::vector<uint8_t> flush(kNetBodyMaxSize + kNetFrameOverhead, 0);
-    parser.Consume(flush.data(), flush.size(), &frames);
-
-    // CRC-32 detects every single-byte corruption and resynchronization
-    // advances one byte at a time, so exactly the damaged frame is lost.
-    EXPECT_EQ(frames.size(), kFrames - 1)
-        << "trial=" << trial << " pos=" << pos << " flip=" << int{flip};
-    EXPECT_EQ(parser.stats().frames_accepted, kFrames - 1);
-    // The damage surfaced as a typed rejection or as resync debris, never
-    // silently.
-    EXPECT_TRUE(parser.stats().RejectedTotal() > 0 ||
-                parser.stats().resync_bytes > 0)
-        << "trial=" << trial;
-    // Exact byte conservation: every consumed byte is inside an accepted
-    // frame, counted as resync debris, or still pending.
-    const uint64_t accepted_bytes =
-        parser.stats().frames_accepted * frame_size;
-    EXPECT_EQ(parser.stats().bytes_consumed,
-              accepted_bytes + parser.stats().resync_bytes +
-                  parser.PendingBytes())
-        << "trial=" << trial << " pos=" << pos;
-    // The intact neighbors all survive, ids preserved in order.
-    const size_t damaged = pos / frame_size;
-    size_t j = 0;
-    for (size_t i = 0; i < kFrames; ++i) {
-      if (i == damaged) continue;
-      ASSERT_LT(j, frames.size());
-      EXPECT_EQ(frames[j].request_id, 100 + i) << "trial=" << trial;
-      ++j;
-    }
-  }
-}
-
-TEST(NetWireTest, GarbageStreamNeverAcceptsAndStaysBounded) {
-  Rng rng(99);
-  FrameParser parser;
-  std::vector<NetFrame> frames;
-  for (int i = 0; i < 200; ++i) {
-    uint8_t junk[64];
-    for (auto& b : junk) {
-      b = static_cast<uint8_t>(rng.Int(0, 255));
-    }
-    parser.Consume(junk, sizeof(junk), &frames);
-    // Pending is bounded by the largest claimable frame.
-    EXPECT_LE(parser.PendingBytes(), kNetBodyMaxSize + kNetFrameOverhead);
-  }
-  // Random junk essentially never passes a CRC-32 (the seeded stream must
-  // not); everything lands in resync/rejections/pending.
-  EXPECT_TRUE(frames.empty());
-  EXPECT_EQ(parser.stats().bytes_consumed,
-            parser.stats().resync_bytes + parser.PendingBytes());
 }
 
 // --- HTTP parser ----------------------------------------------------------

@@ -1,15 +1,11 @@
-// Adversarial corpus for the incremental tick parser: arbitrary chunking,
-// malformed lengths, corrupted CRCs, hostile sequencing, and a seeded
-// random byte-flip sweep. The parser must never crash, must keep exact
-// accepted/rejected accounting, and must report each rejection as a typed
-// Status.
+// Feed policy of the tick parser: payload length, sensor ids, sequencing,
+// timestamps and gap counting, each rejection reported as a typed Status.
+// The framing itself (chunking, byte flips, garbage, hostile lengths) is
+// covered for every framed stream by framed_parser_test.
 
-#include <cstring>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/common/rng.h"
-#include "src/ingest/crc32.h"
 #include "src/ingest/tick_codec.h"
 #include "src/ingest/tick_parser.h"
 
@@ -25,13 +21,13 @@ TickMsg Msg(uint32_t seq, uint32_t sensor, int64_t ts, double value) {
   return msg;
 }
 
-/// `n` well-formed frames, consecutive seqs, increasing timestamps.
-std::vector<uint8_t> CleanFeed(size_t n, size_t num_sensors = 4,
-                               uint32_t first_seq = 1) {
+/// `n` well-formed frames over 4 sensors, seqs from 1, increasing
+/// timestamps.
+std::vector<uint8_t> CleanFeed(size_t n) {
   std::vector<uint8_t> bytes;
   for (size_t i = 0; i < n; ++i) {
-    EncodeTickFrame(Msg(first_seq + static_cast<uint32_t>(i),
-                        static_cast<uint32_t>(i % num_sensors),
+    EncodeTickFrame(Msg(static_cast<uint32_t>(i + 1),
+                        static_cast<uint32_t>(i % 4),
                         1000 + static_cast<int64_t>(i), 1.5 * i),
                     &bytes);
   }
@@ -42,52 +38,10 @@ std::vector<uint8_t> CleanFeed(size_t n, size_t num_sensors = 4,
 /// *valid* CRC, to drive the bad-length path without tripping the CRC check.
 std::vector<uint8_t> FrameWithLength(uint8_t len) {
   std::vector<uint8_t> f;
-  f.push_back(kTickFrameMagic);
-  f.push_back(len);
+  const size_t start = TickFrameFormat::Begin(&f);
   for (uint8_t i = 0; i < len; ++i) f.push_back(i);
-  uint32_t crc = Crc32(f.data(), f.size());
-  f.push_back(static_cast<uint8_t>(crc));
-  f.push_back(static_cast<uint8_t>(crc >> 8));
-  f.push_back(static_cast<uint8_t>(crc >> 16));
-  f.push_back(static_cast<uint8_t>(crc >> 24));
+  TickFrameFormat::End(start, &f);
   return f;
-}
-
-TEST(TickParserTest, CleanFeedFullyAcceptedInOneShot) {
-  std::vector<uint8_t> feed = CleanFeed(50);
-  TickParser parser(4);
-  std::vector<TickMsg> out;
-  EXPECT_EQ(parser.Consume(feed.data(), feed.size(), &out), 50u);
-  ASSERT_EQ(out.size(), 50u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].seq, i + 1);
-    EXPECT_EQ(out[i].timestamp, 1000 + static_cast<int64_t>(i));
-    EXPECT_DOUBLE_EQ(out[i].value, 1.5 * i);
-  }
-  EXPECT_EQ(parser.stats().frames_accepted, 50u);
-  EXPECT_EQ(parser.stats().RejectedTotal(), 0u);
-  EXPECT_EQ(parser.stats().resync_bytes, 0u);
-  EXPECT_EQ(parser.stats().bytes_consumed, feed.size());
-  EXPECT_EQ(parser.PendingBytes(), 0u);
-  EXPECT_TRUE(parser.last_error().ok());
-}
-
-TEST(TickParserTest, EveryChunkSizeYieldsTheSameTicks) {
-  std::vector<uint8_t> feed = CleanFeed(20);
-  // Deliver in chunks of every size from 1 byte up to a full frame plus
-  // change: split points land on every possible intra-frame boundary.
-  for (size_t chunk = 1; chunk <= kTickFrameSize + 3; ++chunk) {
-    TickParser parser(4);
-    std::vector<TickMsg> out;
-    for (size_t pos = 0; pos < feed.size(); pos += chunk) {
-      size_t n = std::min(chunk, feed.size() - pos);
-      parser.Consume(feed.data() + pos, n, &out);
-    }
-    EXPECT_EQ(out.size(), 20u) << "chunk=" << chunk;
-    EXPECT_EQ(parser.stats().frames_accepted, 20u) << "chunk=" << chunk;
-    EXPECT_EQ(parser.stats().RejectedTotal(), 0u) << "chunk=" << chunk;
-    EXPECT_EQ(parser.PendingBytes(), 0u) << "chunk=" << chunk;
-  }
 }
 
 TEST(TickParserTest, ZeroLengthPayloadRejectedAndStreamResumes) {
@@ -203,104 +157,6 @@ TEST(TickParserTest, PrimedSequenceRejectsReplayedPrefix) {
   EXPECT_EQ(parser.Consume(feed.data(), feed.size(), &out), 4u);
   EXPECT_EQ(out.front().seq, 7u);
   EXPECT_EQ(parser.stats().rejected_duplicate_seq, 6u);
-}
-
-TEST(TickParserTest, InterFrameGarbageIsResynced) {
-  std::vector<uint8_t> feed;
-  std::vector<uint8_t> frame1 = CleanFeed(1, 4, 1);
-  std::vector<uint8_t> frame2 = CleanFeed(1, 4, 2);
-  const uint8_t garbage[] = {0x00, 0xFF, 0x13, 0x37, 0xB8};
-  feed.insert(feed.end(), garbage, garbage + sizeof(garbage));
-  feed.insert(feed.end(), frame1.begin(), frame1.end());
-  feed.insert(feed.end(), garbage, garbage + sizeof(garbage));
-  feed.insert(feed.end(), frame2.begin(), frame2.end());
-
-  TickParser parser(4);
-  std::vector<TickMsg> out;
-  EXPECT_EQ(parser.Consume(feed.data(), feed.size(), &out), 2u);
-  EXPECT_EQ(parser.stats().resync_bytes, 2 * sizeof(garbage));
-}
-
-TEST(TickParserTest, HostileLengthPrefixCannotBloatPendingBuffer) {
-  // A magic byte followed by length 255 claims a 261-byte frame that never
-  // completes; the pending buffer must stay bounded by one claimed extent.
-  TickParser parser(4);
-  std::vector<TickMsg> out;
-  const uint8_t bait[] = {kTickFrameMagic, 0xFF};
-  parser.Consume(bait, sizeof(bait), &out);
-  for (int i = 0; i < 100; ++i) {
-    uint8_t junk[2] = {0x00, 0x00};
-    parser.Consume(junk, sizeof(junk), &out);
-    EXPECT_LE(parser.PendingBytes(), 2u + 255u + 4u);
-  }
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(TickParserTest, SeededByteFlipSweepLosesExactlyOneFrame) {
-  const size_t kFrames = 24;
-  std::vector<uint8_t> clean = CleanFeed(kFrames);
-
-  Rng rng(1234);
-  for (int trial = 0; trial < 300; ++trial) {
-    std::vector<uint8_t> feed = clean;
-    size_t pos = static_cast<size_t>(
-        rng.Int(0, static_cast<int>(feed.size()) - 1));
-    uint8_t flip = static_cast<uint8_t>(rng.Int(1, 255));
-    feed[pos] ^= flip;
-
-    TickParser parser(4);
-    std::vector<TickMsg> out;
-    parser.Consume(feed.data(), feed.size(), &out);
-    // A flipped length byte can leave the parser waiting for a claimed
-    // extent that will never arrive, with intact frames queued behind it.
-    // Flush with enough non-magic bytes to complete any claimed extent
-    // (max 261): its CRC then fails and the queued frames parse.
-    const std::vector<uint8_t> flush(2 + 255 + 4, 0x00);
-    parser.Consume(flush.data(), flush.size(), &out);
-
-    // CRC-32 detects every single-byte corruption, and resynchronization
-    // skips at most one byte at a time, so exactly the frame containing
-    // the flip is lost — its intact neighbors all survive.
-    EXPECT_EQ(out.size(), kFrames - 1)
-        << "trial=" << trial << " pos=" << pos << " flip=" << int{flip};
-    EXPECT_EQ(parser.stats().frames_accepted, kFrames - 1);
-    // The damage surfaced either as a typed rejection (CRC mismatch on the
-    // real frame boundary) or — when the magic byte itself was hit — as
-    // resynchronization debris. Never silently.
-    EXPECT_TRUE(parser.stats().rejected_bad_crc > 0 ||
-                parser.stats().resync_bytes > 0)
-        << "trial=" << trial;
-    const size_t damaged = pos / kTickFrameSize;
-    for (size_t i = 0, j = 0; i < kFrames; ++i) {
-      if (i == damaged) continue;
-      EXPECT_EQ(out[j].seq, i + 1) << "trial=" << trial;
-      ++j;
-    }
-    // Byte conservation: every consumed byte is accounted for exactly once.
-    const TickParserStats& s = parser.stats();
-    EXPECT_EQ(s.bytes_consumed,
-              s.frames_accepted * kTickFrameSize +
-                  (s.rejected_bad_sensor + s.rejected_duplicate_seq +
-                   s.rejected_out_of_order) *
-                      kTickFrameSize +
-                  s.resync_bytes + parser.PendingBytes())
-        << "trial=" << trial;
-  }
-}
-
-TEST(TickParserTest, PureGarbageNeverCrashesOrEmits) {
-  Rng rng(99);
-  TickParser parser(4);
-  std::vector<TickMsg> out;
-  for (int chunk = 0; chunk < 50; ++chunk) {
-    std::vector<uint8_t> junk(200);
-    for (auto& b : junk) b = static_cast<uint8_t>(rng.Int(0, 255));
-    parser.Consume(junk.data(), junk.size(), &out);
-  }
-  // Random bytes essentially cannot produce a valid CRC-framed tick; the
-  // point is the parser stays bounded and alive.
-  EXPECT_LE(parser.PendingBytes(), 2u + 255u + 4u);
-  EXPECT_EQ(parser.stats().bytes_consumed, 50u * 200u);
 }
 
 }  // namespace
