@@ -965,40 +965,22 @@ NetStatsSnapshot SocketServer::Stats() const {
 
 void SocketServer::RegisterMetricsSources() {
   MetricsExporter::RegisterSource(
-      "net",
-      [this](const std::string& prefix) {
-        return MetricsExporter::NetToPrometheus(Stats(), prefix);
-      },
-      [this] { return MetricsExporter::NetToJson(Stats()); });
+      "net", [this] { return MetricsExporter::Describe(Stats()); });
   if (serve_ != nullptr) {
     QueryService* serve = serve_;
     MetricsExporter::RegisterSource(
-        "serve",
-        [serve](const std::string& prefix) {
-          return MetricsExporter::ServeToPrometheus(serve->Stats(), prefix);
-        },
-        [serve] { return MetricsExporter::ServeToJson(serve->Stats()); });
+        "serve", [serve] { return MetricsExporter::Describe(serve->Stats()); });
   }
   // Observability self-metrics ride the same registry, so GET /metrics
   // carries tsdm_trace_dropped_total and the tsdm_flight_* families
   // whenever the front door is up. Both wrap process-global singletons —
   // no lifetime hazard, but unregistered symmetrically anyway.
-  MetricsExporter::RegisterSource(
-      "trace",
-      [](const std::string& prefix) {
-        return MetricsExporter::TraceToPrometheus(TraceRecorder::Global(),
-                                                  prefix);
-      },
-      [] { return MetricsExporter::TraceToJson(TraceRecorder::Global()); });
-  MetricsExporter::RegisterSource(
-      "flight",
-      [](const std::string& prefix) {
-        return MetricsExporter::FlightToPrometheus(
-            FlightRecorder::Global().Stats(), prefix);
-      },
-      [] {
-        return MetricsExporter::FlightToJson(FlightRecorder::Global().Stats());
-      });
+  MetricsExporter::RegisterSource("trace", [] {
+    return MetricsExporter::Describe(TraceRecorder::Global());
+  });
+  MetricsExporter::RegisterSource("flight", [] {
+    return MetricsExporter::Describe(FlightRecorder::Global().Stats());
+  });
 }
 
 void SocketServer::UnregisterMetricsSources() {

@@ -1,87 +1,80 @@
 #include "src/obs/metrics_export.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <mutex>
+#include <string_view>
 
 namespace tsdm {
 
 namespace {
 
-std::string U64(uint64_t v) { return std::to_string(v); }
+constexpr char kCounter[] = "counter";
+constexpr char kGauge[] = "gauge";
+constexpr char kSummary[] = "summary";
 
-/// Appends one Prometheus family header.
-void Family(std::ostringstream* os, const std::string& name,
-            const char* type, const char* help) {
-  *os << "# HELP " << name << " " << help << "\n";
-  *os << "# TYPE " << name << " " << type << "\n";
+/// Every exported family name starts with this.
+constexpr char kPrefix[] = "tsdm_";
+
+/// `s` as a JSON string literal.
+std::string Quoted(const std::string& s) {
+  std::string out = "\"";
+  out += JsonEscape(s);
+  return out += "\"";
 }
 
-/// {stage="<escaped>"} label set.
-std::string StageLabel(const std::string& stage) {
-  return "{stage=\"" + JsonEscape(stage) + "\"}";
+/// Escapes a Prometheus label value. The text exposition format defines
+/// only \\, \" and \n; a scraper rejects any other escape, so other
+/// control bytes pass through raw.
+std::string LabelEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '\\' || c == '"') out += '\\';
+    out += c == '\n' ? std::string("\\n") : std::string(1, c);
+  }
+  return out;
 }
 
-void LatencySummary(std::ostringstream* os, const std::string& family,
-                    const std::string& labels_no_brace,
-                    const LatencyHistogram& h) {
-  for (double q : {0.5, 0.95, 0.99}) {
-    *os << family << "{" << labels_no_brace
-        << (labels_no_brace.empty() ? "" : ",") << "quantile=\""
-        << JsonNumber(q) << "\"} " << JsonNumber(h.QuantileSeconds(q))
-        << "\n";
-  }
-  *os << family << "_sum"
-      << (labels_no_brace.empty() ? "" : "{" + labels_no_brace + "}") << " "
-      << JsonNumber(h.total_seconds()) << "\n";
-  *os << family << "_count"
-      << (labels_no_brace.empty() ? "" : "{" + labels_no_brace + "}") << " "
-      << U64(h.count()) << "\n";
+std::string JoinLabels(std::string a, const std::string& b) {
+  if (!a.empty() && !b.empty()) a += ",";
+  return a + b;
 }
 
-/// The per-stage body shared by every JSON flavor.
-void StagesJson(std::ostringstream* os, const StageMetricsRegistry& registry) {
-  *os << "\"stages\":{";
-  bool first = true;
-  for (const auto& [name, m] : registry.stages()) {
-    if (!first) *os << ",";
-    first = false;
-    *os << "\"" << JsonEscape(name) << "\":{"
-        << "\"invocations\":" << U64(m.invocations)
-        << ",\"failures\":" << U64(m.failures)
-        << ",\"retries\":" << U64(m.retries)
-        << ",\"latency\":" << MetricsExporter::LatencyToJson(m.latency)
-        << "}";
-  }
-  *os << "}";
+/// One sample line: tsdm_<family><suffix>{<labels>} <value>.
+std::string SampleLine(const MetricFamily& family, const char* suffix,
+                       const std::string& labels, const std::string& value) {
+  std::string line = kPrefix;
+  line += family.name;
+  line += suffix;
+  if (!labels.empty()) line += "{" + labels + "}";
+  return line + " " + value + "\n";
 }
 
-/// The per-stage body shared by every Prometheus flavor.
-void StagesPrometheus(std::ostringstream* os,
-                      const StageMetricsRegistry& registry,
-                      const std::string& prefix) {
-  const std::string inv = prefix + "_stage_invocations_total";
-  const std::string fail = prefix + "_stage_failures_total";
-  const std::string retry = prefix + "_stage_retries_total";
-  const std::string lat = prefix + "_stage_latency_seconds";
-
-  Family(os, inv, "counter", "Stage attempts including retries.");
-  for (const auto& [name, m] : registry.stages()) {
-    *os << inv << StageLabel(name) << " " << U64(m.invocations) << "\n";
+/// The per-stage body shared by the registry, batch and stream exports.
+void DescribeStages(const StageMetricsRegistry& registry, MetricSet* m) {
+  static constexpr MetricFamily kInvocations{
+      "stage_invocations_total", kCounter,
+      "Stage attempts including retries."};
+  static constexpr MetricFamily kFailures{
+      "stage_failures_total", kCounter, "Stage attempts returning non-OK."};
+  static constexpr MetricFamily kRetries{
+      "stage_retries_total", kCounter,
+      "Re-attempts after a transient stage failure."};
+  static constexpr MetricFamily kLatency{
+      "stage_latency_seconds", kSummary,
+      "Per-attempt stage latency in seconds."};
+  m->Announce(kInvocations, kFailures, kRetries, kLatency);
+  m->Open("stages");
+  for (const auto& [name, stage] : registry.stages()) {
+    m->Open(name, {"stage", name});
+    m->Add("invocations", stage.invocations, kInvocations);
+    m->Add("failures", stage.failures, kFailures);
+    m->Add("retries", stage.retries, kRetries);
+    m->Latency("latency", stage.latency, kLatency);
+    m->Close();
   }
-  Family(os, fail, "counter", "Stage attempts returning non-OK.");
-  for (const auto& [name, m] : registry.stages()) {
-    *os << fail << StageLabel(name) << " " << U64(m.failures) << "\n";
-  }
-  Family(os, retry, "counter",
-         "Re-attempts after a transient stage failure.");
-  for (const auto& [name, m] : registry.stages()) {
-    *os << retry << StageLabel(name) << " " << U64(m.retries) << "\n";
-  }
-  Family(os, lat, "summary", "Per-attempt stage latency in seconds.");
-  for (const auto& [name, m] : registry.stages()) {
-    LatencySummary(os, lat, "stage=\"" + JsonEscape(name) + "\"", m.latency);
-  }
+  m->Close();
 }
 
 }  // namespace
@@ -126,734 +119,555 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
+MetricValue MetricValue::Text(const std::string& s) { return {Quoted(s), ""}; }
+
+// --- MetricSet -------------------------------------------------------------
+
+MetricSet::MetricSet() : json_("{") {
+  Add("schema_version", MetricsExporter::kSchemaVersion);
+}
+
+void MetricSet::Key(const std::string& key) {
+  if (json_.back() != '{' && json_.back() != '[') json_ += ",";
+  if (scopes_.empty() || !scopes_.back().list) json_ += Quoted(key) + ":";
+}
+
+std::string MetricSet::Labels(const MetricLabel& own) const {
+  std::string labels = scopes_.empty() ? "" : scopes_.back().labels;
+  if (own.name == nullptr) return labels;
+  return JoinLabels(labels, std::string(own.name) + "=\"" +
+                                LabelEscape(own.value) + "\"");
+}
+
+std::string& MetricSet::Samples(const MetricFamily& family) {
+  auto it = std::find_if(
+      families_.begin(), families_.end(), [&family](const auto& f) {
+        return std::string_view(f.first.name) == family.name;
+      });
+  if (it != families_.end()) return it->second;
+  return families_.emplace_back(family, "").second;
+}
+
+void MetricSet::Open(const std::string& key, MetricLabel label) {
+  Key(key);
+  json_ += "{";
+  scopes_.push_back({Labels(label), false});
+}
+
+void MetricSet::OpenList(const std::string& key) {
+  Key(key);
+  json_ += "[";
+  scopes_.push_back({Labels({}), true});
+}
+
+void MetricSet::Close() {
+  json_ += scopes_.back().list ? "]" : "}";
+  scopes_.pop_back();
+}
+
+void MetricSet::Add(const std::string& key, MetricValue value) {
+  Key(key);
+  json_ += value.json;
+}
+
+void MetricSet::Add(const std::string& key, MetricValue value,
+                    const MetricFamily& family, MetricLabel label) {
+  Samples(family) += SampleLine(family, "", Labels(label), value.prom);
+  Add(key, std::move(value));
+}
+
+void MetricSet::Latency(const std::string& key, const LatencyHistogram& h,
+                        const MetricFamily& family, MetricLabel label) {
+  const std::string labels = Labels(label);
+  std::string& samples = Samples(family);
+  for (double q : {0.5, 0.95, 0.99}) {
+    samples += SampleLine(
+        family, "", JoinLabels(labels, "quantile=\"" + JsonNumber(q) + "\""),
+        JsonNumber(h.QuantileSeconds(q)));
+  }
+  samples += SampleLine(family, "_sum", labels, JsonNumber(h.total_seconds()));
+  samples += SampleLine(family, "_count", labels, std::to_string(h.count()));
+  Add(key, {MetricsExporter::LatencyToJson(h), ""});
+}
+
+std::string MetricSet::ToPrometheus() const {
+  std::string out;
+  for (const auto& [family, samples] : families_) {
+    const std::string name = std::string(kPrefix) + family.name;
+    out += "# HELP " + name + " " + family.help + "\n";
+    out += "# TYPE " + name + " " + family.type + "\n";
+    out += samples;
+  }
+  return out;
+}
+
+// --- Per-type declarations --------------------------------------------------
+
 std::string MetricsExporter::LatencyToJson(const LatencyHistogram& h) {
-  std::ostringstream os;
-  os << "{\"count\":" << U64(h.count())
-     << ",\"mean_s\":" << JsonNumber(h.MeanSeconds())
-     << ",\"p50_s\":" << JsonNumber(h.QuantileSeconds(0.5))
-     << ",\"p95_s\":" << JsonNumber(h.QuantileSeconds(0.95))
-     << ",\"p99_s\":" << JsonNumber(h.QuantileSeconds(0.99))
-     << ",\"min_s\":" << JsonNumber(h.MinSeconds())
-     << ",\"max_s\":" << JsonNumber(h.MaxSeconds()) << "}";
-  return os.str();
+  return "{\"count\":" + std::to_string(h.count()) +
+         ",\"mean_s\":" + JsonNumber(h.MeanSeconds()) +
+         ",\"p50_s\":" + JsonNumber(h.QuantileSeconds(0.5)) +
+         ",\"p95_s\":" + JsonNumber(h.QuantileSeconds(0.95)) +
+         ",\"p99_s\":" + JsonNumber(h.QuantileSeconds(0.99)) +
+         ",\"min_s\":" + JsonNumber(h.MinSeconds()) +
+         ",\"max_s\":" + JsonNumber(h.MaxSeconds()) + "}";
 }
 
-std::string MetricsExporter::RegistryToJson(
-    const StageMetricsRegistry& registry) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",";
-  StagesJson(&os, registry);
-  os << "}";
-  return os.str();
+MetricSet MetricsExporter::Describe(const StageMetricsRegistry& registry) {
+  MetricSet m;
+  DescribeStages(registry, &m);
+  return m;
 }
 
-std::string MetricsExporter::RegistryToPrometheus(
-    const StageMetricsRegistry& registry, const std::string& prefix) {
-  std::ostringstream os;
-  StagesPrometheus(&os, registry, prefix);
-  return os.str();
+MetricSet MetricsExporter::Describe(const BatchReport& report) {
+  MetricSet m;
+  m.Open("batch");
+  m.Add("shards", report.shards.size(), "batch_shards_total", kGauge,
+        "Shards in the last batch run.");
+  m.Add("ok", report.NumOk());
+  m.Add("quarantined", report.NumQuarantined(), "batch_shards_quarantined",
+        kGauge, "Shards quarantined by a failing stage in the last batch run.");
+  m.Add("attempts_total", report.AttemptsTotal(), "batch_attempts_total",
+        kCounter,
+        "Stage attempts across all shards including retries (retry pressure).");
+  m.Add("threads", report.num_threads, "batch_threads", kGauge,
+        "Worker threads used by the last batch run.");
+  m.Add("wall_seconds", report.wall_seconds, "batch_wall_seconds", kGauge,
+        "Wall-clock seconds of the last batch run.");
+  m.Close();
+  DescribeStages(report.metrics, &m);
+  return m;
 }
 
-std::string MetricsExporter::BatchToJson(const BatchReport& report) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"batch\":{"
-     << "\"shards\":" << report.shards.size()
-     << ",\"ok\":" << report.NumOk()
-     << ",\"quarantined\":" << report.NumQuarantined()
-     << ",\"attempts_total\":" << report.AttemptsTotal()
-     << ",\"threads\":" << report.num_threads
-     << ",\"wall_seconds\":" << JsonNumber(report.wall_seconds) << "},";
-  StagesJson(&os, report.metrics);
-  os << "}";
-  return os.str();
+MetricSet MetricsExporter::Describe(const StreamPipeline& pipeline) {
+  MetricSet m;
+  m.Open("stream");
+  m.Add("ticks", pipeline.ticks_processed(), "stream_ticks_total", kCounter,
+        "Ticks fully processed by the pipeline.");
+  m.Latency("tick_latency", pipeline.tick_latency(),
+            "stream_tick_latency_seconds",
+            "End-to-end per-tick latency in seconds.");
+  m.Close();
+  DescribeStages(pipeline.metrics(), &m);
+  return m;
 }
 
-std::string MetricsExporter::BatchToPrometheus(const BatchReport& report,
-                                               const std::string& prefix) {
-  std::ostringstream os;
-  const std::string shards = prefix + "_batch_shards_total";
-  Family(&os, shards, "gauge", "Shards in the last batch run.");
-  os << shards << " " << report.shards.size() << "\n";
-  const std::string quarantined = prefix + "_batch_shards_quarantined";
-  Family(&os, quarantined, "gauge",
-         "Shards quarantined by a failing stage in the last batch run.");
-  os << quarantined << " " << report.NumQuarantined() << "\n";
-  const std::string attempts = prefix + "_batch_attempts_total";
-  Family(&os, attempts, "counter",
-         "Stage attempts across all shards including retries "
-         "(retry pressure).");
-  os << attempts << " " << report.AttemptsTotal() << "\n";
-  const std::string threads = prefix + "_batch_threads";
-  Family(&os, threads, "gauge", "Worker threads used by the last batch run.");
-  os << threads << " " << report.num_threads << "\n";
-  const std::string wall = prefix + "_batch_wall_seconds";
-  Family(&os, wall, "gauge", "Wall-clock seconds of the last batch run.");
-  os << wall << " " << JsonNumber(report.wall_seconds) << "\n";
-  StagesPrometheus(&os, report.metrics, prefix);
-  return os.str();
-}
-
-std::string MetricsExporter::ServeToJson(const ServeStatsSnapshot& s) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"serve\":{"
-     << "\"submitted\":" << U64(s.submitted)
-     << ",\"admitted\":" << U64(s.admitted)
-     << ",\"shed_capacity\":" << U64(s.shed_capacity)
-     << ",\"shed_expired\":" << U64(s.shed_expired)
-     << ",\"shed_closed\":" << U64(s.shed_closed)
-     << ",\"shed_evicted\":" << U64(s.shed_evicted)
-     << ",\"shed_rate\":" << JsonNumber(s.ShedRate())
-     << ",\"queue_depth\":" << s.queue_depth
-     << ",\"batches\":" << U64(s.batches)
-     << ",\"batched_requests\":" << U64(s.batched_requests)
-     << ",\"max_batch\":" << s.max_batch
-     << ",\"cache_hits\":" << U64(s.cache_hits)
-     << ",\"cache_misses\":" << U64(s.cache_misses)
-     << ",\"cache_evictions\":" << U64(s.cache_evictions)
-     << ",\"cache_size\":" << s.cache_size
-     << ",\"cache_hit_rate\":" << JsonNumber(s.CacheHitRate())
-     << ",\"completed\":" << U64(s.completed)
-     << ",\"failed\":" << U64(s.failed)
-     << ",\"workers\":" << s.workers
-     << ",\"scale_events\":" << s.scale_events
-     << ",\"queue_latency\":" << LatencyToJson(s.queue_latency)
-     << ",\"e2e_latency\":" << LatencyToJson(s.e2e_latency)
-     << ",\"stage_latency\":{"
-     << "\"queue\":" << LatencyToJson(s.stage_queue)
-     << ",\"batch\":" << LatencyToJson(s.stage_batch)
-     << ",\"cache\":" << LatencyToJson(s.stage_cache)
-     << ",\"exec\":" << LatencyToJson(s.stage_exec) << "}"
-     << ",\"slowest_stage\":\"" << JsonEscape(s.SlowestStage()) << "\""
-     << ",\"tenants\":[";
-  for (size_t i = 0; i < s.tenants.size(); ++i) {
-    const TenantServeStats& t = s.tenants[i];
-    if (i > 0) os << ",";
-    os << "{\"tenant\":\"" << JsonEscape(t.tenant) << "\""
-       << ",\"submitted\":" << U64(t.submitted)
-       << ",\"admitted\":" << U64(t.admitted)
-       << ",\"shed_capacity\":" << U64(t.shed_capacity)
-       << ",\"shed_expired\":" << U64(t.shed_expired)
-       << ",\"shed_closed\":" << U64(t.shed_closed)
-       << ",\"shed_evicted\":" << U64(t.shed_evicted)
-       << ",\"completed\":" << U64(t.completed)
-       << ",\"failed\":" << U64(t.failed)
-       << ",\"queue_depth\":" << t.queue_depth
-       << ",\"e2e_latency\":" << LatencyToJson(t.e2e_latency) << "}";
+MetricSet MetricsExporter::Describe(const ServeStatsSnapshot& s) {
+  static constexpr MetricFamily kShed{
+      "serve_shed_total", kCounter,
+      "Requests shed, by reason (capacity/deadline/closed/evicted)."};
+  static constexpr MetricFamily kCacheLookups{
+      "serve_cache_lookups_total", kCounter,
+      "Sub-path cost cache lookups, by outcome (hit/miss)."};
+  static constexpr MetricFamily kStageLatency{
+      "serve_stage_latency_seconds", kSummary,
+      "Critical-path attribution: per-request time spent in each serving "
+      "stage (the four stages partition the e2e latency exactly)."};
+  static constexpr MetricFamily kTenantShed{
+      "serve_tenant_shed_total", kCounter,
+      "Requests shed, by tenant and reason "
+      "(capacity/deadline/closed/evicted). Summed over tenants each "
+      "reason equals the matching global shed counter."};
+  MetricSet m;
+  m.Open("serve");
+  m.Add("submitted", s.submitted, "serve_submitted_total", kCounter,
+        "Requests offered to the front door.");
+  m.Add("admitted", s.admitted, "serve_admitted_total", kCounter,
+        "Requests admitted past admission control.");
+  m.Add("shed_capacity", s.shed_capacity, kShed, {"reason", "capacity"});
+  m.Add("shed_expired", s.shed_expired, kShed, {"reason", "deadline"});
+  m.Add("shed_closed", s.shed_closed, kShed, {"reason", "closed"});
+  m.Add("shed_evicted", s.shed_evicted, kShed, {"reason", "evicted"});
+  m.Add("shed_rate", s.ShedRate());
+  m.Add("queue_depth", s.queue_depth, "serve_queue_depth", kGauge,
+        "Requests currently queued.");
+  m.Add("batches", s.batches, "serve_batches_total", kCounter,
+        "Micro-batches dispatched to workers.");
+  m.Add("batched_requests", s.batched_requests, "serve_batched_requests_total",
+        kCounter, "Requests dispatched inside micro-batches.");
+  m.Add("max_batch", s.max_batch);
+  m.Add("cache_hits", s.cache_hits, kCacheLookups, {"outcome", "hit"});
+  m.Add("cache_misses", s.cache_misses, kCacheLookups, {"outcome", "miss"});
+  m.Add("cache_evictions", s.cache_evictions, "serve_cache_evictions_total",
+        kCounter, "Sub-path cost cache LRU evictions.");
+  m.Add("cache_size", s.cache_size, "serve_cache_entries", kGauge,
+        "Resident sub-path cost cache entries.");
+  m.Add("cache_hit_rate", s.CacheHitRate());
+  m.Add("completed", s.completed, "serve_completed_total", kCounter,
+        "Requests answered OK.");
+  m.Add("failed", s.failed, "serve_failed_total", kCounter,
+        "Requests answered with an error.");
+  m.Add("workers", s.workers, "serve_workers", kGauge,
+        "Current worker pool size.");
+  m.Add("scale_events", s.scale_events, "serve_scale_events_total", kCounter,
+        "Autoscaler pool resizes.");
+  m.Latency("queue_latency", s.queue_latency, "serve_queue_latency_seconds",
+            "Admission-to-dispatch latency in seconds.");
+  m.Latency("e2e_latency", s.e2e_latency, "serve_latency_seconds",
+            "Admission-to-answer latency of answered requests in seconds.");
+  m.Open("stage_latency");
+  m.Latency("queue", s.stage_queue, kStageLatency, {"stage", "queue"});
+  m.Latency("batch", s.stage_batch, kStageLatency, {"stage", "batch"});
+  m.Latency("cache", s.stage_cache, kStageLatency, {"stage", "cache"});
+  m.Latency("exec", s.stage_exec, kStageLatency, {"stage", "exec"});
+  m.Close();
+  m.Add("slowest_stage", MetricValue::Text(s.SlowestStage()));
+  m.OpenList("tenants");
+  for (const TenantServeStats& t : s.tenants) {
+    m.Open("", {"tenant", t.tenant});
+    m.Add("tenant", MetricValue::Text(t.tenant));
+    m.Add("submitted", t.submitted, "serve_tenant_submitted_total", kCounter,
+          "Requests offered, by tenant.");
+    m.Add("admitted", t.admitted, "serve_tenant_admitted_total", kCounter,
+          "Requests admitted, by tenant.");
+    m.Add("shed_capacity", t.shed_capacity, kTenantShed,
+          {"reason", "capacity"});
+    m.Add("shed_expired", t.shed_expired, kTenantShed,
+          {"reason", "deadline"});
+    m.Add("shed_closed", t.shed_closed, kTenantShed, {"reason", "closed"});
+    m.Add("shed_evicted", t.shed_evicted, kTenantShed,
+          {"reason", "evicted"});
+    m.Add("completed", t.completed, "serve_tenant_completed_total", kCounter,
+          "Requests answered OK, by tenant.");
+    m.Add("failed", t.failed, "serve_tenant_failed_total", kCounter,
+          "Requests answered with an error, by tenant.");
+    m.Add("queue_depth", t.queue_depth, "serve_tenant_queue_depth", kGauge,
+          "Requests currently queued in the tenant's weighted-fair sub-queue.");
+    m.Latency("e2e_latency", t.e2e_latency, "serve_tenant_latency_seconds",
+              "Admission-to-answer latency by tenant — the series per-tenant "
+              "SLOs (premium p95) alert on.");
+    m.Close();
   }
-  os << "]}}";
-  return os.str();
+  m.Close();
+  m.Close();
+  return m;
 }
 
-std::string MetricsExporter::ServeToPrometheus(const ServeStatsSnapshot& s,
-                                               const std::string& prefix) {
-  std::ostringstream os;
-  const std::string submitted = prefix + "_serve_submitted_total";
-  Family(&os, submitted, "counter", "Requests offered to the front door.");
-  os << submitted << " " << U64(s.submitted) << "\n";
-  const std::string admitted = prefix + "_serve_admitted_total";
-  Family(&os, admitted, "counter", "Requests admitted past admission control.");
-  os << admitted << " " << U64(s.admitted) << "\n";
-  const std::string shed = prefix + "_serve_shed_total";
-  Family(&os, shed, "counter",
-         "Requests shed, by reason (capacity/deadline/closed/evicted).");
-  os << shed << "{reason=\"capacity\"} " << U64(s.shed_capacity) << "\n";
-  os << shed << "{reason=\"deadline\"} " << U64(s.shed_expired) << "\n";
-  os << shed << "{reason=\"closed\"} " << U64(s.shed_closed) << "\n";
-  os << shed << "{reason=\"evicted\"} " << U64(s.shed_evicted) << "\n";
-  const std::string batched = prefix + "_serve_batched_requests_total";
-  Family(&os, batched, "counter", "Requests dispatched inside micro-batches.");
-  os << batched << " " << U64(s.batched_requests) << "\n";
-  const std::string batches = prefix + "_serve_batches_total";
-  Family(&os, batches, "counter", "Micro-batches dispatched to workers.");
-  os << batches << " " << U64(s.batches) << "\n";
-  const std::string cache = prefix + "_serve_cache_lookups_total";
-  Family(&os, cache, "counter",
-         "Sub-path cost cache lookups, by outcome (hit/miss).");
-  os << cache << "{outcome=\"hit\"} " << U64(s.cache_hits) << "\n";
-  os << cache << "{outcome=\"miss\"} " << U64(s.cache_misses) << "\n";
-  const std::string evict = prefix + "_serve_cache_evictions_total";
-  Family(&os, evict, "counter", "Sub-path cost cache LRU evictions.");
-  os << evict << " " << U64(s.cache_evictions) << "\n";
-  const std::string csize = prefix + "_serve_cache_entries";
-  Family(&os, csize, "gauge", "Resident sub-path cost cache entries.");
-  os << csize << " " << s.cache_size << "\n";
-  const std::string completed = prefix + "_serve_completed_total";
-  Family(&os, completed, "counter", "Requests answered OK.");
-  os << completed << " " << U64(s.completed) << "\n";
-  const std::string failed = prefix + "_serve_failed_total";
-  Family(&os, failed, "counter", "Requests answered with an error.");
-  os << failed << " " << U64(s.failed) << "\n";
-  const std::string depth = prefix + "_serve_queue_depth";
-  Family(&os, depth, "gauge", "Requests currently queued.");
-  os << depth << " " << s.queue_depth << "\n";
-  const std::string workers = prefix + "_serve_workers";
-  Family(&os, workers, "gauge", "Current worker pool size.");
-  os << workers << " " << s.workers << "\n";
-  const std::string scales = prefix + "_serve_scale_events_total";
-  Family(&os, scales, "counter", "Autoscaler pool resizes.");
-  os << scales << " " << s.scale_events << "\n";
-  const std::string qlat = prefix + "_serve_queue_latency_seconds";
-  Family(&os, qlat, "summary", "Admission-to-dispatch latency in seconds.");
-  LatencySummary(&os, qlat, "", s.queue_latency);
-  const std::string elat = prefix + "_serve_latency_seconds";
-  Family(&os, elat, "summary",
-         "Admission-to-answer latency of answered requests in seconds.");
-  LatencySummary(&os, elat, "", s.e2e_latency);
-  const std::string slat = prefix + "_serve_stage_latency_seconds";
-  Family(&os, slat, "summary",
-         "Critical-path attribution: per-request time spent in each serving "
-         "stage (the four stages partition the e2e latency exactly).");
-  LatencySummary(&os, slat, "stage=\"queue\"", s.stage_queue);
-  LatencySummary(&os, slat, "stage=\"batch\"", s.stage_batch);
-  LatencySummary(&os, slat, "stage=\"cache\"", s.stage_cache);
-  LatencySummary(&os, slat, "stage=\"exec\"", s.stage_exec);
-  if (!s.tenants.empty()) {
-    const auto tlabel = [](const TenantServeStats& t) {
-      return "{tenant=\"" + JsonEscape(t.tenant) + "\"}";
-    };
-    const std::string tsub = prefix + "_serve_tenant_submitted_total";
-    Family(&os, tsub, "counter", "Requests offered, by tenant.");
-    for (const auto& t : s.tenants) {
-      os << tsub << tlabel(t) << " " << U64(t.submitted) << "\n";
-    }
-    const std::string tadm = prefix + "_serve_tenant_admitted_total";
-    Family(&os, tadm, "counter", "Requests admitted, by tenant.");
-    for (const auto& t : s.tenants) {
-      os << tadm << tlabel(t) << " " << U64(t.admitted) << "\n";
-    }
-    const std::string tshed = prefix + "_serve_tenant_shed_total";
-    Family(&os, tshed, "counter",
-           "Requests shed, by tenant and reason "
-           "(capacity/deadline/closed/evicted). Summed over tenants each "
-           "reason equals the matching global shed counter.");
-    for (const auto& t : s.tenants) {
-      const std::string name = "tenant=\"" + JsonEscape(t.tenant) + "\"";
-      os << tshed << "{" << name << ",reason=\"capacity\"} "
-         << U64(t.shed_capacity) << "\n";
-      os << tshed << "{" << name << ",reason=\"deadline\"} "
-         << U64(t.shed_expired) << "\n";
-      os << tshed << "{" << name << ",reason=\"closed\"} "
-         << U64(t.shed_closed) << "\n";
-      os << tshed << "{" << name << ",reason=\"evicted\"} "
-         << U64(t.shed_evicted) << "\n";
-    }
-    const std::string tdone = prefix + "_serve_tenant_completed_total";
-    Family(&os, tdone, "counter", "Requests answered OK, by tenant.");
-    for (const auto& t : s.tenants) {
-      os << tdone << tlabel(t) << " " << U64(t.completed) << "\n";
-    }
-    const std::string tfail = prefix + "_serve_tenant_failed_total";
-    Family(&os, tfail, "counter",
-           "Requests answered with an error, by tenant.");
-    for (const auto& t : s.tenants) {
-      os << tfail << tlabel(t) << " " << U64(t.failed) << "\n";
-    }
-    const std::string tdepth = prefix + "_serve_tenant_queue_depth";
-    Family(&os, tdepth, "gauge",
-           "Requests currently queued in the tenant's weighted-fair "
-           "sub-queue.");
-    for (const auto& t : s.tenants) {
-      os << tdepth << tlabel(t) << " " << t.queue_depth << "\n";
-    }
-    const std::string tlat = prefix + "_serve_tenant_latency_seconds";
-    Family(&os, tlat, "summary",
-           "Admission-to-answer latency by tenant — the series per-tenant "
-           "SLOs (premium p95) alert on.");
-    for (const auto& t : s.tenants) {
-      LatencySummary(&os, tlat, "tenant=\"" + JsonEscape(t.tenant) + "\"",
-                     t.e2e_latency);
-    }
-  }
-  return os.str();
-}
-
-std::string MetricsExporter::ShardToJson(const ShardStatsSnapshot& s) {
-  std::ostringstream os;
-  const ShardRouterStats& r = s.router;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"shard\":{"
-     << "\"num_shards\":" << r.num_shards
-     << ",\"generation\":" << U64(r.generation)
-     << ",\"forwarded\":" << U64(r.forwarded)
-     << ",\"scattered\":" << U64(r.scattered)
-     << ",\"probes_sent\":" << U64(r.probes_sent)
-     << ",\"probe_transport_failures\":" << U64(r.probe_transport_failures)
-     << ",\"merges\":" << U64(r.merges)
-     << ",\"partial_errors\":" << U64(r.partial_errors)
-     << ",\"replicated\":" << U64(r.replicated)
-     << ",\"enumeration_failures\":" << U64(r.enumeration_failures)
-     << ",\"per_shard\":[";
-  for (size_t i = 0; i < s.shards.size(); ++i) {
-    if (i > 0) os << ",";
-    const uint64_t fwd = i < r.forwarded_per_shard.size()
-                             ? r.forwarded_per_shard[i]
-                             : 0;
-    const uint64_t probes =
-        i < r.probes_per_shard.size() ? r.probes_per_shard[i] : 0;
-    os << "{\"forwarded\":" << U64(fwd) << ",\"probes\":" << U64(probes)
-       << ",\"completed\":" << U64(s.shards[i].completed)
-       << ",\"failed\":" << U64(s.shards[i].failed)
-       << ",\"queue_depth\":" << s.shards[i].queue_depth
-       << ",\"cache_hit_rate\":" << JsonNumber(s.shards[i].CacheHitRate())
-       << "}";
-  }
-  os << "],\"aggregate\":" << ServeToJson(s.Aggregate()) << "}}";
-  return os.str();
-}
-
-std::string MetricsExporter::ShardToPrometheus(const ShardStatsSnapshot& s,
-                                               const std::string& prefix) {
-  std::ostringstream os;
-  const ShardRouterStats& r = s.router;
-  const std::string shards = prefix + "_shard_count";
-  Family(&os, shards, "gauge", "Member shards fronted by the router.");
-  os << shards << " " << r.num_shards << "\n";
-  const std::string generation = prefix + "_shard_map_generation";
-  Family(&os, generation, "gauge",
-         "ShardMap placement epoch the routing counters belong to.");
-  os << generation << " " << U64(r.generation) << "\n";
-  const std::string routed = prefix + "_shard_routed_total";
-  Family(&os, routed, "counter",
-         "Queries routed, by mode (forward = single-shard pinned, scatter = "
-         "cross-shard probe fan-out).");
-  os << routed << "{mode=\"forward\"} " << U64(r.forwarded) << "\n";
-  os << routed << "{mode=\"scatter\"} " << U64(r.scattered) << "\n";
-  const std::string probes = prefix + "_shard_probes_total";
-  Family(&os, probes, "counter", "Segment cost probes issued by scatters.");
-  os << probes << " " << U64(r.probes_sent) << "\n";
-  const std::string lost = prefix + "_shard_probe_transport_failures_total";
-  Family(&os, lost, "counter",
-         "Probes lost to a stopped or overloaded shard (each one turns its "
-         "scatter into a typed partial-result error).");
-  os << lost << " " << U64(r.probe_transport_failures) << "\n";
-  const std::string merges = prefix + "_shard_merges_total";
-  Family(&os, merges, "counter", "Scatter answers assembled.");
-  os << merges << " " << U64(r.merges) << "\n";
-  const std::string partial = prefix + "_shard_partial_errors_total";
-  Family(&os, partial, "counter",
-         "Scatters answered Status::Unavailable because probes were lost — "
-         "degraded capacity surfaces as typed errors, never wrong routes.");
-  os << partial << " " << U64(r.partial_errors) << "\n";
-  const std::string replicated = prefix + "_shard_cache_replications_total";
-  Family(&os, replicated, "counter",
-         "Boundary sub-path cache entries replicated into endpoint-owner "
-         "shards.");
-  os << replicated << " " << U64(r.replicated) << "\n";
-  const std::string enumf = prefix + "_shard_enumeration_failures_total";
-  Family(&os, enumf, "counter",
-         "Scatters that died at candidate enumeration, before any probe.");
-  os << enumf << " " << U64(r.enumeration_failures) << "\n";
-  const std::string routed_by = prefix + "_shard_routed_by_shard_total";
-  Family(&os, routed_by, "counter",
-         "Per-shard routing attribution, by kind (forwarded queries / "
-         "scatter probes served).");
-  for (size_t i = 0; i < r.forwarded_per_shard.size(); ++i) {
-    os << routed_by << "{shard=\"" << i << "\",kind=\"forward\"} "
-       << U64(r.forwarded_per_shard[i]) << "\n";
-  }
-  for (size_t i = 0; i < r.probes_per_shard.size(); ++i) {
-    os << routed_by << "{shard=\"" << i << "\",kind=\"probe\"} "
-       << U64(r.probes_per_shard[i]) << "\n";
-  }
-  // Fleet-aggregate serve families: one coherent serve view of the whole
-  // fleet, same families a single node exports.
-  os << ServeToPrometheus(s.Aggregate(), prefix);
-  return os.str();
-}
-
-std::string MetricsExporter::HealthToJson(const HealthSnapshot& s) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"health\":{"
-     << "\"state\":\"" << HealthStateName(s.state) << "\""
-     << ",\"samples\":" << U64(s.samples)
-     << ",\"anomalies_total\":" << U64(s.anomalies_total)
-     << ",\"slo\":{"
-     << "\"objective_seconds\":" << JsonNumber(s.slo_objective_seconds)
-     << ",\"violation_fraction\":" << JsonNumber(s.violation_fraction)
-     << ",\"burn_rate\":" << JsonNumber(s.burn_rate) << "}"
-     << ",\"top_offender\":\"" << JsonEscape(s.top_offender) << "\""
-     << ",\"top_offender_share\":" << JsonNumber(s.top_offender_share)
-     << ",\"metrics\":{";
-  bool first = true;
+MetricSet MetricsExporter::Describe(const HealthSnapshot& s) {
+  static constexpr MetricFamily kValue{
+      "health_metric_value", kGauge,
+      "Latest sampled value of each watched metric."};
+  static constexpr MetricFamily kScore{
+      "health_metric_score", kGauge,
+      "Prequential anomaly score of each watched metric's latest sample."};
+  static constexpr MetricFamily kAnomalies{
+      "health_metric_anomalies_total", kCounter,
+      "Post-warmup anomaly alarms per watched metric."};
+  MetricSet m;
+  m.Open("health");
+  m.Add("state",
+        {Quoted(HealthStateName(s.state)),
+         std::to_string(static_cast<int>(s.state))},
+        "health_state", kGauge,
+        "Self-monitor verdict: 0 healthy, 1 degraded, 2 unhealthy.");
+  m.Add("samples", s.samples, "health_samples_total", kCounter,
+        "Health sampling rounds completed.");
+  m.Add("anomalies_total", s.anomalies_total);
+  m.Open("slo");
+  m.Add("objective_seconds", s.slo_objective_seconds);
+  m.Add("violation_fraction", s.violation_fraction);
+  m.Add("burn_rate", s.burn_rate, "health_slo_burn_rate", kGauge,
+        "Latency SLO burn over the last sampling interval (1 = spending "
+        "exactly the error budget).");
+  m.Close();
+  m.Add("top_offender", MetricValue::Text(s.top_offender));
+  m.Add("top_offender_share", s.top_offender_share);
+  m.Announce(kValue, kScore, kAnomalies);
+  m.Open("metrics");
   for (const MetricVerdict& v : s.metrics) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(v.name) << "\":{"
-       << "\"value\":" << JsonNumber(v.value)
-       << ",\"score\":" << JsonNumber(v.score)
-       << ",\"anomalous\":" << (v.anomalous ? "true" : "false")
-       << ",\"anomalies\":" << U64(v.anomalies) << "}";
+    m.Open(v.name, {"metric", v.name});
+    m.Add("value", v.value, kValue);
+    m.Add("score", v.score, kScore);
+    m.Add("anomalous", v.anomalous);
+    m.Add("anomalies", v.anomalies, kAnomalies);
+    m.Close();
   }
-  os << "}";
+  m.Close();
   // The transition ring: when the monitor's verdict changed, oldest first,
   // with the evidence of each moment — so /health answers *when* a
   // degradation started, not just what the state is now.
-  os << ",\"transitions_total\":" << U64(s.transitions_total)
-     << ",\"transitions\":[";
-  first = true;
+  m.Add("transitions_total", s.transitions_total, "health_transitions_total",
+        kCounter,
+        "Health-state transitions since Start (flapping shows up here even "
+        "after the snapshot's transition ring trims).");
+  m.OpenList("transitions");
   for (const HealthTransition& t : s.transitions) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"sample\":" << U64(t.sample) << ",\"at_ns\":" << U64(t.at_ns)
-       << ",\"from\":\"" << HealthStateName(t.from) << "\""
-       << ",\"to\":\"" << HealthStateName(t.to) << "\""
-       << ",\"top_offender\":\"" << JsonEscape(t.top_offender) << "\""
-       << ",\"burn_rate\":" << JsonNumber(t.burn_rate) << "}";
+    m.Open("");
+    m.Add("sample", t.sample);
+    m.Add("at_ns", t.at_ns);
+    m.Add("from", MetricValue::Text(HealthStateName(t.from)));
+    m.Add("to", MetricValue::Text(HealthStateName(t.to)));
+    m.Add("top_offender", MetricValue::Text(t.top_offender));
+    m.Add("burn_rate", t.burn_rate);
+    m.Close();
   }
-  os << "]}}";
-  return os.str();
+  m.Close();
+  m.Close();
+  return m;
 }
 
-std::string MetricsExporter::HealthToPrometheus(const HealthSnapshot& s,
-                                                const std::string& prefix) {
-  std::ostringstream os;
-  const std::string state = prefix + "_health_state";
-  Family(&os, state, "gauge",
-         "Self-monitor verdict: 0 healthy, 1 degraded, 2 unhealthy.");
-  os << state << " " << static_cast<int>(s.state) << "\n";
-  const std::string samples = prefix + "_health_samples_total";
-  Family(&os, samples, "counter", "Health sampling rounds completed.");
-  os << samples << " " << U64(s.samples) << "\n";
-  const std::string burn = prefix + "_health_slo_burn_rate";
-  Family(&os, burn, "gauge",
-         "Latency SLO burn over the last sampling interval "
-         "(1 = spending exactly the error budget).");
-  os << burn << " " << JsonNumber(s.burn_rate) << "\n";
-  const std::string value = prefix + "_health_metric_value";
-  Family(&os, value, "gauge", "Latest sampled value of each watched metric.");
-  for (const MetricVerdict& v : s.metrics) {
-    os << value << "{metric=\"" << JsonEscape(v.name) << "\"} "
-       << JsonNumber(v.value) << "\n";
+MetricSet MetricsExporter::Describe(const IngestStatsSnapshot& s) {
+  const TickParserStats& p = s.parser;
+  MetricSet m;
+  m.Open("ingest");
+  m.Open("parser");
+  m.Add("bytes_consumed", p.bytes_consumed, "ingest_bytes_consumed_total",
+        kCounter, "Feed bytes consumed by the parser.");
+  m.Add("frames_accepted", p.frames_accepted, "ingest_frames_accepted_total",
+        kCounter, "Tick frames accepted by the parser.");
+  m.Open("rejected");
+  for (const auto& [reason, count] :
+       {std::pair{"bad_length", p.rejected_bad_length},
+        std::pair{"bad_crc", p.rejected_bad_crc},
+        std::pair{"bad_sensor", p.rejected_bad_sensor},
+        std::pair{"duplicate_seq", p.rejected_duplicate_seq},
+        std::pair{"out_of_order", p.rejected_out_of_order}}) {
+    m.Add(reason, count, "ingest_frames_rejected_total", kCounter,
+          "Tick frames rejected, by reason.", {"reason", reason});
   }
-  const std::string score = prefix + "_health_metric_score";
-  Family(&os, score, "gauge",
-         "Prequential anomaly score of each watched metric's latest sample.");
-  for (const MetricVerdict& v : s.metrics) {
-    os << score << "{metric=\"" << JsonEscape(v.name) << "\"} "
-       << JsonNumber(v.score) << "\n";
+  m.Close();
+  m.Add("resync_bytes", p.resync_bytes, "ingest_resync_bytes_total", kCounter,
+        "Bytes skipped while hunting for a frame boundary (corruption "
+        "debris).");
+  m.Add("gaps_detected", p.gaps_detected, "ingest_seq_gaps_total", kCounter,
+        "Missing sequence numbers observed at accept time (upstream loss).");
+  m.Close();
+  m.Open("wal");
+  m.Add("enabled", s.wal_enabled);
+  m.Add("records", s.wal.records, "ingest_wal_records_total", kCounter,
+        "Records appended to the WAL.");
+  m.Add("payload_bytes", s.wal.payload_bytes);
+  m.Add("appended_bytes", s.wal.appended_bytes,
+        "ingest_wal_appended_bytes_total", kCounter,
+        "Bytes appended to the WAL including record framing.");
+  m.Add("segments_created", s.wal.segments_created);
+  m.Add("rotations", s.wal.rotations, "ingest_wal_rotations_total", kCounter,
+        "WAL segment rotations.");
+  m.Add("syncs", s.wal.syncs, "ingest_wal_syncs_total", kCounter,
+        "msync barriers issued on the WAL.");
+  m.Close();
+  m.Open("recovery");
+  m.Add("ticks_replayed", s.recovery.ticks_replayed,
+        "ingest_recovery_ticks_replayed", kGauge,
+        "Ticks replayed from the WAL by the last Start().");
+  m.Add("torn_records_skipped", s.recovery.torn_records_skipped,
+        "ingest_recovery_torn_records", kGauge,
+        "Torn WAL records detected and skipped by the last Start().");
+  m.Add("segments_scanned", s.recovery.segments_scanned);
+  m.Add("bytes_scanned", s.recovery.bytes_scanned);
+  m.Add("last_lsn", s.recovery.last_lsn);
+  m.Add("seconds", s.recovery.seconds, "ingest_recovery_seconds", kGauge,
+        "Wall-clock seconds of the last WAL replay.");
+  m.Close();
+  m.Add("ticks_processed", s.ticks_processed, "ingest_ticks_processed_total",
+        kCounter,
+        "Ticks fully processed by the ingest pipeline (replay + live).");
+  m.Add("anomaly_alarms", s.anomaly_alarms, "ingest_anomaly_alarms_total",
+        kCounter, "Anomaly alarms raised on the ingest path.");
+  m.Add("buffer_dropped", s.buffer_dropped, "ingest_buffer_dropped_total",
+        kCounter,
+        "Ticks evicted from the retention buffer by its drop policy.");
+  m.Close();
+  return m;
+}
+
+MetricSet MetricsExporter::Describe(const TraceRecorder& recorder) {
+  MetricSet m;
+  m.Open("trace");
+  m.Add("enabled", TraceRecorder::Enabled());
+  m.Add("dropped", recorder.DroppedSpans(), "trace_dropped_total", kCounter,
+        "Trace spans lost to ring overflow since the last Clear; nonzero means "
+        "the exported trace is incomplete (raise SetCapacity).");
+  m.Close();
+  return m;
+}
+
+MetricSet MetricsExporter::Describe(const FlightStatsSnapshot& s) {
+  static constexpr MetricFamily kRetained{
+      "flight_retained_total", kCounter,
+      "Completed requests retained by the retroactive tail policy, by "
+      "reason."};
+  static constexpr MetricFamily kSpans{
+      "flight_spans_total", kCounter,
+      "Spans offered to open records, by fate (over-cap spans are "
+      "counted per record too)."};
+  MetricSet m;
+  m.Open("flight");
+  m.Add("enabled", s.enabled, "flight_enabled", kGauge,
+        "Flight recorder enabled (1) or not (0).");
+  m.Add("observed", s.observed, "flight_observed_total", kCounter,
+        "Request completions observed by the flight recorder.");
+  m.Open("retained");
+  m.Add("slo_breach", s.retained_slo, kRetained, {"reason", "slo_breach"});
+  m.Add("shed", s.retained_shed, kRetained, {"reason", "shed"});
+  m.Add("error", s.retained_error, kRetained, {"reason", "error"});
+  m.Add("head_sample", s.retained_sample, kRetained,
+        {"reason", "head_sample"});
+  m.Add("total", s.RetainedTotal());
+  m.Close();
+  m.Add("discarded", s.discarded, "flight_discarded_total", kCounter,
+        "Completions judged unremarkable; their records were dropped.");
+  m.Add("evicted", s.evicted, "flight_evicted_total", kCounter,
+        "Retained records displaced from the ring by the per-tenant reservoir "
+        "policy.");
+  m.Add("open_overflow", s.open_overflow, "flight_open_overflow_total",
+        kCounter,
+        "Spans dropped because the open-request table was at capacity.");
+  m.Add("spans_captured", s.spans_captured, kSpans, {"fate", "captured"});
+  m.Add("spans_dropped", s.spans_dropped, kSpans, {"fate", "dropped"});
+  m.Add("open_requests", s.open_requests, "flight_open_requests", kGauge,
+        "Records live in the open table (in-flight + retained).");
+  m.Add("retained_records", s.retained_records, "flight_retained_records",
+        kGauge, "Records currently in the retained ring.");
+  m.Add("dumps", s.dumps, "flight_dumps_total", kCounter,
+        "Black-box dumps frozen on worsening health transitions.");
+  m.Close();
+  return m;
+}
+
+MetricSet MetricsExporter::Describe(const NetStatsSnapshot& s) {
+  static constexpr MetricFamily kSheds{
+      "net_sheds_total", kCounter,
+      "Wire requests shed by socket-layer admission control BEFORE "
+      "payload deserialization, by reason."};
+  static constexpr MetricFamily kRejected{
+      "net_frames_rejected_total", kCounter,
+      "Binary frames rejected, by reason."};
+  static constexpr MetricFamily kQueries{
+      "net_queries_total", kCounter,
+      "Binary route queries completed, by outcome."};
+  static constexpr MetricFamily kHttpErrors{
+      "net_http_errors_total", kCounter,
+      "HTTP error responses, by status class."};
+  static constexpr MetricFamily kBytes{
+      "net_bytes_total", kCounter, "Socket bytes moved, by direction."};
+  MetricSet m;
+  m.Open("net");
+  m.Open("connections");
+  m.Add("accepted", s.connections_accepted, "net_connections_total", kCounter,
+        "Connections accepted since start.");
+  m.Add("closed", s.connections_closed);
+  m.Add("active", s.connections_active, "net_connections_active", kGauge,
+        "Currently open connections.");
+  m.Close();
+  m.Open("sheds");
+  m.Add("conn_cap", s.shed_conn_cap, kSheds, {"reason", "conn_cap"});
+  m.Add("queue_full", s.shed_queue_full, kSheds, {"reason", "queue_full"});
+  m.Add("deadline", s.shed_deadline, kSheds, {"reason", "deadline"});
+  m.Add("total", s.ShedTotal());
+  m.Close();
+  m.Open("frames");
+  m.Add("bytes_consumed", s.frames.bytes_consumed);
+  m.Add("accepted", s.frames.frames_accepted, "net_frames_accepted_total",
+        kCounter, "Binary frames accepted by the parser.");
+  m.Open("rejected");
+  m.Add("bad_length", s.frames.rejected_bad_length, kRejected,
+        {"reason", "bad_length"});
+  m.Add("bad_crc", s.frames.rejected_bad_crc, kRejected,
+        {"reason", "bad_crc"});
+  m.Add("bad_opcode", s.rejected_bad_opcode, kRejected,
+        {"reason", "bad_opcode"});
+  m.Close();
+  m.Add("resync_bytes", s.frames.resync_bytes, "net_resync_bytes_total",
+        kCounter,
+        "Bytes skipped hunting for a frame boundary (corruption debris).");
+  m.Close();
+  m.Add("queries_answered", s.queries_answered, kQueries,
+        {"outcome", "answered"});
+  m.Add("queries_failed", s.queries_failed, kQueries, {"outcome", "failed"});
+  m.Add("pings", s.pings, "net_pings_total", kCounter, "Ping frames answered.");
+  m.Open("http");
+  for (const auto& [endpoint, count] :
+       {std::pair{"metrics", s.http_metrics},
+        std::pair{"health", s.http_health}, std::pair{"query", s.http_query},
+        std::pair{"debug_traces", s.http_debug_traces},
+        std::pair{"debug_flight", s.http_debug_flight}}) {
+    m.Add(endpoint, count, "net_http_requests_total", kCounter,
+          "HTTP requests served OK, by endpoint.", {"endpoint", endpoint});
   }
-  const std::string anom = prefix + "_health_metric_anomalies_total";
-  Family(&os, anom, "counter",
-         "Post-warmup anomaly alarms per watched metric.");
-  for (const MetricVerdict& v : s.metrics) {
-    os << anom << "{metric=\"" << JsonEscape(v.name) << "\"} "
-       << U64(v.anomalies) << "\n";
+  m.Add("bad_request", s.http_bad_request, kHttpErrors, {"status", "400"});
+  m.Add("not_found", s.http_not_found, kHttpErrors, {"status", "404"});
+  m.Add("method_not_allowed", s.http_method_not_allowed, kHttpErrors,
+        {"status", "405"});
+  m.Add("too_large", s.http_too_large, kHttpErrors, {"status", "431"});
+  m.Add("errors_total", s.HttpErrorsTotal());
+  m.Close();
+  m.Add("completions_dropped", s.completions_dropped,
+        "net_completions_dropped_total", kCounter,
+        "Serve answers whose connection closed before the response was "
+        "written.");
+  m.Add("bytes_read", s.bytes_read, kBytes, {"direction", "read"});
+  m.Add("bytes_written", s.bytes_written, kBytes, {"direction", "written"});
+  m.Latency("wire_latency", s.wire_latency, "net_request_latency_seconds",
+            "Wire-level binary request latency in seconds (first byte read to "
+            "response handed to the kernel).");
+  m.Close();
+  return m;
+}
+
+MetricSet MetricsExporter::Describe(const ShardStatsSnapshot& s) {
+  static constexpr MetricFamily kRouted{
+      "shard_routed_total", kCounter,
+      "Queries routed, by mode (forward = single-shard pinned, scatter = "
+      "cross-shard probe fan-out)."};
+  static constexpr MetricFamily kRoutedByShard{
+      "shard_routed_by_shard_total", kCounter,
+      "Per-shard routing attribution, by kind (forwarded queries / "
+      "scatter probes served)."};
+  const ShardRouterStats& r = s.router;
+  MetricSet m;
+  m.Open("shard");
+  m.Add("num_shards", r.num_shards, "shard_count", kGauge,
+        "Member shards fronted by the router.");
+  m.Add("generation", r.generation, "shard_map_generation", kGauge,
+        "ShardMap placement epoch the routing counters belong to.");
+  m.Add("forwarded", r.forwarded, kRouted, {"mode", "forward"});
+  m.Add("scattered", r.scattered, kRouted, {"mode", "scatter"});
+  m.Add("probes_sent", r.probes_sent, "shard_probes_total", kCounter,
+        "Segment cost probes issued by scatters.");
+  m.Add("probe_transport_failures", r.probe_transport_failures,
+        "shard_probe_transport_failures_total", kCounter,
+        "Probes lost to a stopped or overloaded shard (each one turns its "
+        "scatter into a typed partial-result error).");
+  m.Add("merges", r.merges, "shard_merges_total", kCounter,
+        "Scatter answers assembled.");
+  m.Add("partial_errors", r.partial_errors, "shard_partial_errors_total",
+        kCounter,
+        "Scatters answered Status::Unavailable because probes were lost — "
+        "degraded capacity surfaces as typed errors, never wrong routes.");
+  m.Add("replicated", r.replicated, "shard_cache_replications_total", kCounter,
+        "Boundary sub-path cache entries replicated into endpoint-owner "
+        "shards.");
+  m.Add("enumeration_failures", r.enumeration_failures,
+        "shard_enumeration_failures_total", kCounter,
+        "Scatters that died at candidate enumeration, before any probe.");
+  m.Announce(kRoutedByShard);
+  m.OpenList("per_shard");
+  for (size_t i = 0; i < s.shards.size(); ++i) {
+    const auto at = [i](const std::vector<uint64_t>& v) -> uint64_t {
+      return i < v.size() ? v[i] : 0;
+    };
+    m.Open("", {"shard", std::to_string(i)});
+    m.Add("forwarded", at(r.forwarded_per_shard), kRoutedByShard,
+          {"kind", "forward"});
+    m.Add("probes", at(r.probes_per_shard), kRoutedByShard,
+          {"kind", "probe"});
+    m.Add("completed", s.shards[i].completed);
+    m.Add("failed", s.shards[i].failed);
+    m.Add("queue_depth", s.shards[i].queue_depth);
+    m.Add("cache_hit_rate", s.shards[i].CacheHitRate());
+    m.Close();
   }
-  const std::string trans = prefix + "_health_transitions_total";
-  Family(&os, trans, "counter",
-         "Health-state transitions since Start (flapping shows up here "
-         "even after the snapshot's transition ring trims).");
-  os << trans << " " << U64(s.transitions_total) << "\n";
-  return os.str();
+  m.Close();
+  // The fleet-aggregate serve view, JSON only: on /metrics the serve
+  // families come from the "serve" source, whose Stats() is this same
+  // aggregate when a SocketServer fronts the router.
+  m.Add("aggregate", {ServeToJson(s.Aggregate()), ""});
+  m.Close();
+  return m;
 }
 
-std::string MetricsExporter::IngestToJson(const IngestStatsSnapshot& s) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"ingest\":{"
-     << "\"parser\":{"
-     << "\"bytes_consumed\":" << U64(s.parser.bytes_consumed)
-     << ",\"frames_accepted\":" << U64(s.parser.frames_accepted)
-     << ",\"rejected\":{"
-     << "\"bad_length\":" << U64(s.parser.rejected_bad_length)
-     << ",\"bad_crc\":" << U64(s.parser.rejected_bad_crc)
-     << ",\"bad_sensor\":" << U64(s.parser.rejected_bad_sensor)
-     << ",\"duplicate_seq\":" << U64(s.parser.rejected_duplicate_seq)
-     << ",\"out_of_order\":" << U64(s.parser.rejected_out_of_order) << "}"
-     << ",\"resync_bytes\":" << U64(s.parser.resync_bytes)
-     << ",\"gaps_detected\":" << U64(s.parser.gaps_detected) << "}"
-     << ",\"wal\":{"
-     << "\"enabled\":" << (s.wal_enabled ? "true" : "false")
-     << ",\"records\":" << U64(s.wal.records)
-     << ",\"payload_bytes\":" << U64(s.wal.payload_bytes)
-     << ",\"appended_bytes\":" << U64(s.wal.appended_bytes)
-     << ",\"segments_created\":" << U64(s.wal.segments_created)
-     << ",\"rotations\":" << U64(s.wal.rotations)
-     << ",\"syncs\":" << U64(s.wal.syncs) << "}"
-     << ",\"recovery\":{"
-     << "\"ticks_replayed\":" << U64(s.recovery.ticks_replayed)
-     << ",\"torn_records_skipped\":" << U64(s.recovery.torn_records_skipped)
-     << ",\"segments_scanned\":" << U64(s.recovery.segments_scanned)
-     << ",\"bytes_scanned\":" << U64(s.recovery.bytes_scanned)
-     << ",\"last_lsn\":" << U64(s.recovery.last_lsn)
-     << ",\"seconds\":" << JsonNumber(s.recovery.seconds) << "}"
-     << ",\"ticks_processed\":" << U64(s.ticks_processed)
-     << ",\"anomaly_alarms\":" << U64(s.anomaly_alarms)
-     << ",\"buffer_dropped\":" << U64(s.buffer_dropped) << "}}";
-  return os.str();
-}
-
-std::string MetricsExporter::IngestToPrometheus(const IngestStatsSnapshot& s,
-                                                const std::string& prefix) {
-  std::ostringstream os;
-  const std::string accepted = prefix + "_ingest_frames_accepted_total";
-  Family(&os, accepted, "counter", "Tick frames accepted by the parser.");
-  os << accepted << " " << U64(s.parser.frames_accepted) << "\n";
-  const std::string rejected = prefix + "_ingest_frames_rejected_total";
-  Family(&os, rejected, "counter", "Tick frames rejected, by reason.");
-  os << rejected << "{reason=\"bad_length\"} "
-     << U64(s.parser.rejected_bad_length) << "\n";
-  os << rejected << "{reason=\"bad_crc\"} " << U64(s.parser.rejected_bad_crc)
-     << "\n";
-  os << rejected << "{reason=\"bad_sensor\"} "
-     << U64(s.parser.rejected_bad_sensor) << "\n";
-  os << rejected << "{reason=\"duplicate_seq\"} "
-     << U64(s.parser.rejected_duplicate_seq) << "\n";
-  os << rejected << "{reason=\"out_of_order\"} "
-     << U64(s.parser.rejected_out_of_order) << "\n";
-  const std::string bytes = prefix + "_ingest_bytes_consumed_total";
-  Family(&os, bytes, "counter", "Feed bytes consumed by the parser.");
-  os << bytes << " " << U64(s.parser.bytes_consumed) << "\n";
-  const std::string resync = prefix + "_ingest_resync_bytes_total";
-  Family(&os, resync, "counter",
-         "Bytes skipped while hunting for a frame boundary (corruption "
-         "debris).");
-  os << resync << " " << U64(s.parser.resync_bytes) << "\n";
-  const std::string gaps = prefix + "_ingest_seq_gaps_total";
-  Family(&os, gaps, "counter",
-         "Missing sequence numbers observed at accept time (upstream loss).");
-  os << gaps << " " << U64(s.parser.gaps_detected) << "\n";
-  const std::string wrec = prefix + "_ingest_wal_records_total";
-  Family(&os, wrec, "counter", "Records appended to the WAL.");
-  os << wrec << " " << U64(s.wal.records) << "\n";
-  const std::string wbytes = prefix + "_ingest_wal_appended_bytes_total";
-  Family(&os, wbytes, "counter",
-         "Bytes appended to the WAL including record framing.");
-  os << wbytes << " " << U64(s.wal.appended_bytes) << "\n";
-  const std::string wrot = prefix + "_ingest_wal_rotations_total";
-  Family(&os, wrot, "counter", "WAL segment rotations.");
-  os << wrot << " " << U64(s.wal.rotations) << "\n";
-  const std::string wsync = prefix + "_ingest_wal_syncs_total";
-  Family(&os, wsync, "counter", "msync barriers issued on the WAL.");
-  os << wsync << " " << U64(s.wal.syncs) << "\n";
-  const std::string replayed = prefix + "_ingest_recovery_ticks_replayed";
-  Family(&os, replayed, "gauge",
-         "Ticks replayed from the WAL by the last Start().");
-  os << replayed << " " << U64(s.recovery.ticks_replayed) << "\n";
-  const std::string torn = prefix + "_ingest_recovery_torn_records";
-  Family(&os, torn, "gauge",
-         "Torn WAL records detected and skipped by the last Start().");
-  os << torn << " " << U64(s.recovery.torn_records_skipped) << "\n";
-  const std::string rsec = prefix + "_ingest_recovery_seconds";
-  Family(&os, rsec, "gauge", "Wall-clock seconds of the last WAL replay.");
-  os << rsec << " " << JsonNumber(s.recovery.seconds) << "\n";
-  const std::string ticks = prefix + "_ingest_ticks_processed_total";
-  Family(&os, ticks, "counter",
-         "Ticks fully processed by the ingest pipeline (replay + live).");
-  os << ticks << " " << U64(s.ticks_processed) << "\n";
-  const std::string alarms = prefix + "_ingest_anomaly_alarms_total";
-  Family(&os, alarms, "counter", "Anomaly alarms raised on the ingest path.");
-  os << alarms << " " << U64(s.anomaly_alarms) << "\n";
-  const std::string dropped = prefix + "_ingest_buffer_dropped_total";
-  Family(&os, dropped, "counter",
-         "Ticks evicted from the retention buffer by its drop policy.");
-  os << dropped << " " << U64(s.buffer_dropped) << "\n";
-  return os.str();
-}
-
-std::string MetricsExporter::TraceToPrometheus(const TraceRecorder& recorder,
-                                               const std::string& prefix) {
-  std::ostringstream os;
-  const std::string dropped = prefix + "_trace_dropped_total";
-  Family(&os, dropped, "counter",
-         "Trace spans lost to ring overflow since the last Clear; nonzero "
-         "means the exported trace is incomplete (raise SetCapacity).");
-  os << dropped << " " << U64(recorder.DroppedSpans()) << "\n";
-  return os.str();
-}
-
-std::string MetricsExporter::TraceToJson(const TraceRecorder& recorder) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"trace\":{"
-     << "\"enabled\":" << (TraceRecorder::Enabled() ? "true" : "false")
-     << ",\"dropped\":" << U64(recorder.DroppedSpans()) << "}}";
-  return os.str();
-}
-
-std::string MetricsExporter::FlightToJson(const FlightStatsSnapshot& s) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"flight\":{"
-     << "\"enabled\":" << (s.enabled ? "true" : "false")
-     << ",\"observed\":" << U64(s.observed)
-     << ",\"retained\":{"
-     << "\"slo_breach\":" << U64(s.retained_slo)
-     << ",\"shed\":" << U64(s.retained_shed)
-     << ",\"error\":" << U64(s.retained_error)
-     << ",\"head_sample\":" << U64(s.retained_sample)
-     << ",\"total\":" << U64(s.RetainedTotal()) << "}"
-     << ",\"discarded\":" << U64(s.discarded)
-     << ",\"evicted\":" << U64(s.evicted)
-     << ",\"open_overflow\":" << U64(s.open_overflow)
-     << ",\"spans_captured\":" << U64(s.spans_captured)
-     << ",\"spans_dropped\":" << U64(s.spans_dropped)
-     << ",\"open_requests\":" << U64(s.open_requests)
-     << ",\"retained_records\":" << U64(s.retained_records)
-     << ",\"dumps\":" << U64(s.dumps) << "}}";
-  return os.str();
-}
-
-std::string MetricsExporter::FlightToPrometheus(const FlightStatsSnapshot& s,
-                                                const std::string& prefix) {
-  std::ostringstream os;
-  const std::string enabled = prefix + "_flight_enabled";
-  Family(&os, enabled, "gauge", "Flight recorder enabled (1) or not (0).");
-  os << enabled << " " << (s.enabled ? 1 : 0) << "\n";
-  const std::string observed = prefix + "_flight_observed_total";
-  Family(&os, observed, "counter",
-         "Request completions observed by the flight recorder.");
-  os << observed << " " << U64(s.observed) << "\n";
-  const std::string retained = prefix + "_flight_retained_total";
-  Family(&os, retained, "counter",
-         "Completed requests retained by the retroactive tail policy, by "
-         "reason.");
-  os << retained << "{reason=\"slo_breach\"} " << U64(s.retained_slo) << "\n";
-  os << retained << "{reason=\"shed\"} " << U64(s.retained_shed) << "\n";
-  os << retained << "{reason=\"error\"} " << U64(s.retained_error) << "\n";
-  os << retained << "{reason=\"head_sample\"} " << U64(s.retained_sample)
-     << "\n";
-  const std::string discarded = prefix + "_flight_discarded_total";
-  Family(&os, discarded, "counter",
-         "Completions judged unremarkable; their records were dropped.");
-  os << discarded << " " << U64(s.discarded) << "\n";
-  const std::string evicted = prefix + "_flight_evicted_total";
-  Family(&os, evicted, "counter",
-         "Retained records displaced from the ring by the per-tenant "
-         "reservoir policy.");
-  os << evicted << " " << U64(s.evicted) << "\n";
-  const std::string overflow = prefix + "_flight_open_overflow_total";
-  Family(&os, overflow, "counter",
-         "Spans dropped because the open-request table was at capacity.");
-  os << overflow << " " << U64(s.open_overflow) << "\n";
-  const std::string spans = prefix + "_flight_spans_total";
-  Family(&os, spans, "counter",
-         "Spans offered to open records, by fate (over-cap spans are "
-         "counted per record too).");
-  os << spans << "{fate=\"captured\"} " << U64(s.spans_captured) << "\n";
-  os << spans << "{fate=\"dropped\"} " << U64(s.spans_dropped) << "\n";
-  const std::string open = prefix + "_flight_open_requests";
-  Family(&os, open, "gauge",
-         "Records live in the open table (in-flight + retained).");
-  os << open << " " << U64(s.open_requests) << "\n";
-  const std::string ring = prefix + "_flight_retained_records";
-  Family(&os, ring, "gauge", "Records currently in the retained ring.");
-  os << ring << " " << U64(s.retained_records) << "\n";
-  const std::string dumps = prefix + "_flight_dumps_total";
-  Family(&os, dumps, "counter",
-         "Black-box dumps frozen on worsening health transitions.");
-  os << dumps << " " << U64(s.dumps) << "\n";
-  return os.str();
-}
-
-std::string MetricsExporter::NetToJson(const NetStatsSnapshot& s) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"net\":{"
-     << "\"connections\":{"
-     << "\"accepted\":" << U64(s.connections_accepted)
-     << ",\"closed\":" << U64(s.connections_closed)
-     << ",\"active\":" << s.connections_active << "}"
-     << ",\"sheds\":{"
-     << "\"conn_cap\":" << U64(s.shed_conn_cap)
-     << ",\"queue_full\":" << U64(s.shed_queue_full)
-     << ",\"deadline\":" << U64(s.shed_deadline)
-     << ",\"total\":" << U64(s.ShedTotal()) << "}"
-     << ",\"frames\":{"
-     << "\"bytes_consumed\":" << U64(s.frames.bytes_consumed)
-     << ",\"accepted\":" << U64(s.frames.frames_accepted)
-     << ",\"rejected\":{"
-     << "\"bad_length\":" << U64(s.frames.rejected_bad_length)
-     << ",\"bad_crc\":" << U64(s.frames.rejected_bad_crc)
-     << ",\"bad_opcode\":" << U64(s.rejected_bad_opcode) << "}"
-     << ",\"resync_bytes\":" << U64(s.frames.resync_bytes) << "}"
-     << ",\"queries_answered\":" << U64(s.queries_answered)
-     << ",\"queries_failed\":" << U64(s.queries_failed)
-     << ",\"pings\":" << U64(s.pings)
-     << ",\"http\":{"
-     << "\"metrics\":" << U64(s.http_metrics)
-     << ",\"health\":" << U64(s.http_health)
-     << ",\"query\":" << U64(s.http_query)
-     << ",\"debug_traces\":" << U64(s.http_debug_traces)
-     << ",\"debug_flight\":" << U64(s.http_debug_flight)
-     << ",\"bad_request\":" << U64(s.http_bad_request)
-     << ",\"not_found\":" << U64(s.http_not_found)
-     << ",\"method_not_allowed\":" << U64(s.http_method_not_allowed)
-     << ",\"too_large\":" << U64(s.http_too_large)
-     << ",\"errors_total\":" << U64(s.HttpErrorsTotal()) << "}"
-     << ",\"completions_dropped\":" << U64(s.completions_dropped)
-     << ",\"bytes_read\":" << U64(s.bytes_read)
-     << ",\"bytes_written\":" << U64(s.bytes_written)
-     << ",\"wire_latency\":" << LatencyToJson(s.wire_latency) << "}}";
-  return os.str();
-}
-
-std::string MetricsExporter::NetToPrometheus(const NetStatsSnapshot& s,
-                                             const std::string& prefix) {
-  std::ostringstream os;
-  const std::string conns = prefix + "_net_connections_total";
-  Family(&os, conns, "counter", "Connections accepted since start.");
-  os << conns << " " << U64(s.connections_accepted) << "\n";
-  const std::string active = prefix + "_net_connections_active";
-  Family(&os, active, "gauge", "Currently open connections.");
-  os << active << " " << s.connections_active << "\n";
-  const std::string sheds = prefix + "_net_sheds_total";
-  Family(&os, sheds, "counter",
-         "Wire requests shed by socket-layer admission control BEFORE "
-         "payload deserialization, by reason.");
-  os << sheds << "{reason=\"conn_cap\"} " << U64(s.shed_conn_cap) << "\n";
-  os << sheds << "{reason=\"queue_full\"} " << U64(s.shed_queue_full) << "\n";
-  os << sheds << "{reason=\"deadline\"} " << U64(s.shed_deadline) << "\n";
-  const std::string faccept = prefix + "_net_frames_accepted_total";
-  Family(&os, faccept, "counter", "Binary frames accepted by the parser.");
-  os << faccept << " " << U64(s.frames.frames_accepted) << "\n";
-  const std::string frej = prefix + "_net_frames_rejected_total";
-  Family(&os, frej, "counter", "Binary frames rejected, by reason.");
-  os << frej << "{reason=\"bad_length\"} " << U64(s.frames.rejected_bad_length)
-     << "\n";
-  os << frej << "{reason=\"bad_crc\"} " << U64(s.frames.rejected_bad_crc)
-     << "\n";
-  os << frej << "{reason=\"bad_opcode\"} " << U64(s.rejected_bad_opcode)
-     << "\n";
-  const std::string resync = prefix + "_net_resync_bytes_total";
-  Family(&os, resync, "counter",
-         "Bytes skipped hunting for a frame boundary (corruption debris).");
-  os << resync << " " << U64(s.frames.resync_bytes) << "\n";
-  const std::string queries = prefix + "_net_queries_total";
-  Family(&os, queries, "counter",
-         "Binary route queries completed, by outcome.");
-  os << queries << "{outcome=\"answered\"} " << U64(s.queries_answered)
-     << "\n";
-  os << queries << "{outcome=\"failed\"} " << U64(s.queries_failed) << "\n";
-  const std::string pings = prefix + "_net_pings_total";
-  Family(&os, pings, "counter", "Ping frames answered.");
-  os << pings << " " << U64(s.pings) << "\n";
-  const std::string http = prefix + "_net_http_requests_total";
-  Family(&os, http, "counter", "HTTP requests served OK, by endpoint.");
-  os << http << "{endpoint=\"metrics\"} " << U64(s.http_metrics) << "\n";
-  os << http << "{endpoint=\"health\"} " << U64(s.http_health) << "\n";
-  os << http << "{endpoint=\"query\"} " << U64(s.http_query) << "\n";
-  os << http << "{endpoint=\"debug_traces\"} " << U64(s.http_debug_traces)
-     << "\n";
-  os << http << "{endpoint=\"debug_flight\"} " << U64(s.http_debug_flight)
-     << "\n";
-  const std::string herr = prefix + "_net_http_errors_total";
-  Family(&os, herr, "counter", "HTTP error responses, by status class.");
-  os << herr << "{status=\"400\"} " << U64(s.http_bad_request) << "\n";
-  os << herr << "{status=\"404\"} " << U64(s.http_not_found) << "\n";
-  os << herr << "{status=\"405\"} " << U64(s.http_method_not_allowed) << "\n";
-  os << herr << "{status=\"431\"} " << U64(s.http_too_large) << "\n";
-  const std::string dropped = prefix + "_net_completions_dropped_total";
-  Family(&os, dropped, "counter",
-         "Serve answers whose connection closed before the response was "
-         "written.");
-  os << dropped << " " << U64(s.completions_dropped) << "\n";
-  const std::string bytes = prefix + "_net_bytes_total";
-  Family(&os, bytes, "counter", "Socket bytes moved, by direction.");
-  os << bytes << "{direction=\"read\"} " << U64(s.bytes_read) << "\n";
-  os << bytes << "{direction=\"written\"} " << U64(s.bytes_written) << "\n";
-  const std::string lat = prefix + "_net_request_latency_seconds";
-  Family(&os, lat, "summary",
-         "Wire-level binary request latency in seconds (first byte read to "
-         "response handed to the kernel).");
-  LatencySummary(&os, lat, "", s.wire_latency);
-  return os.str();
-}
+// --- Source registry -------------------------------------------------------
 
 namespace {
 
@@ -862,8 +676,7 @@ namespace {
 /// are deterministic.
 struct SourceEntry {
   std::string name;
-  MetricsExporter::PrometheusSourceFn prometheus;
-  MetricsExporter::JsonSourceFn json;
+  MetricsExporter::SourceFn describe;
 };
 
 struct SourceRegistry {
@@ -876,21 +689,28 @@ SourceRegistry& Sources() {
   return *registry;
 }
 
+/// Snapshots the closures under the lock so they run outside it: a
+/// source's snapshot function may itself take subsystem locks, and
+/// holding the registry lock across user code invites ordering cycles.
+std::vector<SourceEntry> SnapshotSources() {
+  SourceRegistry& reg = Sources();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  return reg.entries;
+}
+
 }  // namespace
 
 void MetricsExporter::RegisterSource(const std::string& name,
-                                     PrometheusSourceFn prometheus,
-                                     JsonSourceFn json) {
+                                     SourceFn describe) {
   SourceRegistry& reg = Sources();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (SourceEntry& entry : reg.entries) {
     if (entry.name == name) {
-      entry.prometheus = std::move(prometheus);
-      entry.json = std::move(json);
+      entry.describe = std::move(describe);
       return;
     }
   }
-  reg.entries.push_back({name, std::move(prometheus), std::move(json)});
+  reg.entries.push_back({name, std::move(describe)});
 }
 
 void MetricsExporter::UnregisterSource(const std::string& name) {
@@ -904,66 +724,23 @@ void MetricsExporter::UnregisterSource(const std::string& name) {
   }
 }
 
-std::string MetricsExporter::ExportPrometheus(const std::string& prefix) {
-  // Snapshot the closures under the lock, run them outside it: a source's
-  // snapshot function may itself take subsystem locks, and holding the
-  // registry lock across user code invites ordering cycles.
-  std::vector<SourceEntry> entries;
-  {
-    SourceRegistry& reg = Sources();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    entries = reg.entries;
+std::string MetricsExporter::ExportPrometheus() {
+  std::string out;
+  for (const SourceEntry& entry : SnapshotSources()) {
+    out += "# SOURCE " + entry.name + "\n";
+    out += entry.describe().ToPrometheus();
   }
-  std::ostringstream os;
-  for (const SourceEntry& entry : entries) {
-    os << "# SOURCE " << entry.name << "\n";
-    if (entry.prometheus) os << entry.prometheus(prefix);
-  }
-  return os.str();
+  return out;
 }
 
 std::string MetricsExporter::ExportJson() {
-  std::vector<SourceEntry> entries;
-  {
-    SourceRegistry& reg = Sources();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    entries = reg.entries;
+  MetricSet m;
+  m.Open("sources");
+  for (const SourceEntry& entry : SnapshotSources()) {
+    m.Add(entry.name, {entry.describe().ToJson(), ""});
   }
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"sources\":{";
-  bool first = true;
-  for (const SourceEntry& entry : entries) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(entry.name) << "\":";
-    os << (entry.json ? entry.json() : std::string("null"));
-  }
-  os << "}}";
-  return os.str();
-}
-
-std::string MetricsExporter::StreamToJson(const StreamPipeline& pipeline) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion << ",\"stream\":{"
-     << "\"ticks\":" << pipeline.ticks_processed()
-     << ",\"tick_latency\":" << LatencyToJson(pipeline.tick_latency())
-     << "},";
-  StagesJson(&os, pipeline.metrics());
-  os << "}";
-  return os.str();
-}
-
-std::string MetricsExporter::StreamToPrometheus(const StreamPipeline& pipeline,
-                                                const std::string& prefix) {
-  std::ostringstream os;
-  const std::string ticks = prefix + "_stream_ticks_total";
-  Family(&os, ticks, "counter", "Ticks fully processed by the pipeline.");
-  os << ticks << " " << pipeline.ticks_processed() << "\n";
-  const std::string lat = prefix + "_stream_tick_latency_seconds";
-  Family(&os, lat, "summary", "End-to-end per-tick latency in seconds.");
-  LatencySummary(&os, lat, "", pipeline.tick_latency());
-  StagesPrometheus(&os, pipeline.metrics(), prefix);
-  return os.str();
+  m.Close();
+  return m.ToJson();
 }
 
 }  // namespace tsdm

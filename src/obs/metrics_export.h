@@ -1,9 +1,10 @@
 #ifndef TSDM_OBS_METRICS_EXPORT_H_
 #define TSDM_OBS_METRICS_EXPORT_H_
 
+#include <concepts>
 #include <functional>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/histogram_ext.h"
@@ -19,8 +20,8 @@
 
 namespace tsdm {
 
-/// Escapes `s` for embedding inside a JSON (or Prometheus label) string
-/// literal: backslash, double quote, and control characters.
+/// Escapes `s` for embedding inside a JSON string literal: backslash,
+/// double quote, and control characters.
 std::string JsonEscape(const std::string& s);
 
 /// Deterministic number formatting shared by every exporter ("%.9g");
@@ -28,99 +29,190 @@ std::string JsonEscape(const std::string& s);
 /// carries a non-numeric token.
 std::string JsonNumber(double v);
 
-/// Serializes the metrics the executor and stream layers already collect
-/// (StageMetricsRegistry / LatencyHistogram) into the two formats a
-/// monitoring stack consumes: a schema-versioned JSON document and the
-/// Prometheus text exposition format (counters plus a latency summary with
-/// p50/p95/p99). This is the "self-monitoring" surface of the Fig. 1 loop:
-/// the same numbers that drive autoscaling decisions are exported for
-/// humans and scrapers without touching the hot paths that produce them.
+/// One Prometheus metric family. `name` omits the "tsdm_" prefix every
+/// exported family carries.
+struct MetricFamily {
+  const char* name;
+  const char* type;  ///< "counter", "gauge" or "summary"
+  const char* help;
+};
+
+/// One Prometheus label; `value` is raw and escaped at render time.
+struct MetricLabel {
+  const char* name = nullptr;  ///< nullptr: no label
+  std::string value;
+};
+
+/// One exported value in both renderings: numbers read the same in JSON
+/// and Prometheus, a bool is true/false in JSON and 1/0 in Prometheus.
+struct MetricValue {
+  template <std::integral T>
+  MetricValue(T v) : json(std::to_string(v)), prom(json) {}
+  MetricValue(bool v) : json(v ? "true" : "false"), prom(v ? "1" : "0") {}
+  MetricValue(double v) : json(JsonNumber(v)), prom(json) {}
+  MetricValue(std::string json_text, std::string prom_text)
+      : json(std::move(json_text)), prom(std::move(prom_text)) {}
+  /// A JSON-only string value.
+  static MetricValue Text(const std::string& s);
+
+  std::string json;
+  std::string prom;
+};
+
+/// A snapshot's exported values, each declared once: its JSON key and
+/// value and, when it is also a Prometheus sample, its family and label.
+/// Each declaration is rendered into both forms as it is made: ToJson is
+/// one JSON object led by "schema_version" and nested by Open/OpenList/
+/// Close; ToPrometheus groups the samples by family, families in
+/// first-declared order, each with one HELP and one TYPE line.
+class MetricSet {
+ public:
+  MetricSet();
+
+  /// Opens a JSON object under `key` (ignored inside a list). `label`, if
+  /// set, is added to every sample declared until the matching Close.
+  void Open(const std::string& key, MetricLabel label = {});
+  /// Opens a JSON array under `key`; its elements are Open("") objects.
+  void OpenList(const std::string& key);
+  /// Closes the innermost Open or OpenList.
+  void Close();
+
+  /// Declares a JSON-only value.
+  void Add(const std::string& key, MetricValue value);
+  /// Declares a value that is also one sample of `family`.
+  void Add(const std::string& key, MetricValue value,
+           const MetricFamily& family, MetricLabel label = {});
+  /// The same, for a family declared nowhere else.
+  void Add(const std::string& key, MetricValue value, const char* family,
+           const char* type, const char* help, MetricLabel label = {}) {
+    Add(key, std::move(value), {family, type, help}, std::move(label));
+  }
+  /// Declares a histogram: MetricsExporter::LatencyToJson under `key` and
+  /// a summary sample set (p50/p95/p99, _sum, _count) of `family`.
+  void Latency(const std::string& key, const LatencyHistogram& h,
+               const MetricFamily& family, MetricLabel label = {});
+  /// The same, for a summary family declared nowhere else.
+  void Latency(const std::string& key, const LatencyHistogram& h,
+               const char* family, const char* help) {
+    Latency(key, h, {family, "summary", help});
+  }
+  /// Places each family's HELP and TYPE here even if no sample of it
+  /// follows (families whose samples come from a possibly empty loop).
+  template <typename... Families>
+  void Announce(const Families&... families) {
+    (Samples(families), ...);
+  }
+
+  std::string ToJson() const { return json_ + "}"; }
+  std::string ToPrometheus() const;
+
+ private:
+  struct Scope {
+    std::string labels;  ///< label set every sample in this scope carries
+    bool list;
+  };
+
+  /// Appends the separator and, outside a list, the quoted key.
+  void Key(const std::string& key);
+  /// The label set of a sample declared here: the open scopes', then own.
+  std::string Labels(const MetricLabel& own) const;
+  /// `family`'s sample text, created empty at first use.
+  std::string& Samples(const MetricFamily& family);
+
+  std::string json_;
+  std::vector<Scope> scopes_;
+  std::vector<std::pair<MetricFamily, std::string>> families_;
+};
+
+/// Serializes the metrics the subsystems already collect into the two
+/// formats a monitoring stack consumes: a schema-versioned JSON document
+/// and the Prometheus text exposition format. This is the
+/// "self-monitoring" surface of the Fig. 1 loop: the same numbers that
+/// drive autoscaling decisions are exported for humans and scrapers
+/// without touching the hot paths that produce them.
+///
+/// Each snapshot type has one Describe overload declaring its exported
+/// values; XToJson and XToPrometheus render that one declaration.
 class MetricsExporter {
  public:
   static constexpr int kSchemaVersion = 1;
 
-  /// {"schema_version":1,"stages":{"<name>":{"invocations":..,"failures":..,
-  ///  "retries":..,"latency":{...}}}}
-  static std::string RegistryToJson(const StageMetricsRegistry& registry);
+  /// One overload per snapshot type; each declares that type's exported
+  /// values and the help text of its Prometheus families. The shard
+  /// set's JSON nests the fleet-aggregate serve document under
+  /// "aggregate"; its Prometheus families belong to the "serve" source.
+  static MetricSet Describe(const StageMetricsRegistry& registry);
+  static MetricSet Describe(const BatchReport& report);
+  static MetricSet Describe(const StreamPipeline& pipeline);
+  static MetricSet Describe(const ServeStatsSnapshot& snapshot);
+  static MetricSet Describe(const HealthSnapshot& snapshot);
+  static MetricSet Describe(const IngestStatsSnapshot& snapshot);
+  static MetricSet Describe(const TraceRecorder& recorder);
+  static MetricSet Describe(const FlightStatsSnapshot& snapshot);
+  static MetricSet Describe(const NetStatsSnapshot& snapshot);
+  static MetricSet Describe(const ShardStatsSnapshot& snapshot);
 
-  /// One counter family per StageMetrics field plus a latency summary, all
-  /// labeled {stage="<name>"} under `prefix` (default "tsdm").
-  static std::string RegistryToPrometheus(const StageMetricsRegistry& registry,
-                                          const std::string& prefix = "tsdm");
-
-  /// Registry export extended with batch-level gauges: shard totals,
-  /// quarantine count, attempts_total (retry pressure), threads, wall time.
-  static std::string BatchToJson(const BatchReport& report);
-  static std::string BatchToPrometheus(const BatchReport& report,
-                                       const std::string& prefix = "tsdm");
-
-  /// Registry export extended with the stream path's tick counter and
-  /// end-to-end tick latency summary.
-  static std::string StreamToJson(const StreamPipeline& pipeline);
-  static std::string StreamToPrometheus(const StreamPipeline& pipeline,
-                                        const std::string& prefix = "tsdm");
-
-  /// Serving-layer snapshot: admission/shedding/batching counters, the
-  /// sub-path cache's hit/miss/eviction counts, worker gauge, the request
-  /// lifecycle latency summaries, and the critical-path stage attribution
-  /// (`<prefix>_serve_stage_latency_seconds{stage="queue|batch|cache|exec"}`
-  /// in Prometheus, "stage_latency" in JSON).
-  static std::string ServeToJson(const ServeStatsSnapshot& snapshot);
-  static std::string ServeToPrometheus(const ServeStatsSnapshot& snapshot,
-                                       const std::string& prefix = "tsdm");
-
-  /// HealthMonitor picture: overall state (gauge, 0=healthy 1=degraded
-  /// 2=unhealthy), per-metric verdicts with anomaly scores, SLO burn rate,
-  /// and the top-offender stage attribution.
-  static std::string HealthToJson(const HealthSnapshot& snapshot);
-  static std::string HealthToPrometheus(const HealthSnapshot& snapshot,
-                                        const std::string& prefix = "tsdm");
-
-  /// Durable-ingestion snapshot: parser accept/reject counters by reason
-  /// (`<prefix>_ingest_frames_rejected_total{reason=...}`), sequence gaps
-  /// and resync bytes, WAL append/rotation/sync counters, and the last
-  /// recovery's replay figures (ticks replayed, torn records skipped,
-  /// replay seconds).
-  static std::string IngestToJson(const IngestStatsSnapshot& snapshot);
-  static std::string IngestToPrometheus(const IngestStatsSnapshot& snapshot,
-                                        const std::string& prefix = "tsdm");
-
-  /// TraceRecorder self-metrics: `<prefix>_trace_dropped_total` counts
-  /// spans lost to ring overflow — nonzero means the exported trace is
-  /// incomplete and SetCapacity should be raised.
-  static std::string TraceToPrometheus(const TraceRecorder& recorder,
-                                       const std::string& prefix = "tsdm");
-  /// JSON twin of TraceToPrometheus, for the "trace" source's ExportJson
-  /// entry: {"schema_version":1,"trace":{"enabled":..,"dropped":..}}.
-  static std::string TraceToJson(const TraceRecorder& recorder);
-
-  /// Flight-recorder self-metrics (`tsdm_flight_*`): completions observed,
-  /// retained by reason (`{reason="slo_breach|shed|error|head_sample"}`),
-  /// discarded/evicted counts, span capture/drop counters, open-table and
-  /// retained-ring gauges, and black-box dumps frozen.
-  static std::string FlightToJson(const FlightStatsSnapshot& snapshot);
-  static std::string FlightToPrometheus(const FlightStatsSnapshot& snapshot,
-                                        const std::string& prefix = "tsdm");
-
-  /// Socket front-door snapshot: connection gauges, the typed shed
-  /// counters (`<prefix>_net_sheds_total{reason=...}` — each shed happened
-  /// BEFORE payload deserialization), frame accept/reject/resync counters
-  /// mirroring the ingest parser's families, per-endpoint HTTP counters,
-  /// byte counters by direction, and the wire-level request latency
-  /// summary.
-  static std::string NetToJson(const NetStatsSnapshot& snapshot);
-  static std::string NetToPrometheus(const NetStatsSnapshot& snapshot,
-                                     const std::string& prefix = "tsdm");
-
-  /// Sharded-fleet snapshot: routing counters (`<prefix>_shard_routed_total
-  /// {mode="forward|scatter"}`, probe/merge/replication/partial-error
-  /// counters), the map generation and shard-count gauges, per-shard
-  /// routing attribution (`{shard="<i>"}` labels), and the fleet-aggregate
-  /// serve families (the per-shard ServeStatsSnapshots collapsed through
-  /// ShardStatsSnapshot::Aggregate, emitted via ServeTo*).
-  static std::string ShardToJson(const ShardStatsSnapshot& snapshot);
-  static std::string ShardToPrometheus(const ShardStatsSnapshot& snapshot,
-                                       const std::string& prefix = "tsdm");
+  static std::string RegistryToJson(const StageMetricsRegistry& registry) {
+    return Describe(registry).ToJson();
+  }
+  static std::string RegistryToPrometheus(
+      const StageMetricsRegistry& registry) {
+    return Describe(registry).ToPrometheus();
+  }
+  static std::string BatchToJson(const BatchReport& report) {
+    return Describe(report).ToJson();
+  }
+  static std::string BatchToPrometheus(const BatchReport& report) {
+    return Describe(report).ToPrometheus();
+  }
+  static std::string StreamToJson(const StreamPipeline& pipeline) {
+    return Describe(pipeline).ToJson();
+  }
+  static std::string StreamToPrometheus(const StreamPipeline& pipeline) {
+    return Describe(pipeline).ToPrometheus();
+  }
+  static std::string ServeToJson(const ServeStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToJson();
+  }
+  static std::string ServeToPrometheus(const ServeStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToPrometheus();
+  }
+  static std::string HealthToJson(const HealthSnapshot& snapshot) {
+    return Describe(snapshot).ToJson();
+  }
+  static std::string HealthToPrometheus(const HealthSnapshot& snapshot) {
+    return Describe(snapshot).ToPrometheus();
+  }
+  static std::string IngestToJson(const IngestStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToJson();
+  }
+  static std::string IngestToPrometheus(const IngestStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToPrometheus();
+  }
+  static std::string TraceToJson(const TraceRecorder& recorder) {
+    return Describe(recorder).ToJson();
+  }
+  static std::string TraceToPrometheus(const TraceRecorder& recorder) {
+    return Describe(recorder).ToPrometheus();
+  }
+  static std::string FlightToJson(const FlightStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToJson();
+  }
+  static std::string FlightToPrometheus(const FlightStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToPrometheus();
+  }
+  static std::string NetToJson(const NetStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToJson();
+  }
+  static std::string NetToPrometheus(const NetStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToPrometheus();
+  }
+  static std::string ShardToJson(const ShardStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToJson();
+  }
+  static std::string ShardToPrometheus(const ShardStatsSnapshot& snapshot) {
+    return Describe(snapshot).ToPrometheus();
+  }
 
   /// {"count":..,"mean_s":..,"p50_s":..,"p95_s":..,"p99_s":..,"min_s":..,
   ///  "max_s":..} — NaN-free for any histogram state, including empty.
@@ -128,30 +220,26 @@ class MetricsExporter {
 
   // --- Registration-based aggregate export ------------------------------
   //
-  // Each live subsystem registers one snapshot closure pair at startup
-  // (and unregisters at shutdown); ExportPrometheus/ExportJson then serve
-  // the whole process as ONE document. This is what GET /metrics returns:
-  // the concatenation, in registration order, of every source's existing
-  // per-subsystem export — the per-subsystem methods above stay the
-  // single source of formatting truth and become the closures' bodies.
+  // Each live subsystem registers one describe closure at startup (and
+  // unregisters at shutdown); ExportPrometheus/ExportJson then serve the
+  // whole process as ONE document. This is what GET /metrics returns:
+  // the concatenation, in registration order, of every source's
+  // MetricSet, rendered by the same code as the per-type exports above.
 
-  /// Produces this source's Prometheus text under the given family prefix.
-  using PrometheusSourceFn = std::function<std::string(const std::string&)>;
-  /// Produces this source's JSON document (a complete JSON object).
-  using JsonSourceFn = std::function<std::string()>;
+  /// Produces this source's current MetricSet (usually Describe(Stats())).
+  using SourceFn = std::function<MetricSet()>;
 
-  /// Registers (or replaces, by name) a metrics source. Closures are
+  /// Registers (or replaces, by name) a metrics source. The closure is
   /// invoked on the exporting thread and must be internally synchronized,
-  /// like the Stats()/snapshot methods they wrap.
-  static void RegisterSource(const std::string& name,
-                             PrometheusSourceFn prometheus, JsonSourceFn json);
+  /// like the Stats()/snapshot methods it wraps.
+  static void RegisterSource(const std::string& name, SourceFn describe);
   /// Removes a source; unknown names are a no-op. Call before the
-  /// underlying subsystem is destroyed — closures dangle otherwise.
+  /// underlying subsystem is destroyed — the closure dangles otherwise.
   static void UnregisterSource(const std::string& name);
 
   /// Concatenates every registered source's Prometheus text in
   /// registration order, separated by `# SOURCE <name>` comment lines.
-  static std::string ExportPrometheus(const std::string& prefix = "tsdm");
+  static std::string ExportPrometheus();
 
   /// {"schema_version":1,"sources":{"<name>":<source json>,...}} in
   /// registration order.

@@ -114,12 +114,9 @@ Status ShardRouter::Start() {
   started_ = true;
   running_.store(true, std::memory_order_release);
   ShardRouter* self = this;
-  MetricsExporter::RegisterSource(
-      "shard",
-      [self](const std::string& prefix) {
-        return MetricsExporter::ShardToPrometheus(self->ShardStats(), prefix);
-      },
-      [self] { return MetricsExporter::ShardToJson(self->ShardStats()); });
+  MetricsExporter::RegisterSource("shard", [self] {
+    return MetricsExporter::Describe(self->ShardStats());
+  });
   return Status::OK();
 }
 

@@ -2,12 +2,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/governance/uncertainty/travel_cost_models.h"
+#include "src/net/socket_server.h"
 #include "src/obs/metrics_export.h"
 #include "src/obs/trace.h"
 #include "src/shard/shard_map.h"
@@ -472,6 +475,35 @@ TEST(ShardRouterTest, SocketServerFrontsRouterUnchanged) {
   router.WaitIdle();
   EXPECT_EQ(done.load(), 1);
   EXPECT_GE(service->Stats().completed, 1u);
+  router.Stop();
+}
+
+TEST(ShardRouterTest, WireServerOverRouterExportsEachFamilyOnce) {
+  // A SocketServer fronting a ShardRouter registers the router as its
+  // "serve" source while the router registers itself as "shard": the
+  // scrape must still carry every family's HELP and TYPE exactly once,
+  // or a Prometheus server rejects the whole document.
+  ShardFixture fx;
+  ShardRouter router(&fx.net, fx.BaseModel(), fx.RouterOptions(2));
+  ASSERT_TRUE(router.Start().ok());
+  SocketServer server(&router);
+  ASSERT_TRUE(server.Start().ok());
+  std::istringstream scrape(MetricsExporter::ExportPrometheus());
+  std::map<std::string, int> types;
+  std::map<std::string, int> helps;
+  std::string line;
+  while (std::getline(scrape, line)) {
+    // "# TYPE <family> <type>" and "# HELP <family> <text>".
+    const bool type = line.rfind("# TYPE ", 0) == 0;
+    if (!type && line.rfind("# HELP ", 0) != 0) continue;
+    ++(type ? types : helps)[line.substr(7, line.find(' ', 7) - 7)];
+  }
+  EXPECT_EQ(types.count("tsdm_serve_submitted_total"), 1u);
+  EXPECT_EQ(types.count("tsdm_shard_count"), 1u);
+  EXPECT_EQ(types.count("tsdm_net_connections_total"), 1u);
+  for (const auto& [name, n] : types) EXPECT_EQ(n, 1) << name;
+  for (const auto& [name, n] : helps) EXPECT_EQ(n, 1) << name;
+  server.Stop();
   router.Stop();
 }
 
