@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace tsdm {
 
@@ -137,15 +138,34 @@ Histogram Histogram::Convolve(const Histogram& other, int result_bins) const {
   Result<Histogram> out = Create(new_lo, new_hi, result_bins);
   Histogram result = out.ok() ? *out : PointMass(new_lo);
   if (total_ <= 0.0 || other.total_ <= 0.0) return result;
+  // The same pairs in the same order as a per-pair
+  // result.Add(BinCenter(a) + other.BinCenter(b), pa * pb), with the same
+  // expressions, so every sum, product and bin index is bit for bit what
+  // Add gives; only the loop-invariant work (other's bin centres and
+  // masses, the result's bin width) is done once.
+  std::vector<std::pair<double, double>> rhs;  // (centre, mass) of used bins
+  rhs.reserve(other.mass_.size());
+  for (int b = 0; b < other.NumBins(); ++b) {
+    const double pb = other.BinMass(b);
+    if (!(pb <= 0.0)) rhs.emplace_back(other.BinCenter(b), pb);
+  }
+  const double lo = result.lo_;
+  const double width = result.BinWidth();
+  const int last = result.NumBins() - 1;
+  double* mass = result.mass_.data();
+  double total = result.total_;
   for (int a = 0; a < NumBins(); ++a) {
-    double pa = BinMass(a);
+    const double pa = BinMass(a);
     if (pa <= 0.0) continue;
-    for (int b = 0; b < other.NumBins(); ++b) {
-      double pb = other.BinMass(b);
-      if (pb <= 0.0) continue;
-      result.Add(BinCenter(a) + other.BinCenter(b), pa * pb);
+    const double ca = BinCenter(a);
+    for (const auto& [cb, pb] : rhs) {
+      const double weight = pa * pb;
+      const int bin = static_cast<int>((ca + cb - lo) / width);
+      mass[std::clamp(bin, 0, last)] += weight;
+      total += weight;
     }
   }
+  result.total_ = total;
   return result;
 }
 

@@ -119,47 +119,4 @@ Result<TraceReplayer::Report> TraceReplayer::Replay(
   return report;
 }
 
-Result<TraceReplayer::Report> TraceReplayer::ReplayWire(
-    const std::vector<TimedQuery>& trace, NetClient* client) {
-  if (client == nullptr || !client->connected()) {
-    return Status::FailedPrecondition("replay: client not connected");
-  }
-  Report report;
-  const uint64_t start_ns = TraceRecorder::NowNs();
-  for (const TimedQuery& q : trace) {
-    SleepUntilDue(q.at_seconds, options_.speed, start_ns);
-    const std::string tenant = q.tenant.empty() ? "default" : q.tenant;
-    ++report.offered;
-    TenantOutcome& t = report.tenants[tenant];
-    ++t.offered;
-    NetClient::QueryOptions options;
-    options.priority = q.priority;
-    options.tenant_id = q.tenant;
-    WireRouteAnswer answer;
-    Status st = client->Query(q.query, options, &answer);
-    if (!st.ok()) return st;  // transport failure aborts the replay
-    if (answer.status_code == StatusCode::kOk) {
-      ++report.accepted;
-      ++t.accepted;
-      ++report.answered_ok;
-      ++t.answered_ok;
-    } else if (answer.status_code == StatusCode::kResourceExhausted ||
-               answer.status_code == StatusCode::kFailedPrecondition) {
-      // The wire front door and the queue shed with these two codes; the
-      // flattened answer does not distinguish front-door from post-
-      // admission sheds, so both count as rejected offered load here.
-      ++report.rejected;
-      ++t.rejected;
-    } else {
-      ++report.accepted;
-      ++t.accepted;
-      ++report.answered_error;
-      ++t.answered_error;
-    }
-  }
-  report.wall_seconds =
-      1e-9 * static_cast<double>(TraceRecorder::NowNs() - start_ns);
-  return report;
-}
-
 }  // namespace tsdm

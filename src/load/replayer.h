@@ -9,7 +9,6 @@
 
 #include "src/common/status.h"
 #include "src/load/scenario.h"
-#include "src/net/net_client.h"
 #include "src/serve/query_service.h"
 
 namespace tsdm {
@@ -66,13 +65,6 @@ class TraceReplayer {
   /// The trace must be time-sorted (MergeStreams output is).
   Result<Report> Replay(const std::vector<TimedQuery>& trace,
                         QueryService* service);
-
-  /// Replays over the binary wire protocol through a connected NetClient.
-  /// Synchronous per-request (the blocking client pipelines poorly across
-  /// tenants), so pacing is best-effort; intended for integration tests
-  /// and examples, not overload generation.
-  Result<Report> ReplayWire(const std::vector<TimedQuery>& trace,
-                            NetClient* client);
 
  private:
   Options options_;

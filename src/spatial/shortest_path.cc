@@ -13,11 +13,20 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// `bound` raised by a relative 1e-9: a search bounded by a path cost stops
+/// only above this, so summation-order rounding can never make it drop a
+/// path the full search would have tied or beaten.
+double WithMargin(double bound) { return bound + 1e-9 * bound; }
+
+/// Heap entries order by (priority, node): a total order, so the pop
+/// sequence depends only on which entries are in the heap, never on the
+/// heap's layout, and dropping entries cannot reorder the ones that remain.
 struct QueueEntry {
   double priority;
   int node;
   bool operator>(const QueueEntry& other) const {
-    return priority > other.priority;
+    return priority > other.priority ||
+           (priority == other.priority && node > other.node);
   }
 };
 
@@ -86,22 +95,55 @@ class DijkstraWorkspace {
     return edge_cost_.empty() ? ClampedCost(eid) : edge_cost_[eid];
   }
 
+  /// Reverse Dijkstra from `target` over the tabulated costs: each node's
+  /// cheapest cost to `target` with nothing banned (infinity when it cannot
+  /// reach `target`). Bans only remove paths, so this is a lower bound on
+  /// a node's remaining cost under any ban set, and Run prunes with it.
+  void BoundToTarget(int target) {
+    to_target_.assign(network_.NumNodes(), kInf);
+    to_target_[target] = 0.0;
+    heap_.clear();
+    heap_.push_back({0.0, target});
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
+      const QueueEntry top = heap_.back();
+      heap_.pop_back();
+      if (top.priority > to_target_[top.node]) continue;  // stale entry
+      for (int eid : network_.InEdges(top.node)) {
+        const int from = network_.edge(eid).from;
+        const double candidate = top.priority + edge_cost_[eid];
+        if (candidate < to_target_[from]) {
+          to_target_[from] = candidate;
+          heap_.push_back({candidate, from});
+          std::push_heap(heap_.begin(), heap_.end(),
+                         std::greater<QueueEntry>());
+        }
+      }
+    }
+  }
+
+  /// The BoundToTarget lower bound for `node`.
+  double ToTarget(int node) const { return to_target_[node]; }
+
   /// Clears the ban set: every node and edge is usable again.
   void NewBans() { ++ban_epoch_; }
   void BanNode(int node) { banned_node_[node] = ban_epoch_; }
   void BanEdge(int eid) { banned_edge_[eid] = ban_epoch_; }
 
   /// Dijkstra from `source`, skipping the current bans, until `target` is
-  /// settled (target -1 settles everything reachable). The heap is driven
-  /// by push_heap/pop_heap over the same container and comparator as
-  /// std::priority_queue, so nodes pop in exactly its order, ties included.
-  /// Gives up once `offset` plus a popped priority exceeds `stop_above`:
-  /// every path still to be found costs at least that much. Returns
+  /// settled (target -1 settles everything reachable). Nodes pop in
+  /// (distance, node) order. Gives up once `offset` plus a popped priority
+  /// exceeds `stop_above`: every path still to be found costs at least
+  /// that much. After BoundToTarget(target) it also drops each relaxation
+  /// whose `offset` + distance + lower bound exceeds `stop_above`: no path
+  /// through it can come in under the bound, and under the total pop order
+  /// the entries that remain pop exactly as they would have. Returns
   /// whether `target` was settled.
   bool Run(int source, int target, double offset = 0.0,
            double stop_above = kInf) {
     reached_ += 2;
     const uint32_t settled = reached_ + 1;
+    const bool bounded = !to_target_.empty() && stop_above < kInf;
     heap_.clear();
     Reach(source, 0.0, -1);
     heap_.push_back({0.0, source});
@@ -120,6 +162,9 @@ class DijkstraWorkspace {
         if (banned_node_[to] == ban_epoch_ || mark_[to] == settled) continue;
         const double candidate = dist_[node] + EdgeCost(eid);
         if (candidate < Dist(to)) {
+          if (bounded && offset + candidate + to_target_[to] > stop_above) {
+            continue;
+          }
           Reach(to, candidate, eid);
           heap_.push_back({candidate, to});
           std::push_heap(heap_.begin(), heap_.end(),
@@ -156,8 +201,9 @@ class DijkstraWorkspace {
   }
 
   /// The unbanned shortest path; NotFound when `target` is unreachable.
-  Result<Path> ShortestPath(int source, int target) {
-    if (!Run(source, target)) return NoPath(source, target);
+  /// `stop_above` must not be below the path's cost.
+  Result<Path> ShortestPath(int source, int target, double stop_above = kInf) {
+    if (!Run(source, target, 0.0, stop_above)) return NoPath(source, target);
     Path path;
     path.cost = dist_[target];
     path.nodes.push_back(source);
@@ -180,6 +226,7 @@ class DijkstraWorkspace {
   const RoadNetwork& network_;
   const EdgeCostFn& cost_;
   std::vector<double> edge_cost_;  ///< empty until TabulateCosts
+  std::vector<double> to_target_;  ///< empty until BoundToTarget
   std::vector<double> dist_;
   std::vector<int> parent_edge_;
   /// Per-node search state: `reached_` when reached by the current search,
@@ -262,8 +309,15 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
   Status endpoints = CheckEndpoints(network, source, target);
   if (!endpoints.ok()) return endpoints;
   DijkstraWorkspace workspace(network, cost);
-  if (k > 1) workspace.TabulateCosts();
-  Result<Path> first = workspace.ShortestPath(source, target);
+  // With k > 1 the reverse tree is built first: its cost at the source is
+  // the first path's cost, which then bounds the first search as well.
+  double first_bound = kInf;
+  if (k > 1) {
+    workspace.TabulateCosts();
+    workspace.BoundToTarget(target);
+    first_bound = WithMargin(workspace.ToTarget(source));
+  }
+  Result<Path> first = workspace.ShortestPath(source, target, first_bound);
   if (!first.ok()) return first.status();
 
   std::vector<Path> result = {*std::move(first)};
@@ -275,21 +329,30 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
   std::set<std::vector<int>> known = {result[0].nodes};
   std::vector<Path> candidates;
   std::vector<double> candidate_costs;
+  std::vector<double> root_costs;
 
   for (int ki = 1; ki < k; ++ki) {
     const Path& prev = result.back();
     // Once `need` candidates exist, the need-th smallest candidate cost
     // bounds every path still to be picked: a spur path costing more can
     // never be picked, now or later (the bound only falls), so its search
-    // stops early. The relative margin keeps summation-order rounding from
-    // ever pruning a path the full search would have tied or beaten.
+    // stops early and prunes by the reverse-tree bound. No spur node can be
+    // skipped outright: root + h[spur] is at most prev's cost, which no
+    // remaining candidate undercuts.
     const size_t need = static_cast<size_t>(k - ki);
-    double root_cost = 0.0;  // cost of prev's first i edges, summed in order
-    // Each node of the previous path (except the last) is a spur node.
-    for (size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      if (i > 0) {
-        root_cost += std::max(0.0, workspace.EdgeCost(prev.edges[i - 1]));
-      }
+    // root_costs[i]: cost of prev's first i edges, summed in order.
+    root_costs.assign(prev.nodes.size(), 0.0);
+    for (size_t i = 1; i < prev.nodes.size(); ++i) {
+      const double edge_cost = workspace.EdgeCost(prev.edges[i - 1]);
+      root_costs[i] = root_costs[i - 1] + std::max(0.0, edge_cost);
+    }
+    // Each node of the previous path (except the last) is a spur node,
+    // tried from the last to the first. The order cannot change the answer:
+    // a search's path under the bound is the same with or without the
+    // bound, and the pick is the path_less minimum. Spur nodes near the
+    // target make short unbounded searches, so the bound exists sooner.
+    for (size_t i = prev.nodes.size() - 1; i-- > 0;) {
+      const double root_cost = root_costs[i];
       const int spur_node = prev.nodes[i];
       workspace.NewBans();
       // Ban edges that would recreate an already-known path sharing the root.
@@ -310,8 +373,7 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
         std::nth_element(candidate_costs.begin(),
                          candidate_costs.begin() + (need - 1),
                          candidate_costs.end());
-        const double bound = candidate_costs[need - 1];
-        stop_above = bound + 1e-9 * bound;
+        stop_above = WithMargin(candidate_costs[need - 1]);
       }
       if (!workspace.Run(spur_node, target, root_cost, stop_above)) continue;
 

@@ -43,14 +43,19 @@ Result<Path> AStarPath(const RoadNetwork& network, int source, int target,
 ///
 /// Contract:
 /// - `cost` is evaluated at most once per edge per call and the value is
-///   reused by every spur search, so it must be pure: the same edge id must
-///   always give the same cost.
+///   reused by every search of the call, so it must be pure: the same edge
+///   id must always give the same cost.
 /// - The candidate order is part of the contract, ties included. Each
-///   search settles nodes in the pop order of a binary min-heap keyed on
-///   distance; the next path is the cheapest candidate, with equal costs
-///   broken by lexicographic node sequence (`path_less`).
-///   tests/k_shortest_equivalence_test.cc pins both against the original
-///   set-based implementation.
+///   search settles nodes in (distance, node id) order; the next path is
+///   the cheapest candidate, with equal costs broken by lexicographic node
+///   sequence (`path_less`). tests/k_shortest_equivalence_test.cc pins both
+///   against the original set-based implementation.
+/// - With k > 1, one reverse Dijkstra from `target` gives every node a
+///   lower bound on its remaining cost. The first search and each spur
+///   search drop relaxations that the bound proves cannot come in under
+///   the cost they need (the first path's cost, or the cheapest candidates
+///   still to be picked), with a 1e-9 relative margin for rounding. Under
+///   the total pop order this changes no answer, only the work.
 /// - With k == 1 the single path is exactly ShortestPath's path, and
 ///   errors carry ShortestPath's codes and messages.
 Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,

@@ -1,6 +1,10 @@
 #include "src/governance/uncertainty/histogram.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +116,88 @@ TEST(HistogramTest, OverlappingDistributionsDoNotDominate) {
   Histogram hb = *Histogram::FromSamples(b, 32);
   EXPECT_FALSE(ha.DominatesForMinimization(hb));
   EXPECT_FALSE(hb.DominatesForMinimization(ha));
+}
+
+// --- Convolve differential test ------------------------------------------
+// Convolve hoists its loop invariants out of the bin-pair loop; it must give
+// exactly what the original per-pair loop below gives, bit for bit.
+
+Histogram ReferenceConvolve(const Histogram& x, const Histogram& y,
+                            int result_bins) {
+  double new_lo = x.lo() + y.lo();
+  double new_hi = x.hi() + y.hi();
+  Result<Histogram> out = Histogram::Create(new_lo, new_hi, result_bins);
+  Histogram result = out.ok() ? *out : Histogram::PointMass(new_lo);
+  if (x.TotalWeight() <= 0.0 || y.TotalWeight() <= 0.0) return result;
+  for (int a = 0; a < x.NumBins(); ++a) {
+    double pa = x.BinMass(a);
+    if (pa <= 0.0) continue;
+    for (int b = 0; b < y.NumBins(); ++b) {
+      double pb = y.BinMass(b);
+      if (pb <= 0.0) continue;
+      result.Add(x.BinCenter(a) + y.BinCenter(b), pa * pb);
+    }
+  }
+  return result;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Empty when `got` equals `want` bit for bit; otherwise what differs.
+std::string ConvolveDiff(const Histogram& want, const Histogram& got) {
+  if (!SameBits(want.lo(), got.lo())) return "lo";
+  if (!SameBits(want.hi(), got.hi())) return "hi";
+  if (!SameBits(want.TotalWeight(), got.TotalWeight())) return "total";
+  if (want.NumBins() != got.NumBins()) return "bin count";
+  for (int b = 0; b < want.NumBins(); ++b) {
+    if (!SameBits(want.BinMass(b), got.BinMass(b))) {
+      return "mass of bin " + std::to_string(b);
+    }
+  }
+  return "";
+}
+
+/// A random histogram: random range and bin count, random weights, about a
+/// third of the bins left empty, and a few samples outside the range that
+/// clamp into the edge bins.
+Histogram RandomHistogram(Rng* rng) {
+  const double lo = rng->Uniform(-50.0, 50.0);
+  const double hi = lo + rng->Uniform(0.01, 100.0);
+  const int bins = rng->Index(2) == 0 ? 32 : 64;
+  Histogram h = *Histogram::Create(lo, hi, bins);
+  for (int b = 0; b < bins; ++b) {
+    if (rng->Index(3) == 0) continue;
+    h.Add(h.BinCenter(b), rng->Uniform(1e-6, 10.0));
+  }
+  h.Add(lo - 1.0, rng->Uniform(0.0, 1.0));
+  h.Add(hi + 1.0, rng->Uniform(0.0, 1.0));
+  return h;
+}
+
+TEST(HistogramConvolveTest, MatchesPerPairLoopBitForBit) {
+  Rng rng(2026);
+  std::vector<Histogram> shapes;
+  for (int i = 0; i < 40; ++i) shapes.push_back(RandomHistogram(&rng));
+  shapes.push_back(Histogram::PointMass(0.0));
+  shapes.push_back(Histogram::PointMass(17.25));
+  shapes.push_back(*Histogram::Create(0.0, 5.0, 32));  // no mass at all
+  int pairs = 0;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const Histogram& x = shapes[i];
+    const Histogram& y = shapes[(i * 7 + 3) % shapes.size()];
+    for (int result_bins : {0, 1, 32, 64, 96}) {
+      for (const auto& [a, b] : {std::pair{&x, &y}, std::pair{&y, &x}}) {
+        EXPECT_EQ(ConvolveDiff(ReferenceConvolve(*a, *b, result_bins),
+                               a->Convolve(*b, result_bins)),
+                  "")
+            << "shape " << i << " result_bins " << result_bins;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 430);
 }
 
 // Property sweep over bin counts: total mass conserved, CDF monotone.

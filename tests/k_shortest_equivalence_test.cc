@@ -2,14 +2,16 @@
 /// Yen must return exactly what the original set-based Yen returned — the
 /// same candidate paths in the same order, node for node and edge for edge,
 /// with bit-equal costs, and the same status code and message on every
-/// error. The original is embedded below, unchanged apart from its names, as
-/// the oracle.
+/// error. The original is embedded below as the oracle, unchanged apart
+/// from its names and its heap comparator, which breaks priority ties by
+/// node id as the library's does (the pop order is total).
 ///
 /// Graphs: the benchmark's 12x12 route network (network seed 12, a seeded
 /// sample of OD pairs), a tie-heavy uniform grid (no jitter, one speed
 /// class, no diagonals), a diagonal-rich grid and a graph with unreachable
 /// targets (all OD pairs on the three small graphs). Cost functions:
-/// free-flow time and length. k in {1, 2, 3, 4, 8}.
+/// free-flow time and length; on the three small graphs also integer,
+/// zero-cost and negative (clamped) edge costs. k in {1, 2, 3, 4, 8}.
 ///
 /// A concurrency case runs KShortestPaths from four threads over one shared
 /// network and compares with the single-threaded answers; the suite is run
@@ -36,7 +38,7 @@
 namespace tsdm {
 namespace {
 
-// ---- Oracle: the original set-based Yen, verbatim but for its names. ----
+// ---- Oracle: the original set-based Yen (names and tie order aside). ----
 
 namespace reference {
 
@@ -46,7 +48,8 @@ struct QueueEntry {
   double priority;
   int node;
   bool operator>(const QueueEntry& other) const {
-    return priority > other.priority;
+    return priority > other.priority ||
+           (priority == other.priority && node > other.node);
   }
 };
 
@@ -227,12 +230,32 @@ std::vector<NamedCost> Costs(const RoadNetwork& net) {
           {"length", LengthCost(net)}};
 }
 
+/// Costs chosen to break a lower-bound pruning that is only almost right:
+/// small integers (exact ties on every route), zero-cost edges (many nodes
+/// at one distance) and negative costs (clamped to zero by both
+/// implementations, so the bound must be built from clamped costs).
+std::vector<NamedCost> AdversarialCosts(const RoadNetwork& net) {
+  auto small_int = [](int eid) {
+    return 1.0 + static_cast<double>((eid * 2654435761u >> 7) % 3);
+  };
+  return {{"integer", small_int},
+          {"zero_every_third",
+           [&net](int eid) {
+             return eid % 3 == 0 ? 0.0 : net.FreeFlowTime(eid);
+           }},
+          {"negative_every_fourth", [&net](int eid) {
+             return eid % 4 == 0 ? -net.FreeFlowTime(eid)
+                                 : net.FreeFlowTime(eid);
+           }}};
+}
+
 /// Runs both implementations on every (pair, cost, k); returns the number
 /// of mismatches and reports the first few.
 int CountMismatches(const RoadNetwork& net,
-                    const std::vector<std::pair<int, int>>& pairs) {
+                    const std::vector<std::pair<int, int>>& pairs,
+                    const std::vector<NamedCost>& costs) {
   int mismatches = 0;
-  for (const NamedCost& cost : Costs(net)) {
+  for (const NamedCost& cost : costs) {
     for (int k : kKs) {
       for (const auto& [s, t] : pairs) {
         std::string diff =
@@ -330,17 +353,18 @@ RoadNetwork GraphWithUnreachableTargets() {
 
 TEST(KShortestEquivalenceTest, BenchmarkGridSample) {
   RoadNetwork net = BenchmarkGrid();
-  EXPECT_EQ(CountMismatches(net, SampledPairs(net, 120, 2025)), 0);
+  EXPECT_EQ(
+      CountMismatches(net, SampledPairs(net, 120, 2025), Costs(net)), 0);
 }
 
 TEST(KShortestEquivalenceTest, TieHeavyUniformGridAllPairs) {
   RoadNetwork net = UniformGrid();
-  EXPECT_EQ(CountMismatches(net, AllPairs(net)), 0);
+  EXPECT_EQ(CountMismatches(net, AllPairs(net), Costs(net)), 0);
 }
 
 TEST(KShortestEquivalenceTest, DiagonalRichGridAllPairs) {
   RoadNetwork net = DiagonalGrid();
-  EXPECT_EQ(CountMismatches(net, AllPairs(net)), 0);
+  EXPECT_EQ(CountMismatches(net, AllPairs(net), Costs(net)), 0);
 }
 
 TEST(KShortestEquivalenceTest, UnreachableTargetsAllPairs) {
@@ -352,7 +376,18 @@ TEST(KShortestEquivalenceTest, UnreachableTargetsAllPairs) {
     if (!KShortestPaths(net, s, t, 1, cost).ok()) ++unreachable;
   }
   EXPECT_GT(unreachable, 0);
-  EXPECT_EQ(CountMismatches(net, pairs), 0);
+  EXPECT_EQ(CountMismatches(net, pairs, Costs(net)), 0);
+}
+
+TEST(KShortestEquivalenceTest, AdversarialCostsAllPairs) {
+  const std::pair<const char*, RoadNetwork> graphs[] = {
+      {"uniform", UniformGrid()},
+      {"diagonal", DiagonalGrid()},
+      {"unreachable", GraphWithUnreachableTargets()}};
+  for (const auto& [name, net] : graphs) {
+    EXPECT_EQ(CountMismatches(net, AllPairs(net), AdversarialCosts(net)), 0)
+        << name;
+  }
 }
 
 TEST(KShortestEquivalenceTest, ErrorsMatchByteForByte) {
