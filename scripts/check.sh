@@ -12,12 +12,19 @@
 #   scripts/check.sh address      # ASan only
 #   scripts/check.sh bench-smoke  # BENCH_*.json schema + >20% throughput
 #                                 # regression gate vs bench/baselines/
+#   scripts/check.sh unreached    # report functions no executable reaches
+#                                 # and Options nothing sets (not a gate)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 if [[ "${1:-}" == "bench-smoke" ]]; then
   exec "$ROOT/scripts/bench_smoke.sh" "${@:2}"
+fi
+
+if [[ "${1:-}" == "unreached" ]]; then
+  "$ROOT/scripts/unreached.py" || true
+  exit 0
 fi
 
 SANITIZERS=("${@:-thread}" )

@@ -234,10 +234,6 @@ Status WalWriter::Append(const uint8_t* payload, uint32_t size,
   ++stats_.records;
   stats_.payload_bytes += size;
   stats_.appended_bytes += extent;
-  if (options_.sync_every_records != 0 &&
-      stats_.records % options_.sync_every_records == 0) {
-    TSDM_RETURN_IF_ERROR(Sync());
-  }
   return Status::OK();
 }
 

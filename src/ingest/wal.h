@@ -17,8 +17,6 @@ struct WalOptions {
   /// (ftruncate) and memory-mapped, so the zero-filled tail is what marks
   /// the end of the record stream on recovery.
   size_t segment_bytes = 1 << 20;
-  /// msync the mapping every N records (0 = only on explicit Sync/Close).
-  uint64_t sync_every_records = 0;
   /// When false (default), Sync issues MS_ASYNC — writeback is scheduled
   /// but not awaited, the group-commit trade: a *process* crash still loses
   /// nothing (dirty pages survive in the page cache), only a machine crash

@@ -130,11 +130,6 @@ std::vector<TimedQuery> LoadTraceRecorder::Snapshot() const {
   return recorded_;
 }
 
-size_t LoadTraceRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recorded_.size();
-}
-
 Status LoadTraceRecorder::WriteTo(const std::string& path) const {
   return WriteTraceFile(path, Snapshot());
 }

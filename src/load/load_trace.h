@@ -131,8 +131,6 @@ class LoadTraceRecorder {
   /// first observation.
   std::vector<TimedQuery> Snapshot() const;
 
-  size_t size() const;
-
   /// Writes the current snapshot to a trace file.
   Status WriteTo(const std::string& path) const;
 

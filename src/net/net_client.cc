@@ -37,18 +37,6 @@ Status WriteAll(int fd, const uint8_t* data, size_t size) {
 
 }  // namespace
 
-NetClient& NetClient::operator=(NetClient&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
-    next_request_id_ = other.next_request_id_;
-    parser_ = std::move(other.parser_);
-    pending_ = std::move(other.pending_);
-  }
-  return *this;
-}
-
 Status NetClient::Connect(const std::string& host, uint16_t port) {
   if (fd_ >= 0) return Status::FailedPrecondition("net client: connected");
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);

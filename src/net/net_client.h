@@ -24,8 +24,6 @@ class NetClient {
 
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
-  NetClient(NetClient&& other) noexcept { *this = std::move(other); }
-  NetClient& operator=(NetClient&& other) noexcept;
 
   /// Connects to host:port (numeric IPv4, e.g. "127.0.0.1").
   Status Connect(const std::string& host, uint16_t port);

@@ -112,10 +112,6 @@ FlightRecorder& FlightRecorder::Global() {
 }
 
 void FlightRecorder::Configure(const Options& options) {
-  {
-    std::lock_guard<std::mutex> lock(options_mu_);
-    options_ = options;
-  }
   const double slo = options.slo_threshold_seconds;
   // <= 0 means "retain every completion" (the comparison e2e >= 0 always
   // holds) — the deterministic-test and capture-everything mode.
@@ -130,19 +126,11 @@ void FlightRecorder::Configure(const Options& options) {
       std::memory_order_relaxed);
   max_spans_per_record_.store(std::max<size_t>(1, options.max_spans_per_record),
                               std::memory_order_relaxed);
-  max_open_requests_.store(
-      std::max<size_t>(kOpenShards, options.max_open_requests),
-      std::memory_order_relaxed);
   capacity_.store(std::max<size_t>(1, options.capacity),
                   std::memory_order_relaxed);
   reserved_per_tenant_.store(options.reserved_per_tenant,
                              std::memory_order_relaxed);
   Clear();
-}
-
-FlightRecorder::Options FlightRecorder::GetOptions() const {
-  std::lock_guard<std::mutex> lock(options_mu_);
-  return options_;
 }
 
 void FlightRecorder::Clear() {
@@ -213,8 +201,7 @@ void FlightRecorder::OnSpan(const TraceEvent& ev) {
   OpenShard& sh = ShardFor(ev.request_id);
   const size_t max_spans =
       max_spans_per_record_.load(std::memory_order_relaxed);
-  const size_t shard_cap = std::max<size_t>(
-      1, max_open_requests_.load(std::memory_order_relaxed) / kOpenShards);
+  constexpr size_t shard_cap = kMaxOpenRequests / kOpenShards;
   std::lock_guard<std::mutex> lock(sh.mu);
   auto it = sh.records.find(ev.request_id);
   if (it == sh.records.end()) {

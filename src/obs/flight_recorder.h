@@ -150,9 +150,6 @@ class FlightRecorder {
     size_t reserved_per_tenant = 8;
     /// Span cap per record; over-cap spans are counted, not kept.
     size_t max_spans_per_record = 96;
-    /// Bound on concurrently open (in-flight + retained) records across
-    /// the table; spans for new requests beyond it are dropped + counted.
-    size_t max_open_requests = 4096;
     /// Retain any request whose end-to-end latency reaches this.
     double slo_threshold_seconds = 0.050;
     /// Head-sample one completion in N as a healthy baseline (0 = none).
@@ -166,7 +163,6 @@ class FlightRecorder {
 
   /// Replaces the options and clears all state. Call while disabled.
   void Configure(const Options& options);
-  Options GetOptions() const;
 
   void Enable() { enabled_.store(true, std::memory_order_relaxed); }
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
@@ -253,6 +249,9 @@ class FlightRecorder {
   };
 
   static constexpr size_t kOpenShards = 16;
+  /// Bound on concurrently open (in-flight + retained) records across the
+  /// table; spans for new requests beyond it are dropped + counted.
+  static constexpr size_t kMaxOpenRequests = 4096;
   static constexpr size_t kTombstoneWindow = 128;
   /// How many completions after a retention the table keeps accepting late
   /// spans for it. Late spans (the root span closes right after the
@@ -298,20 +297,16 @@ class FlightRecorder {
   void BuildDump(const HealthTransition& transition,
                  const HealthSnapshot& health);
 
-  // Hot-path knobs mirrored into atomics so OnSpan/OnComplete read them
-  // without taking options_mu_ (Configure may race a draining pipeline).
+  // Hot-path knobs held in atomics so OnSpan/OnComplete read them without
+  // a lock (Configure may race a draining pipeline).
   std::atomic<uint64_t> slo_threshold_ns_{50u * 1000u * 1000u};
   std::atomic<uint64_t> head_sample_every_{0};
   /// every-1 when head_sample_every is a power of two (the sampling test
   /// becomes a mask instead of a 64-bit division), ~0 otherwise.
   std::atomic<uint64_t> head_sample_mask_{~0ull};
   std::atomic<size_t> max_spans_per_record_{96};
-  std::atomic<size_t> max_open_requests_{4096};
   std::atomic<size_t> capacity_{256};
   std::atomic<size_t> reserved_per_tenant_{8};
-
-  mutable std::mutex options_mu_;
-  Options options_;
 
   OpenShard shards_[kOpenShards];
 

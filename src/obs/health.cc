@@ -6,6 +6,7 @@
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
+#include "src/stream/stream_stage.h"
 
 namespace tsdm {
 
@@ -16,6 +17,22 @@ constexpr const char* kMetricNames[HealthMonitor::kNumMetrics] = {
     "latency_mean"};
 
 constexpr const char* kStageNames[4] = {"queue", "batch", "cache", "exec"};
+
+/// Retained samples per watched metric.
+constexpr size_t kRingCapacity = 256;
+
+/// Anomaly detector: EW-MAD, which resists the level shifts a server's load
+/// curve goes through.
+constexpr double kAnomalyThreshold = 6.0;
+constexpr double kEwLambda = 0.05;
+
+/// Any one anomalous metric degrades; two at once are unhealthy.
+constexpr int kDegradedAnomalousMetrics = 1;
+constexpr int kUnhealthyAnomalousMetrics = 2;
+
+/// SLO burn that makes the state at least Degraded: spending exactly the
+/// error budget.
+constexpr double kBurnDegraded = 1.0;
 
 }  // namespace
 
@@ -31,22 +48,12 @@ const char* HealthStateName(HealthState state) {
   return "unknown";
 }
 
-const char* HealthMonitor::MetricName(size_t i) {
-  return i < kNumMetrics ? kMetricNames[i] : "";
-}
-
 HealthMonitor::HealthMonitor(Sampler sampler, Options options)
     : options_(options),
       sampler_(std::move(sampler)),
-      buffer_(kNumMetrics, std::max<size_t>(2, options.ring_capacity)) {
-  options_.ring_capacity = buffer_.capacity();
-  options_.degraded_anomalous_metrics =
-      std::max(1, options_.degraded_anomalous_metrics);
-  options_.unhealthy_anomalous_metrics = std::max(
-      options_.degraded_anomalous_metrics, options_.unhealthy_anomalous_metrics);
-  pipeline_.Emplace<OnlineAnomalyStage>(options_.mode,
-                                        options_.anomaly_threshold,
-                                        options_.ew_lambda);
+      buffer_(kNumMetrics, kRingCapacity) {
+  pipeline_.Emplace<OnlineAnomalyStage>(OnlineAnomalyStage::Mode::kMad,
+                                        kAnomalyThreshold, kEwLambda);
   pipeline_.Reset(kNumMetrics);
   snapshot_.metrics.resize(kNumMetrics);
   for (size_t i = 0; i < kNumMetrics; ++i) {
@@ -92,12 +99,11 @@ void HealthMonitor::RunLoop() {
 }
 
 HealthState HealthMonitor::Judge(int hot_metrics, double burn) const {
-  if (hot_metrics >= options_.unhealthy_anomalous_metrics ||
+  if (hot_metrics >= kUnhealthyAnomalousMetrics ||
       burn >= options_.burn_unhealthy) {
     return HealthState::kUnhealthy;
   }
-  if (hot_metrics >= options_.degraded_anomalous_metrics ||
-      burn >= options_.burn_degraded) {
+  if (hot_metrics >= kDegradedAnomalousMetrics || burn >= kBurnDegraded) {
     return HealthState::kDegraded;
   }
   return HealthState::kHealthy;
@@ -199,9 +205,8 @@ void HealthMonitor::SampleOnce() {
   for (size_t i = 0; i < kNumMetrics; ++i) hot += anomalous[i] ? 1 : 0;
 
   // Transition bookkeeping happens under the snapshot lock, but the
-  // notifications run unlocked: the flight recorder freezes a dump and the
-  // embedder's hook is arbitrary user code — neither may hold mu_ while a
-  // Snapshot() reader waits.
+  // notification runs unlocked: the flight recorder freezes a dump, which
+  // must not hold mu_ while a Snapshot() reader waits.
   bool transitioned = false;
   HealthTransition transition;
   HealthSnapshot at_transition;
@@ -251,9 +256,6 @@ void HealthMonitor::SampleOnce() {
 
   if (transitioned) {
     FlightRecorder::Global().OnHealthTransition(transition, at_transition);
-    if (options_.on_transition) {
-      options_.on_transition(transition, at_transition);
-    }
   }
 }
 

@@ -12,7 +12,6 @@
 #include "src/serve/serve_stats.h"
 #include "src/stream/stream_buffer.h"
 #include "src/stream/stream_pipeline.h"
-#include "src/stream/stream_stage.h"
 
 namespace tsdm {
 
@@ -86,7 +85,7 @@ struct HealthSnapshot {
 ///      the server doing *right now*"),
 ///   3. pushes each value into a per-metric StreamBuffer ring and runs the
 ///      ticks through a StreamPipeline with an OnlineAnomalyStage
-///      (EW-MAD by default), exactly as sensor data would flow,
+///      (EW-MAD), exactly as sensor data would flow,
 ///   4. tracks the p95 latency SLO's burn rate from interval deltas of the
 ///      e2e histogram's CountAbove(objective), and attributes interval
 ///      stage time to the slowest component via the stage histograms.
@@ -104,33 +103,18 @@ class HealthMonitor {
  public:
   struct Options {
     double sample_interval_seconds = 0.05;
-    size_t ring_capacity = 256;  ///< retained samples per watched metric
-    /// Anomaly detector: EW-MAD resists the level shifts a server's load
-    /// curve goes through; kZScore is available for stationary workloads.
-    OnlineAnomalyStage::Mode mode = OnlineAnomalyStage::Mode::kMad;
-    double anomaly_threshold = 6.0;
-    double ew_lambda = 0.05;
     /// Samples before any alarm may fire (detector warmup).
     uint64_t warmup_samples = 8;
 
     // SLO: at most `slo_error_budget` of requests may exceed the latency
-    // objective; burn rate 1.0 means exactly spending that budget.
+    // objective; burn rate 1.0 means exactly spending that budget (and
+    // makes the state at least Degraded).
     double slo_p95_objective_seconds = 0.05;
     double slo_error_budget = 0.05;
-    double burn_degraded = 1.0;   ///< burn >= this -> at least Degraded
     double burn_unhealthy = 2.0;  ///< burn >= this -> Unhealthy
-    /// Anomalous-metric counts tripping each state.
-    int degraded_anomalous_metrics = 1;
-    int unhealthy_anomalous_metrics = 2;
 
     /// Transitions kept in HealthSnapshot::transitions (oldest trimmed).
     size_t transition_history = 16;
-    /// Called (unlocked, on the sampling thread) after every state
-    /// transition, with the transition and the snapshot that produced it.
-    /// The flight recorder is notified regardless — this hook is for
-    /// embedders (alerting, tests).
-    std::function<void(const HealthTransition&, const HealthSnapshot&)>
-        on_transition;
   };
 
   using Sampler = std::function<ServeStatsSnapshot()>;
@@ -162,7 +146,6 @@ class HealthMonitor {
 
   /// The watched metrics, in verdict order.
   static constexpr size_t kNumMetrics = 5;
-  static const char* MetricName(size_t i);
 
  private:
   void RunLoop();

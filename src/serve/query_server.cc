@@ -13,10 +13,23 @@ namespace tsdm {
 
 namespace {
 
+/// Dispatcher block time while idle; bounds shutdown latency.
+constexpr double kIdlePollSeconds = 0.001;
+
+/// Backpressure bound: the dispatcher stops popping the admission queue
+/// while this many batches per worker are already in flight. Under overload
+/// this keeps the backlog *in* the weighted-fair queue — where deadlines
+/// expire, quotas bind, and higher-priority arrivals can displace it —
+/// instead of silently spilling into the worker pool's unbounded FIFO,
+/// which would undo every scheduling decision exactly when scheduling
+/// matters. A few batches of slack per worker keep the dispatcher's
+/// wake-up latency from starving a worker between refills.
+constexpr int kMaxBatchesPerWorker = 4;
+
 std::unique_ptr<AutoscalePolicy> MakeAutoscalePolicy(
     const QueryServer::Options& options) {
   if (options.autoscale_policy == QueryServer::AutoscalePolicyKind::kForecast) {
-    return std::make_unique<StreamForecastPolicy>(options.forecast);
+    return std::make_unique<StreamForecastPolicy>();
   }
   // nullptr lets the controller fall back to its ReactivePolicy default.
   return nullptr;
@@ -148,9 +161,7 @@ Status QueryServer::SubmitProbe(std::vector<int> segment, int bucket,
   return queue_.Push(std::move(req));
 }
 
-bool QueryServer::QueueFull() const {
-  return queue_.GetStats().depth >= options_.queue.capacity;
-}
+bool QueryServer::QueueFull() const { return queue_.Full(); }
 
 void QueryServer::WaitIdle() const {
   for (;;) {
@@ -266,7 +277,7 @@ void QueryServer::DispatcherLoop() {
       MaybeAutoscale(now);
       std::unique_lock<std::mutex> lock(batch_done_mu_);
       batch_done_cv_.wait_for(
-          lock, std::chrono::duration<double>(options_.idle_poll_seconds),
+          lock, std::chrono::duration<double>(kIdlePollSeconds),
           [this] {
             return !WorkersSaturated() ||
                    !running_.load(std::memory_order_acquire);
@@ -281,7 +292,7 @@ void QueryServer::DispatcherLoop() {
     }
     DispatchReady(&ready);
     MaybeAutoscale(now);
-    if (n == 0) queue_.WaitForWork(options_.idle_poll_seconds);
+    if (n == 0) queue_.WaitForWork(kIdlePollSeconds);
   }
 
   // Shutdown drain: the queue is closed (Stop closed it before clearing
@@ -300,10 +311,8 @@ void QueryServer::DispatcherLoop() {
 }
 
 bool QueryServer::WorkersSaturated() const {
-  const int limit = options_.max_batches_per_worker;
-  if (limit <= 0) return false;
   return in_flight_batches_.load(std::memory_order_acquire) >=
-         limit * pool_.NumThreads();
+         kMaxBatchesPerWorker * pool_.NumThreads();
 }
 
 void QueryServer::DispatchReady(

@@ -65,24 +65,9 @@ class QueryServer : public QueryService {
     CachedPathCostModel::Options cost;
     AutoscaleController::Options autoscale;
     AutoscalePolicyKind autoscale_policy = AutoscalePolicyKind::kReactive;
-    /// Knobs for autoscale_policy == kForecast; ignored otherwise.
-    StreamForecastPolicy::Options forecast;
     int initial_workers = 2;
     bool autoscale_enabled = true;
     double autoscale_interval_seconds = 0.05;
-    /// Dispatcher block time while idle; bounds shutdown latency.
-    double idle_poll_seconds = 0.001;
-    /// Backpressure bound: the dispatcher stops popping the admission
-    /// queue while `max_batches_per_worker * workers` batches are already
-    /// in flight. Under overload this keeps the backlog *in* the
-    /// weighted-fair queue — where deadlines expire, quotas bind, and
-    /// higher-priority arrivals can displace it — instead of silently
-    /// spilling into the worker pool's unbounded FIFO, which would undo
-    /// every scheduling decision exactly when scheduling matters. The
-    /// default keeps a few batches of slack per worker so the dispatcher's
-    /// wake-up latency never starves a worker between refills.
-    /// <= 0 disables backpressure (pre-multi-tenant behavior).
-    int max_batches_per_worker = 4;
     /// Candidate-route LRU entries ((source, target, k) keys).
     size_t route_cache_entries = 512;
     /// Called synchronously inside Submit for every route query, before
@@ -204,7 +189,7 @@ class QueryServer : public QueryService {
 
   // Wakes the dispatcher out of its backpressure wait when a batch
   // completes (paired with in_flight_batches_; the wait also times out at
-  // idle_poll_seconds, so a missed notify only costs one poll interval).
+  // the idle poll interval, so a missed notify only costs one interval).
   mutable std::mutex batch_done_mu_;
   std::condition_variable batch_done_cv_;
 

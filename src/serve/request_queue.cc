@@ -54,7 +54,6 @@ int ClampPriority(int priority) {
 RequestQueue::RequestQueue(Options options) : options_(std::move(options)) {
   options_.capacity = std::max<size_t>(1, options_.capacity);
   options_.drr_quantum = std::max(1e-6, options_.drr_quantum);
-  options_.default_class.weight = std::max(1e-6, options_.default_class.weight);
   for (auto& [name, cls] : options_.tenants) {
     (void)name;
     cls.weight = std::max(1e-6, cls.weight);
@@ -67,8 +66,7 @@ RequestQueue::Tenant* RequestQueue::TenantFor(const std::string& name) {
   auto tenant = std::make_unique<Tenant>();
   tenant->name = name;
   auto cls = options_.tenants.find(name);
-  tenant->cls =
-      cls != options_.tenants.end() ? cls->second : options_.default_class;
+  tenant->cls = cls != options_.tenants.end() ? cls->second : TenantClass{};
   tenant_index_[name] = tenants_.size();
   tenants_.push_back(std::move(tenant));
   return tenants_.back().get();
@@ -269,6 +267,11 @@ void RequestQueue::Close() {
 bool RequestQueue::closed() const {
   std::unique_lock<std::mutex> lock(mu_);
   return closed_;
+}
+
+bool RequestQueue::Full() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return total_depth_ >= options_.capacity;
 }
 
 RequestQueue::Stats RequestQueue::GetStats() const {

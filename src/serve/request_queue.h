@@ -147,11 +147,10 @@ class RequestQueue {
 
   struct Options {
     size_t capacity = 1024;
-    /// Pre-declared tenant classes; tenants not listed here get
-    /// `default_class`. Tenants materialize lazily on first submit either
+    /// Pre-declared tenant classes; tenants not listed here get a default
+    /// TenantClass. Tenants materialize lazily on first submit either
     /// way — the map only fixes weights/quotas.
     std::map<std::string, TenantClass> tenants;
-    TenantClass default_class;
     /// Deficit round-robin credit granted per unit weight each round; the
     /// ratio of two tenants' (quantum * weight) is their dispatch ratio
     /// under saturation.
@@ -215,6 +214,10 @@ class RequestQueue {
   void Close();
 
   bool closed() const;
+  /// True when the queue holds its (clamped) capacity: the next Push is
+  /// shed unless it displaces a lower-priority request. Unlike GetStats,
+  /// it copies nothing, so it is cheap enough for a per-request probe.
+  bool Full() const;
   Stats GetStats() const;
 
  private:

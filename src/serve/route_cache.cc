@@ -41,9 +41,4 @@ Result<std::vector<Path>> RouteCache::Get(int source, int target, int k,
   return paths;
 }
 
-size_t RouteCache::size() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
 }  // namespace tsdm

@@ -39,8 +39,6 @@ class RouteCache {
   Result<std::vector<Path>> Get(int source, int target, int k,
                                 const TraceContext& ctx);
 
-  size_t size() const;
-
  private:
   struct Key {
     int source = 0;

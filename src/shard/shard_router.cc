@@ -79,14 +79,6 @@ ShardRouter::ShardRouter(const RoadNetwork* network, PathCostModel base_model,
     shards_.push_back(
         std::make_unique<QueryServer>(network, base_model, options_.server));
   }
-  if (options_.health_enabled) {
-    health_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      QueryServer* srv = shards_[static_cast<size_t>(i)].get();
-      health_.push_back(std::make_unique<HealthMonitor>(
-          [srv] { return srv->Stats(); }, options_.health));
-    }
-  }
   stats_.num_shards = n;
   stats_.generation = map_.generation();
   stats_.forwarded_per_shard.assign(static_cast<size_t>(n), 0);
@@ -107,10 +99,6 @@ Status ShardRouter::Start() {
       return st;
     }
   }
-  for (auto& monitor : health_) {
-    Status st = monitor->Start();
-    if (!st.ok()) return st;
-  }
   started_ = true;
   running_.store(true, std::memory_order_release);
   ShardRouter* self = this;
@@ -128,7 +116,6 @@ void ShardRouter::Stop() {
   }
   MetricsExporter::UnregisterSource("shard");
   running_.store(false, std::memory_order_release);
-  for (auto& monitor : health_) monitor->Stop();
   for (size_t i = 0; i < shards_.size(); ++i) {
     shard_stopped_[i].store(true, std::memory_order_release);
     shards_[i]->Stop();
@@ -524,14 +511,6 @@ ShardStatsSnapshot ShardRouter::ShardStats() const {
   snap.shards.reserve(shards_.size());
   for (const auto& shard : shards_) snap.shards.push_back(shard->Stats());
   return snap;
-}
-
-HealthSnapshot ShardRouter::FleetHealth() const {
-  if (health_.empty()) return HealthSnapshot{};
-  std::vector<HealthSnapshot> members;
-  members.reserve(health_.size());
-  for (const auto& monitor : health_) members.push_back(monitor->Snapshot());
-  return AggregateFleetHealth(members);
 }
 
 }  // namespace tsdm

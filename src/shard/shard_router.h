@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/decision/routing/stochastic_router.h"
-#include "src/obs/health.h"
 #include "src/serve/query_server.h"
 #include "src/serve/query_service.h"
 #include "src/serve/route_cache.h"
@@ -74,9 +73,6 @@ class ShardRouter : public QueryService {
     double region_cell_meters = 2000.0;
     /// Replicate boundary-segment cache entries (see class comment).
     bool replicate_boundary = true;
-    /// Per-shard HealthMonitors + FleetHealth aggregation.
-    bool health_enabled = false;
-    HealthMonitor::Options health;
     /// Test hook — adversarial completion reordering: when nonzero, every
     /// scatter buffers its probe results and applies them in an order
     /// shuffled by this seed before merging, proving end-to-end that the
@@ -96,8 +92,8 @@ class ShardRouter : public QueryService {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Starts every shard (and health monitors when enabled), then
-  /// registers the "shard" metrics source. FailedPrecondition if running.
+  /// Starts every shard, then registers the "shard" metrics source.
+  /// FailedPrecondition if running.
   Status Start();
 
   /// Stops every shard and unregisters metrics. Idempotent.
@@ -129,9 +125,6 @@ class ShardRouter : public QueryService {
   /// Router counters plus every member shard's snapshot.
   ShardStatsSnapshot ShardStats() const;
 
-  /// Worst-of-fleet health view (empty snapshot when health is disabled).
-  HealthSnapshot FleetHealth() const;
-
   const ShardMap& map() const { return map_; }
   int num_shards() const { return map_.num_shards(); }
   QueryServer& shard(int i) { return *shards_[static_cast<size_t>(i)]; }
@@ -158,7 +151,6 @@ class ShardRouter : public QueryService {
   ShardMap map_;
   RouteCache routes_;
   std::vector<std::unique_ptr<QueryServer>> shards_;
-  std::vector<std::unique_ptr<HealthMonitor>> health_;
   std::unique_ptr<std::atomic<bool>[]> shard_stopped_;
 
   // Router-tier counters (see ShardRouterStats). A plain mutex: every

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -144,6 +145,45 @@ TEST(HealthMonitorTest, CacheHitRateCollapseIsFlagged) {
       EXPECT_NEAR(v.value, 0.05, 0.01);
     }
   }
+}
+
+// Pins the exact state each incident shape lands in after a steady run:
+// one anomalous metric degrades, two at once are unhealthy, and an SLO
+// burn of at least 1 but under burn_unhealthy (2) degrades.
+TEST(HealthMonitorTest, IncidentShapesLandInExactStates) {
+  auto judge = [](uint64_t seed, const std::function<void(SyntheticServer*)>&
+                                     incident) {
+    SyntheticServer server;
+    Rng rng(seed);
+    HealthMonitor monitor(server.AsSampler(), TestOptions());
+    for (int round = 0; round < 40; ++round) {
+      SteadyRound(&server, &rng, round);
+      monitor.SampleOnce();
+    }
+    EXPECT_EQ(monitor.Snapshot().state, HealthState::kHealthy);
+    incident(&server);
+    monitor.SampleOnce();
+    return monitor.Snapshot();
+  };
+
+  HealthSnapshot cold = judge(5, [](SyntheticServer* s) {
+    s->Advance(100, 0.010, /*hit_rate=*/0.05, /*depth=*/2);
+  });
+  EXPECT_EQ(cold.state, HealthState::kDegraded);
+
+  HealthSnapshot storm = judge(4, [](SyntheticServer* s) {
+    s->Advance(100, 0.010, 0.9, /*depth=*/500, /*shed=*/400);
+  });
+  EXPECT_EQ(storm.state, HealthState::kUnhealthy);
+
+  // 7 of 100 requests over the 50 ms objective against a 5% budget. At
+  // 70 ms +-10% every slow request clears the objective's histogram bin.
+  HealthSnapshot burn = judge(6, [](SyntheticServer* s) {
+    s->Advance(93, 0.010, 0.9, /*depth=*/2);
+    s->Advance(7, 0.070, 0.9, /*depth=*/2);
+  });
+  EXPECT_NEAR(burn.burn_rate, 1.4, 1e-9);
+  EXPECT_EQ(burn.state, HealthState::kDegraded);
 }
 
 TEST(HealthMonitorTest, SloBurnDrivesUnhealthy) {

@@ -647,6 +647,24 @@ TEST(QueryServerTest, BaseSubmitConvenienceUsesDefaultOptions) {
   EXPECT_EQ(server.Stats().completed, 1u);
 }
 
+// QueueFull must agree with what Push admits: a capacity of 0 is clamped
+// to 1, so an empty queue still takes one request and is full only after.
+TEST(QueryServerTest, QueueFullMatchesClampedCapacity) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.autoscale_enabled = false;
+  opts.queue.capacity = 0;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
+  EXPECT_FALSE(server.QueueFull());
+  RouteQuery query;
+  query.source = GridNodeId(fx.spec, 0, 0);
+  query.target = GridNodeId(fx.spec, 4, 4);
+  // Not started: the admitted request stays queued until Stop drains it.
+  ASSERT_TRUE(server.Submit(query, [](const RouteAnswer&) {}).ok());
+  EXPECT_TRUE(server.QueueFull());
+  server.Stop();
+}
+
 // --- Multi-tenant scheduling ---------------------------------------------
 
 ServeRequest MakeTenantRequest(uint64_t id, const std::string& tenant,
