@@ -2,6 +2,17 @@
 
 namespace tsdm {
 
+namespace {
+
+// Increments a counter only its ring's lock holder writes: a load and a
+// store, not a locked read-modify-write.
+void Bump(std::atomic<uint64_t>* counter) {
+  counter->store(counter->load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+}
+
+}  // namespace
+
 StreamBuffer::StreamBuffer(size_t num_sensors, size_t capacity,
                            DropPolicy policy)
     : rings_(num_sensors),
@@ -18,7 +29,7 @@ bool StreamBuffer::Push(const Tick& tick) {
   Ring& ring = rings_[tick.sensor];
   std::lock_guard<std::mutex> lock(ring.mu);
   if (ring.unconsumed == capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&ring.dropped);
     if (policy_ == DropPolicy::kDropNewest) return false;
     // kDropOldest: evict the oldest unconsumed tick; the slot it occupied
     // is reclaimed by the write below once head wraps onto it.
@@ -29,7 +40,7 @@ bool StreamBuffer::Push(const Tick& tick) {
   ring.head = (ring.head + 1) % capacity_;
   if (ring.fill < capacity_) ++ring.fill;
   ++ring.unconsumed;
-  accepted_.fetch_add(1, std::memory_order_relaxed);
+  Bump(&ring.accepted);
   return true;
 }
 
@@ -51,6 +62,22 @@ bool StreamBuffer::Poll(Tick* out) {
     return true;
   }
   return false;
+}
+
+uint64_t StreamBuffer::accepted() const {
+  uint64_t total = 0;
+  for (const Ring& ring : rings_) {
+    total += ring.accepted.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+uint64_t StreamBuffer::dropped() const {
+  uint64_t total = 0;
+  for (const Ring& ring : rings_) {
+    total += ring.dropped.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 size_t StreamBuffer::NumUnconsumed() const {

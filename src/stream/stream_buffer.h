@@ -39,6 +39,13 @@ enum class DropPolicy {
 ///
 /// No allocation after construction: Push, Poll, and the drop bookkeeping
 /// all run on preallocated storage.
+///
+/// Nothing two threads write shares a cache line unless they must: each
+/// ring is cache-line aligned, so producers on neighbouring sensors do not
+/// false-share; the accepted/dropped counters live in the ring they count
+/// (written under its lock) and are summed on read; and the consumer's
+/// poll cursor sits on its own line. accepted() and dropped() take no lock
+/// — each is a sum of relaxed loads, exact once producers have quiesced.
 class StreamBuffer {
  public:
   StreamBuffer(size_t num_sensors, size_t capacity,
@@ -64,12 +71,10 @@ class StreamBuffer {
   bool Poll(Tick* out);
 
   /// Ticks admitted into a ring.
-  uint64_t accepted() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
+  uint64_t accepted() const;
   /// Ticks lost to backpressure: evictions under kDropOldest, rejections
   /// under kDropNewest.
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  uint64_t dropped() const;
 
   /// Ticks admitted but not yet polled, summed over sensors.
   size_t NumUnconsumed() const;
@@ -84,21 +89,22 @@ class StreamBuffer {
                       std::vector<int64_t>* timestamps = nullptr) const;
 
  private:
-  struct Ring {
+  struct alignas(64) Ring {
     mutable std::mutex mu;
     std::vector<int64_t> timestamps;
     std::vector<double> values;
     size_t head = 0;        // next write slot
     size_t fill = 0;        // retained ticks, <= capacity
     size_t unconsumed = 0;  // admitted but not yet polled, <= fill
+    // Written only under mu; atomic so accepted()/dropped() read lock-free.
+    std::atomic<uint64_t> accepted{0};
+    std::atomic<uint64_t> dropped{0};
   };
 
   std::vector<Ring> rings_;
   size_t capacity_;
   DropPolicy policy_;
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> dropped_{0};
-  std::atomic<size_t> poll_cursor_{0};
+  alignas(64) std::atomic<size_t> poll_cursor_{0};  // consumer-only
 };
 
 }  // namespace tsdm

@@ -9,11 +9,6 @@ namespace tsdm {
 
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 constexpr uint32_t kStateMagic = 0x53505354;  // "TSPS"
 constexpr uint32_t kStateVersion = 1;
 
@@ -56,25 +51,32 @@ Status StreamPipeline::ProcessTick(TickRecord* rec) {
   *rec = TickRecord();
   rec->tick = tick;
 
+  using Clock = std::chrono::steady_clock;
+  auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
   TraceSpan tick_span("stream/tick", static_cast<int64_t>(rec->tick.sensor));
-  auto tick_start = std::chrono::steady_clock::now();
+  // Stage i ends where stage i+1 starts: one clock sample per boundary.
+  const Clock::time_point tick_start = Clock::now();
+  Clock::time_point stage_start = tick_start;
   for (size_t i = 0; i < stages_.size(); ++i) {
-    auto stage_start = std::chrono::steady_clock::now();
     Status status;
     {
       TraceSpan stage_span(names_[i]);
       status = stages_[i]->OnTick(rec);
     }
+    const Clock::time_point stage_end = Clock::now();
     StageMetrics* slot = slots_[i];
-    slot->latency.Add(SecondsSince(stage_start));
+    slot->latency.Add(seconds(stage_end - stage_start));
     ++slot->invocations;
     if (!status.ok()) {
       ++slot->failures;
-      tick_latency_.Add(SecondsSince(tick_start));
+      tick_latency_.Add(seconds(stage_end - tick_start));
       return status;
     }
+    stage_start = stage_end;
   }
-  tick_latency_.Add(SecondsSince(tick_start));
+  tick_latency_.Add(seconds(stage_start - tick_start));
   ++ticks_;
   return Status::OK();
 }

@@ -44,6 +44,11 @@ class StreamPipeline {
   /// Runs every stage over one tick record (rec->tick must be set; the
   /// other slots are reset here). Stops at the first failing stage — the
   /// failure is counted in that stage's metrics and returned.
+  ///
+  /// Latency is timed from shared samples: one clock read before the first
+  /// stage and one after each stage, so stage i's end is stage i+1's start.
+  /// The stage latencies telescope to the tick latency (a failed tick closes
+  /// at the end of the stage that failed), with no untimed gaps between.
   Status ProcessTick(TickRecord* rec);
 
   /// Convenience: wraps `tick` in a record and processes it.

@@ -148,6 +148,88 @@ TEST(StreamBufferTest, MultiProducerAccountingUnderConcurrency) {
   EXPECT_EQ(polled.load() + buf.dropped(), total);
 }
 
+// Poll order is cyclic from the cursor, and the cursor lands one past the
+// sensor last polled. IngestService::ApplyTick and HealthMonitor see ticks
+// in this order, so it is pinned exactly.
+TEST(StreamBufferTest, PollOrderIsCyclicFromTheCursor) {
+  StreamBuffer buf(8, 4);
+  auto poll_sensor = [&buf] {
+    Tick t;
+    EXPECT_TRUE(buf.Poll(&t));
+    return t.sensor;
+  };
+  for (size_t s : {5, 1, 3}) ASSERT_TRUE(buf.Push(s, 0, 1.0));
+  std::vector<size_t> order = {poll_sensor()};
+  for (size_t s : {0, 2}) ASSERT_TRUE(buf.Push(s, 0, 1.0));
+  Tick t;
+  while (buf.Poll(&t)) order.push_back(t.sensor);
+  EXPECT_EQ(order, (std::vector<size_t>{1, 2, 3, 5, 0}));
+  // The last tick polled was sensor 0, so the scan resumes at sensor 1.
+  for (size_t s : {0, 1}) ASSERT_TRUE(buf.Push(s, 1, 1.0));
+  EXPECT_EQ(poll_sensor(), 1u);
+  EXPECT_EQ(poll_sensor(), 0u);
+}
+
+// stream_fanin's shape: three producers on disjoint sensor sets (sensor = p
+// mod 3) and one consumer, with rings small enough that ticks are dropped.
+void RunFanIn(DropPolicy policy) {
+  constexpr size_t kSensors = 48;
+  constexpr size_t kProducers = 3;
+  constexpr int64_t kTicksPerSensor = 2000;
+  StreamBuffer buf(kSensors, 8, policy);
+
+  std::atomic<bool> done{false};
+  uint64_t polled = 0;
+  uint64_t order_violations = 0;
+  std::thread consumer([&] {
+    std::vector<int64_t> last(kSensors, -1);
+    Tick t;
+    for (;;) {
+      if (!buf.Poll(&t)) {
+        if (done.load(std::memory_order_acquire) && buf.NumUnconsumed() == 0) {
+          break;
+        }
+        std::this_thread::yield();
+        continue;
+      }
+      ++polled;
+      if (t.timestamp <= last[t.sensor]) ++order_violations;
+      last[t.sensor] = t.timestamp;
+    }
+  });
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&buf, p] {
+      for (int64_t ts = 0; ts < kTicksPerSensor; ++ts) {
+        for (size_t s = p; s < kSensors; s += kProducers) {
+          buf.Push(s, ts, static_cast<double>(ts));
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  done.store(true, std::memory_order_release);
+  consumer.join();
+
+  const uint64_t pushed = kSensors * kTicksPerSensor;
+  EXPECT_EQ(order_violations, 0u);
+  if (policy == DropPolicy::kDropOldest) {
+    EXPECT_EQ(buf.accepted(), pushed);
+    EXPECT_EQ(polled + buf.dropped(), pushed);
+  } else {
+    EXPECT_EQ(buf.accepted() + buf.dropped(), pushed);
+    EXPECT_EQ(polled, buf.accepted());
+  }
+}
+
+TEST(StreamBufferTest, FanInDropOldestKeepsPerSensorOrderAndAccounts) {
+  RunFanIn(DropPolicy::kDropOldest);
+}
+
+TEST(StreamBufferTest, FanInDropNewestKeepsPerSensorOrderAndAccounts) {
+  RunFanIn(DropPolicy::kDropNewest);
+}
+
 // -------------------------------------------------------------- pipeline
 
 TEST(StreamPipelineTest, RequiresReset) {
@@ -190,6 +272,61 @@ TEST(StreamPipelineTest, StageFailureIsCountedAndReturned) {
   const auto& stages = pipeline.metrics().stages();
   EXPECT_EQ(stages.at("stream/stats").failures, 1u);
   EXPECT_EQ(pipeline.ticks_processed(), 0u);
+}
+
+// Stage latencies telescope: the stages of a tick share their boundary
+// samples, so they add up to the tick's latency with nothing left over.
+TEST(StreamPipelineTest, StageLatenciesAddUpToTickLatency) {
+  StreamPipeline pipeline;
+  pipeline.Emplace<WelfordStatsStage>()
+      .Emplace<OnlineAnomalyStage>()
+      .Emplace<OnlineForecastStage>();
+  ASSERT_TRUE(pipeline.Reset(4).ok());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(
+        pipeline.ProcessTick(Tick{static_cast<size_t>(i % 4), i, 0.1 * i})
+            .ok());
+  }
+  double stage_sum = 0.0;
+  for (const auto& [name, metrics] : pipeline.metrics().stages()) {
+    EXPECT_EQ(metrics.latency.count(), pipeline.tick_latency().count())
+        << name;
+    stage_sum += metrics.latency.total_seconds();
+  }
+  EXPECT_NEAR(stage_sum, pipeline.tick_latency().total_seconds(), 1e-9);
+}
+
+class FailingStage : public StreamStage {
+ public:
+  std::string Name() const override { return "test/failing"; }
+  Status Reset(size_t) override { return Status::OK(); }
+  Status OnTick(TickRecord*) override {
+    return Status::Internal("failing stage");
+  }
+};
+
+// A failed tick closes at the end of the stage that failed: its latency is
+// the sum of the stages it attempted.
+TEST(StreamPipelineTest, FailedTickLatencyIsSumOfAttemptedStages) {
+  StreamPipeline pipeline;
+  pipeline.Emplace<WelfordStatsStage>()
+      .Emplace<FailingStage>()
+      .Emplace<OnlineForecastStage>();
+  ASSERT_TRUE(pipeline.Reset(4).ok());
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(
+        pipeline.ProcessTick(Tick{static_cast<size_t>(i % 4), i, 0.1 * i})
+            .code(),
+        StatusCode::kInternal);
+  }
+  const auto& stages = pipeline.metrics().stages();
+  const LatencyHistogram& stats = stages.at("stream/stats").latency;
+  const LatencyHistogram& failing = stages.at("test/failing").latency;
+  EXPECT_EQ(stages.at("test/failing").failures, 1000u);
+  EXPECT_EQ(stages.at("stream/forecast-holt").latency.count(), 0u);
+  EXPECT_EQ(pipeline.tick_latency().count(), 1000u);
+  EXPECT_NEAR(stats.total_seconds() + failing.total_seconds(),
+              pipeline.tick_latency().total_seconds(), 1e-9);
 }
 
 TEST(StreamPipelineTest, DrainProcessesEverythingBuffered) {
