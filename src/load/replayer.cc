@@ -14,7 +14,7 @@ namespace {
 
 /// Shared completion state for one in-process replay run: answer slots in
 /// trace order plus the countdown the replayer blocks on. Callbacks run on
-/// worker/dispatcher threads, so everything lives under one mutex.
+/// worker and producer threads, so everything lives under one mutex.
 struct ReplayState {
   std::mutex mu;
   std::condition_variable done_cv;

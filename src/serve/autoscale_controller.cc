@@ -8,10 +8,19 @@
 
 namespace tsdm {
 
+namespace {
+
+/// Holt level smoothing of StreamForecastPolicy (higher = faster tracking).
+constexpr double kForecastAlpha = 0.4;
+/// Holt trend smoothing of StreamForecastPolicy.
+constexpr double kForecastBeta = 0.2;
+/// Review intervals the controller's policy forecasts over.
+constexpr int kForecastHorizon = 1;
+
+}  // namespace
+
 StreamForecastPolicy::StreamForecastPolicy(Options options)
-    : options_(options),
-      forecaster_(std::clamp(options.alpha, 1e-3, 1.0),
-                  std::clamp(options.beta, 1e-3, 1.0)) {
+    : options_(options), forecaster_(kForecastAlpha, kForecastBeta) {
   options_.headroom = std::max(1.0, options_.headroom);
   // One "sensor": the aggregate arrival rate. Reset cannot fail for a
   // nonzero sensor count.
@@ -65,7 +74,7 @@ int AutoscaleController::OnInterval(double arrivals) {
                                          options_.max_history));
   }
   Result<ScalingDecision> decision =
-      policy_->Decide(history_, options_.horizon);
+      policy_->Decide(history_, kForecastHorizon);
   // A policy that cannot decide yet (e.g. empty history edge cases) keeps
   // the current size — the serve loop must never die to a scaling hiccup.
   if (!decision.ok()) return pool_->NumThreads();

@@ -27,8 +27,6 @@ namespace tsdm {
 class StreamForecastPolicy : public AutoscalePolicy {
  public:
   struct Options {
-    double alpha = 0.4;     ///< level smoothing (higher = faster tracking)
-    double beta = 0.2;      ///< trend smoothing
     double headroom = 1.1;  ///< multiplier on the projected demand
   };
 
@@ -56,8 +54,9 @@ class StreamForecastPolicy : public AutoscalePolicy {
 /// ceil(capacity / per_worker_capacity), clamped to [min_workers,
 /// max_workers].
 ///
-/// Driven from a single control thread (the serve dispatcher) — the same
-/// restriction ThreadPool::Resize carries.
+/// The policy forecasts one review interval ahead. Driven from a single
+/// control thread (the serve autoscale timer) — the same restriction
+/// ThreadPool::Resize carries.
 class AutoscaleController {
  public:
   struct Options {
@@ -66,8 +65,6 @@ class AutoscaleController {
     /// Requests one worker handles per review interval; calibrate from a
     /// measured per-request service time.
     double per_worker_capacity = 100.0;
-    /// Review intervals the policy forecasts over.
-    int horizon = 1;
     /// Demand history retained (oldest dropped beyond this).
     size_t max_history = 4096;
   };

@@ -13,19 +13,6 @@ namespace tsdm {
 
 namespace {
 
-/// Dispatcher block time while idle; bounds shutdown latency.
-constexpr double kIdlePollSeconds = 0.001;
-
-/// Backpressure bound: the dispatcher stops popping the admission queue
-/// while this many batches per worker are already in flight. Under overload
-/// this keeps the backlog *in* the weighted-fair queue — where deadlines
-/// expire, quotas bind, and higher-priority arrivals can displace it —
-/// instead of silently spilling into the worker pool's unbounded FIFO,
-/// which would undo every scheduling decision exactly when scheduling
-/// matters. A few batches of slack per worker keep the dispatcher's
-/// wake-up latency from starving a worker between refills.
-constexpr int kMaxBatchesPerWorker = 4;
-
 std::unique_ptr<AutoscalePolicy> MakeAutoscalePolicy(
     const QueryServer::Options& options) {
   if (options.autoscale_policy == QueryServer::AutoscalePolicyKind::kForecast) {
@@ -46,7 +33,6 @@ QueryServer::QueryServer(const RoadNetwork* network, PathCostModel base_model,
       routes_(network, options.route_cache_entries),
       queue_(options.queue),
       pool_(std::max(1, options.initial_workers)),
-      batcher_(options.batch),
       controller_(&pool_, MakeAutoscalePolicy(options), options.autoscale) {
   options_.route_cache_entries = std::max<size_t>(1, options_.route_cache_entries);
 }
@@ -60,8 +46,12 @@ Status QueryServer::Start() {
   }
   started_ = true;
   running_.store(true, std::memory_order_release);
-  last_autoscale_ns_ = TraceRecorder::NowNs();
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  if (options_.autoscale_enabled) {
+    autoscaler_ = std::thread([this] { AutoscaleLoop(); });
+  }
+  // Submit admits before Start too: give every worker a drain task for
+  // that backlog (the surplus ones find the queue empty and release).
+  for (int i = 0; i < pool_.NumThreads(); ++i) Wake();
   return Status::OK();
 }
 
@@ -69,23 +59,29 @@ void QueryServer::Stop() {
   // Exactly one caller owns the shutdown: the lifecycle lock makes
   // concurrent Stops (owner thread + destructor, health hooks, the wire
   // front door) collapse to no-ops instead of a double join, and the
-  // dispatcher handle moves out so the join itself runs unlocked —
-  // Stats() and Submit() stay callable during the drain.
-  std::thread dispatcher;
+  // timer handle moves out so the join itself runs unlocked — Stats() and
+  // Submit() stay callable during the drain.
+  std::thread autoscaler;
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    // Closing first makes Submit reject new work and sheds whatever is
-    // still queued; the dispatcher then flushes its pending batches to
-    // the workers on its way out. Submit admits before Start too, so the
-    // queue closes even when the server never started — the exactly-once
-    // callback contract holds for those requests as well.
+    // Clearing running_ first stops drain tasks from resubmitting; closing
+    // then makes Submit reject new work, sheds whatever is still queued,
+    // and wakes a worker waiting out its run's age so it serves what it
+    // holds. Submit admits before Start too, so the queue closes even when
+    // the server never started — the exactly-once callback contract holds
+    // for those requests as well.
+    {
+      // Under control_mu_ so the timer cannot miss the wake-up below.
+      std::lock_guard<std::mutex> control(control_mu_);
+      running_.store(false, std::memory_order_release);
+    }
+    control_cv_.notify_all();
     queue_.Close();
     if (!started_) return;
     started_ = false;
-    running_.store(false, std::memory_order_release);
-    dispatcher = std::move(dispatcher_);
+    autoscaler = std::move(autoscaler_);
   }
-  if (dispatcher.joinable()) dispatcher.join();
+  if (autoscaler.joinable()) autoscaler.join();
   pool_.Wait();
 }
 
@@ -139,6 +135,7 @@ Status QueryServer::Submit(RouteQuery query,
     flight_tenant = req.tenant;
   }
   Status st = queue_.Push(std::move(req));
+  if (st.ok()) Wake();
   if (flight && !st.ok()) {
     RouteAnswer shed;
     shed.status = st;
@@ -158,7 +155,9 @@ Status QueryServer::SubmitProbe(std::vector<int> segment, int bucket,
   ServeRequest req = MakeRequest(RouteQuery{}, std::move(on_done), options);
   req.probe_edges = std::move(segment);
   req.probe_bucket = bucket;
-  return queue_.Push(std::move(req));
+  Status st = queue_.Push(std::move(req));
+  if (st.ok()) Wake();
+  return st;
 }
 
 bool QueryServer::QueueFull() const { return queue_.Full(); }
@@ -174,7 +173,7 @@ void QueryServer::WaitIdle() const {
                         failed_.load(std::memory_order_acquire) +
                         qs.shed_expired + qs.shed_closed + qs.shed_evicted;
     if (terminal >= qs.admitted &&
-        in_flight_batches_.load(std::memory_order_acquire) == 0) {
+        drain_tasks_.load(std::memory_order_acquire) == 0) {
       return;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -228,9 +227,6 @@ ServeStatsSnapshot QueryServer::Stats() const {
   }
   {
     std::unique_lock<std::mutex> lock(control_mu_);
-    snap.batches = batcher_.stats().batches;
-    snap.batched_requests = batcher_.stats().batched_requests;
-    snap.max_batch = batcher_.stats().max_batch_seen;
     snap.scale_events = controller_.scale_events();
   }
   PathCostCache::Stats cs = cache_.GetStats();
@@ -243,6 +239,9 @@ ServeStatsSnapshot QueryServer::Stats() const {
   snap.workers = pool_.NumThreads();
   {
     std::unique_lock<std::mutex> lock(metrics_mu_);
+    snap.batches = batches_;
+    snap.batched_requests = batched_requests_;
+    snap.max_batch = max_batch_seen_;
     snap.queue_latency = queue_latency_;
     snap.e2e_latency = e2e_latency_;
     snap.stage_queue = stage_queue_;
@@ -253,98 +252,81 @@ ServeStatsSnapshot QueryServer::Stats() const {
   return snap;
 }
 
-void QueryServer::DispatcherLoop() {
-  std::vector<ServeRequest> popped;
-  std::vector<std::vector<ServeRequest>> ready;
-  const size_t pop_chunk = std::max<size_t>(1, options_.batch.max_batch) * 4;
+void QueryServer::Wake() {
+  if (!running_.load(std::memory_order_acquire)) return;
+  int outstanding = drain_tasks_.load(std::memory_order_acquire);
+  while (outstanding < pool_.NumThreads()) {
+    if (drain_tasks_.compare_exchange_weak(outstanding, outstanding + 1,
+                                           std::memory_order_acq_rel)) {
+      pool_.Submit([this] { DrainTurn(); });
+      return;
+    }
+  }
+}
 
-  while (running_.load(std::memory_order_acquire)) {
-    popped.clear();
-    ready.clear();
-    uint64_t now = TraceRecorder::NowNs();
-    if (WorkersSaturated()) {
-      // Workers are fully buffered: leave the backlog in the weighted-fair
-      // queue, where deadlines expire, quotas bind, and higher-priority
-      // arrivals can still displace it. Batches whose linger expired are
-      // flushed regardless (their requests are already popped), and the
-      // autoscale loop keeps observing arrivals — saturation is exactly
-      // when it has something to say.
-      {
-        std::unique_lock<std::mutex> lock(control_mu_);
-        batcher_.FlushExpired(now, &ready);
+void QueryServer::DrainTurn() {
+  const size_t max_batch = std::max<size_t>(1, options_.batch.max_batch);
+  std::vector<ServeRequest> run;
+  queue_.PopBatch(TraceRecorder::NowNs(), max_batch, &run);
+  if (!run.empty()) {
+    // Size-or-age: a short run waits for company until its oldest member
+    // is max_wait past admission. PopBatch hands out DRR order, not
+    // admission order, so the oldest is not necessarily the front. A
+    // closed queue ends the wait at once (WaitForWork returns false).
+    uint64_t oldest_ns = run.front().enqueue_ns;
+    for (const ServeRequest& req : run) {
+      oldest_ns = std::min(oldest_ns, req.enqueue_ns);
+    }
+    const uint64_t deadline_ns =
+        oldest_ns +
+        static_cast<uint64_t>(std::max(0.0, options_.batch.max_wait_seconds) *
+                              1e9);
+    for (uint64_t now = TraceRecorder::NowNs();
+         run.size() < max_batch && now < deadline_ns;
+         now = TraceRecorder::NowNs()) {
+      if (queue_.WaitForWork(1e-9 * static_cast<double>(deadline_ns - now))) {
+        queue_.PopBatch(TraceRecorder::NowNs(), max_batch - run.size(), &run);
+      } else if (!running_.load(std::memory_order_acquire)) {
+        break;
       }
-      DispatchReady(&ready);
-      MaybeAutoscale(now);
-      std::unique_lock<std::mutex> lock(batch_done_mu_);
-      batch_done_cv_.wait_for(
-          lock, std::chrono::duration<double>(kIdlePollSeconds),
-          [this] {
-            return !WorkersSaturated() ||
-                   !running_.load(std::memory_order_acquire);
-          });
-      continue;
     }
-    size_t n = queue_.PopBatch(now, pop_chunk, &popped);
-    {
-      std::unique_lock<std::mutex> lock(control_mu_);
-      for (auto& req : popped) batcher_.Add(std::move(req), &ready);
-      batcher_.FlushExpired(now, &ready);
+    ServeBatch(&run);
+    // One run per task: a task that looped until the queue emptied would
+    // hold its worker through a backlog, and ThreadPool::Resize joins a
+    // retiring worker only when its current task ends.
+    if (running_.load(std::memory_order_acquire)) {
+      pool_.Submit([this] { DrainTurn(); });
+      return;
     }
-    DispatchReady(&ready);
-    MaybeAutoscale(now);
-    if (n == 0) queue_.WaitForWork(kIdlePollSeconds);
   }
-
-  // Shutdown drain: the queue is closed (Stop closed it before clearing
-  // running_), so one final pass moves everything still pending through
-  // the workers.
-  popped.clear();
-  ready.clear();
-  uint64_t now = TraceRecorder::NowNs();
-  queue_.PopBatch(now, static_cast<size_t>(-1), &popped);
-  {
-    std::unique_lock<std::mutex> lock(control_mu_);
-    for (auto& req : popped) batcher_.Add(std::move(req), &ready);
-    batcher_.FlushAll(&ready);
-  }
-  DispatchReady(&ready);
-}
-
-bool QueryServer::WorkersSaturated() const {
-  return in_flight_batches_.load(std::memory_order_acquire) >=
-         kMaxBatchesPerWorker * pool_.NumThreads();
-}
-
-void QueryServer::DispatchReady(
-    std::vector<std::vector<ServeRequest>>* ready) {
-  for (auto& batch : *ready) {
-    in_flight_batches_.fetch_add(1, std::memory_order_acq_rel);
-    auto shared =
-        std::make_shared<std::vector<ServeRequest>>(std::move(batch));
-    pool_.Submit([this, shared] {
-      ServeBatch(shared.get());
-      in_flight_batches_.fetch_sub(1, std::memory_order_acq_rel);
-      batch_done_cv_.notify_one();
-    });
-  }
-  ready->clear();
+  drain_tasks_.fetch_sub(1, std::memory_order_acq_rel);
+  // A Push that found every slot taken may have landed between the empty
+  // pop above and the release: re-check, or its request could sit in the
+  // queue with no task left to pop it.
+  if (queue_.WaitForWork(0.0)) Wake();
 }
 
 void QueryServer::ServeBatch(std::vector<ServeRequest>* batch) {
-  // The batch span carries the MicroBatcher's batch id as its arg; each
-  // member request's batch_wait span carries the same id, so the exported
-  // trace links a batch to the requests it amortized.
-  const int64_t batch_id =
-      batch->empty() ? 0 : static_cast<int64_t>(batch->front().batch_id);
-  TraceSpan span("serve/batch", batch_id);
+  // Every run gets a dense 1-based batch id. The batch span carries it as
+  // its arg and each member request's batch_wait span carries the same id,
+  // so the exported trace links a run to its member requests.
+  uint64_t batch_id = 0;
+  {
+    std::unique_lock<std::mutex> lock(metrics_mu_);
+    batch_id = ++batches_;
+    batched_requests_ += batch->size();
+    max_batch_seen_ = std::max(max_batch_seen_, batch->size());
+  }
+  for (ServeRequest& req : *batch) req.batch_id = batch_id;
+  TraceSpan span("serve/batch", static_cast<int64_t>(batch_id));
   for (const ServeRequest& req : *batch) ServeOne(req);
 }
 
 void QueryServer::ServeOne(const ServeRequest& req) {
   const uint64_t start_ns = TraceRecorder::NowNs();
-  // The batching stage — dequeue to worker pickup — has no RAII scope (it
-  // spans the dispatcher and the pool hand-off), so record it
-  // retrospectively now that it just ended.
+  // The batching stage — dequeue to service start — has no RAII scope (it
+  // spans the run's age wait and its earlier members' service), so record
+  // it retrospectively now that it just ended.
   if (req.dequeue_ns != 0) {
     TraceRecorder::Global().RecordSpan("serve/batch_wait", req.dequeue_ns,
                                        start_ns, req.trace,
@@ -450,19 +432,25 @@ void QueryServer::ServeOne(const ServeRequest& req) {
   if (req.on_done) req.on_done(answer);
 }
 
-void QueryServer::MaybeAutoscale(uint64_t now_ns) {
-  if (!options_.autoscale_enabled) return;
-  const double interval_ns = options_.autoscale_interval_seconds * 1e9;
-  if (static_cast<double>(now_ns - last_autoscale_ns_) < interval_ns) return;
-  last_autoscale_ns_ = now_ns;
-  // Demand = everything submitted, shed included: admission control must
-  // not hide overload from the forecaster, or shedding would lock the
-  // pool at its current size forever.
-  uint64_t submitted = queue_.GetStats().submitted;
-  double arrivals = static_cast<double>(submitted - last_submitted_);
-  last_submitted_ = submitted;
+void QueryServer::AutoscaleLoop() {
+  const auto interval =
+      std::chrono::duration<double>(options_.autoscale_interval_seconds);
   std::unique_lock<std::mutex> lock(control_mu_);
-  controller_.OnInterval(arrivals);
+  while (!control_cv_.wait_for(lock, interval, [this] {
+    return !running_.load(std::memory_order_acquire);
+  })) {
+    // Demand = everything submitted, shed included: admission control must
+    // not hide overload from the forecaster, or shedding would lock the
+    // pool at its current size forever.
+    const uint64_t submitted = queue_.GetStats().submitted;
+    const double arrivals = static_cast<double>(submitted - last_submitted_);
+    last_submitted_ = submitted;
+    const int before = pool_.NumThreads();
+    controller_.OnInterval(arrivals);
+    // Workers added by a scale-up get drain tasks now, not at the next
+    // arrival.
+    for (int i = before; i < pool_.NumThreads(); ++i) Wake();
+  }
 }
 
 }  // namespace tsdm

@@ -16,7 +16,6 @@
 #include "src/common/thread_pool.h"
 #include "src/decision/routing/stochastic_router.h"
 #include "src/serve/autoscale_controller.h"
-#include "src/serve/micro_batcher.h"
 #include "src/serve/path_cost_cache.h"
 #include "src/serve/query_service.h"
 #include "src/serve/request_queue.h"
@@ -29,8 +28,15 @@ namespace tsdm {
 /// The serving front door for routing queries — the piece that turns the
 /// decision layer from a library into a system:
 ///
-///   clients --Submit--> RequestQueue --dispatcher--> MicroBatcher
-///        --batches--> ThreadPool workers --> answer callbacks
+///   clients --Submit--> RequestQueue <--PopBatch-- ThreadPool workers
+///        --> answer callbacks
+///
+/// Workers run to completion: each admission wakes a drain task (at most
+/// one per pool worker), which pops one run of up to `batch.max_batch`
+/// requests in the queue's weighted-fair order, serves it, and resubmits
+/// itself while the server runs. The backlog therefore stays in the
+/// RequestQueue — where deadlines expire, quotas bind, and higher-priority
+/// arrivals can displace it — until a worker is free.
 ///
 /// Workers answer each query from two layers of memoization: a bounded
 /// LRU of candidate route enumerations per (source, target, k) — the
@@ -39,18 +45,20 @@ namespace tsdm {
 /// A warm query therefore costs two lookups plus a few convolutions where
 /// a cold one pays Yen's algorithm plus full cost recomposition.
 ///
-/// The dispatcher doubles as the autoscale control loop: every review
-/// interval it feeds the observed arrival count into the
+/// With autoscale enabled, a timer thread is the control loop: every
+/// review interval it feeds the observed arrival count into the
 /// AutoscaleController, which forecasts demand and resizes the worker
-/// pool within [min_workers, max_workers].
+/// pool within [min_workers, max_workers]. With autoscale off the server
+/// runs no thread outside its pool.
 ///
 /// Thread-safety: Submit is safe from any number of producer threads.
 /// Start/Stop/WaitIdle are for the owning (control) thread. Callbacks run
-/// on worker threads (served), the dispatcher (expired in queue), or the
-/// Stop caller (drained at shutdown) — exactly once per admitted request.
+/// on worker threads (served or expired in queue), a producer thread
+/// (evicted by its higher-priority arrival), or the Stop caller (drained
+/// at shutdown) — exactly once per admitted request.
 class QueryServer : public QueryService {
  public:
-  /// Which AutoscalePolicy the dispatcher's control loop runs. Options
+  /// Which AutoscalePolicy the autoscale control loop runs. Options
   /// must stay copyable, so the server owns policy construction from this
   /// tag instead of holding a unique_ptr in Options.
   enum class AutoscalePolicyKind {
@@ -58,9 +66,18 @@ class QueryServer : public QueryService {
     kForecast,  ///< StreamForecastPolicy: Holt trend projection (pre-scales)
   };
 
+  /// The size-or-age rule of one worker's run: a worker holding fewer than
+  /// `max_batch` requests waits for more until its oldest request is
+  /// `max_wait_seconds` past admission — full runs under load, bounded
+  /// added latency when idle.
+  struct BatchOptions {
+    size_t max_batch = 16;
+    double max_wait_seconds = 0.002;
+  };
+
   struct Options {
     RequestQueue::Options queue;
-    MicroBatcher::Options batch;
+    BatchOptions batch;
     PathCostCache::Options cache;
     CachedPathCostModel::Options cost;
     AutoscaleController::Options autoscale;
@@ -97,11 +114,13 @@ class QueryServer : public QueryService {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Spawns the dispatcher. FailedPrecondition if already started.
+  /// Lets the workers drain the queue (requests admitted before Start
+  /// included) and spawns the autoscale timer when enabled.
+  /// FailedPrecondition if already started.
   Status Start();
 
-  /// Closes the queue (draining queued requests as shed), flushes pending
-  /// batches through the workers, joins the dispatcher, and waits for
+  /// Closes the queue (draining queued requests as shed), lets each worker
+  /// serve the run it holds, joins the autoscale timer, and waits for
   /// in-flight work. Idempotent.
   void Stop();
 
@@ -128,7 +147,7 @@ class QueryServer : public QueryService {
   bool QueueFull() const override;
 
   /// Blocks until every admitted request has reached a terminal state
-  /// (answered or shed) and no batch is in flight.
+  /// (answered or shed) and no drain task is outstanding.
   void WaitIdle() const override;
 
   ServeStatsSnapshot Stats() const override;
@@ -138,13 +157,14 @@ class QueryServer : public QueryService {
   const Options& options() const { return options_; }
 
  private:
-  void DispatcherLoop();
-  /// True while the in-flight batch count is at the backpressure bound.
-  bool WorkersSaturated() const;
-  void DispatchReady(std::vector<std::vector<ServeRequest>>* ready);
+  /// Submits a drain task unless NumThreads() of them are outstanding.
+  /// No-op before Start and after Stop.
+  void Wake();
+  /// One drain turn: pop and serve one run, then resubmit or release.
+  void DrainTurn();
   void ServeBatch(std::vector<ServeRequest>* batch);
   void ServeOne(const ServeRequest& req);
-  void MaybeAutoscale(uint64_t now_ns);
+  void AutoscaleLoop();
 
   /// Builds the queued request shared by Submit and SubmitProbe: assigns
   /// the id, roots (or adopts) the trace tree, and stamps admission state.
@@ -161,11 +181,11 @@ class QueryServer : public QueryService {
   RequestQueue queue_;
   ThreadPool pool_;
 
-  // Dispatcher-owned state, guarded so Stats() can read it concurrently.
+  // Autoscale state, owned by the timer thread and guarded so Stats() can
+  // read it concurrently; the timer waits on control_cv_ between reviews.
   mutable std::mutex control_mu_;
-  MicroBatcher batcher_;
+  std::condition_variable control_cv_;
   AutoscaleController controller_;
-  uint64_t last_autoscale_ns_ = 0;
   uint64_t last_submitted_ = 0;
 
   // Worker-side accounting.
@@ -182,22 +202,20 @@ class QueryServer : public QueryService {
   LatencyHistogram stage_cache_;
   LatencyHistogram stage_exec_;
   std::map<std::string, TenantWorkerStats> tenant_metrics_;
+  uint64_t batches_ = 0;  ///< runs served; also the last run's batch id
+  uint64_t batched_requests_ = 0;
+  size_t max_batch_seen_ = 0;
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> next_id_{0};
-  std::atomic<int> in_flight_batches_{0};
-
-  // Wakes the dispatcher out of its backpressure wait when a batch
-  // completes (paired with in_flight_batches_; the wait also times out at
-  // the idle poll interval, so a missed notify only costs one interval).
-  mutable std::mutex batch_done_mu_;
-  std::condition_variable batch_done_cv_;
+  /// Drain tasks submitted to the pool and not yet released.
+  std::atomic<int> drain_tasks_{0};
 
   // Start/Stop lifecycle. The mutex serializes concurrent Stops (owner +
-  // destructor + monitoring hooks) so the dispatcher is joined exactly
-  // once; `started_` is only touched under it.
+  // destructor + monitoring hooks) so the autoscale timer is joined
+  // exactly once; `started_` is only touched under it.
   mutable std::mutex lifecycle_mu_;
-  std::thread dispatcher_;
+  std::thread autoscaler_;
   std::atomic<bool> running_{false};
   bool started_ = false;
 };

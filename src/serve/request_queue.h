@@ -28,9 +28,8 @@ struct RouteQuery {
   int k = 4;                            ///< candidate routes to enumerate
   double depart_seconds = 0.0;          ///< time of day, seconds
   double arrival_deadline_seconds = 0;  ///< absolute arrival deadline
-  /// Model/network snapshot generation the query was issued against. The
-  /// micro-batcher only coalesces queries of the same snapshot — batching
-  /// must never mix answers from different network states.
+  /// Model/network snapshot generation the query was issued against.
+  /// Carried on the wire and in load traces; serving does not read it.
   int snapshot_id = 0;
 };
 
@@ -38,11 +37,12 @@ struct RouteQuery {
 /// components partition the admission-to-answer interval exactly (they are
 /// computed from the same clock samples, so the telescoping sum equals the
 /// end-to-end latency to the nanosecond): where did *this* request's time
-/// go — waiting in the queue, forming a batch / waiting for a worker,
-/// inside the path-cost layer, or in route enumeration and scoring?
+/// go — waiting in the queue, waiting in its worker's run (the run's age
+/// wait plus earlier members' service), inside the path-cost layer, or in
+/// route enumeration and scoring?
 struct StageBreakdown {
-  uint64_t queue_ns = 0;  ///< admission -> dequeued by the dispatcher
-  uint64_t batch_ns = 0;  ///< dequeue -> a worker starts serving it
+  uint64_t queue_ns = 0;  ///< admission -> popped by a worker
+  uint64_t batch_ns = 0;  ///< pop -> the worker starts serving it
   uint64_t cache_ns = 0;  ///< inside CachedPathCostModel (cache + base model)
   uint64_t exec_ns = 0;   ///< remaining worker execution (routes, scoring)
 
@@ -78,16 +78,16 @@ struct RouteAnswer {
 
 /// A queued request: the query plus its admission timestamp, queueing
 /// budget, and completion callback. The callback is invoked exactly once —
-/// on a worker thread for served requests, on the dispatcher thread for
-/// requests shed after admission (expired in queue / drained at shutdown),
-/// or on the displacing producer's thread for requests evicted by a
-/// higher-priority arrival under overload.
+/// on a worker thread for served requests and requests expired in queue,
+/// on the Stop caller's thread for requests drained at shutdown, or on the
+/// displacing producer's thread for requests evicted by a higher-priority
+/// arrival under overload.
 struct ServeRequest {
   uint64_t id = 0;
   RouteQuery query;
   uint64_t enqueue_ns = 0;        ///< TraceRecorder::NowNs at admission
-  uint64_t dequeue_ns = 0;        ///< set by PopBatch when the dispatcher pops
-  uint64_t batch_id = 0;          ///< set by MicroBatcher at dispatch (0=none)
+  uint64_t dequeue_ns = 0;        ///< set by PopBatch when a worker pops
+  uint64_t batch_id = 0;          ///< the worker's run id (0 = none)
   double queue_budget_seconds = 0.25;  ///< max queueing time; <= 0 = none
   int priority = 0;               ///< scheduling class, clamped to [0, 3]
   int shard = -1;                 ///< SubmitOptions::shard (-1 = unsharded)
@@ -122,7 +122,7 @@ struct ServeRequest {
 ///    lowest occupied class (shed-lowest-priority-first) — the evicted
 ///    request's callback fires with a typed shed; otherwise the arrival
 ///    itself is shed with Status::ResourceExhausted;
-///  - queueing budget: requests whose budget expires before a dispatcher
+///  - queueing budget: requests whose budget expires before a worker
 ///    pops them are shed at pop time — admitting them to a worker would
 ///    only burn service capacity on an answer the client gave up on.
 ///
@@ -158,7 +158,7 @@ class RequestQueue {
   };
 
   /// Per-tenant view of the admission counters. depth is current resident
-  /// requests; popped counts requests actually handed to the dispatcher —
+  /// requests; popped counts requests actually handed to a worker —
   /// the number weighted-fairness tests assert ratios on.
   struct TenantStats {
     uint64_t submitted = 0;
@@ -167,7 +167,7 @@ class RequestQueue {
     uint64_t shed_expired = 0;   ///< dropped at pop: queue budget exceeded
     uint64_t shed_closed = 0;    ///< rejected at Push or drained: closed
     uint64_t shed_evicted = 0;   ///< displaced by a higher-priority arrival
-    uint64_t popped = 0;         ///< delivered to the dispatcher
+    uint64_t popped = 0;         ///< delivered to a worker
     size_t depth = 0;
   };
 

@@ -76,7 +76,7 @@ struct ServeStatsSnapshot {
   uint64_t shed_evicted = 0;   ///< displaced by higher-priority arrivals
   size_t queue_depth = 0;
 
-  // Batching (MicroBatcher).
+  // Batching: the runs workers pop and serve.
   uint64_t batches = 0;
   uint64_t batched_requests = 0;
   size_t max_batch = 0;
@@ -94,7 +94,7 @@ struct ServeStatsSnapshot {
   int scale_events = 0;    ///< autoscaler resizes since start
 
   // Lifecycle latencies of *answered* requests.
-  LatencyHistogram queue_latency;  ///< admission -> dispatch
+  LatencyHistogram queue_latency;  ///< admission -> service start
   LatencyHistogram e2e_latency;    ///< admission -> answer
 
   // Critical-path attribution of answered requests: per-stage latency

@@ -1,5 +1,6 @@
 // Loopback end-to-end tests for the network front door: binary protocol
-// correctness (pipelining, request-id echo), HTTP endpoints (/metrics
+// correctness (pipelining, request-id echo, the extended tenant/priority
+// query form and its malformed variants), HTTP endpoints (/metrics
 // equivalence with the in-process export, /health, POST /query and its
 // error statuses), typed socket-layer sheds that happen before payload
 // deserialization, hostile-byte resynchronization on a live connection,
@@ -521,6 +522,72 @@ TEST(SocketServerTest, HostileBytesResyncAndBadOpcode) {
               stats.frames.resync_bytes > 0);
   EXPECT_EQ(stats.rejected_bad_opcode, 1u);
   EXPECT_EQ(stats.queries_answered, 0u);
+
+  client.Close();
+  server.Stop();
+  serve.Stop();
+}
+
+// The extended kRouteQuery form end to end: NetClient sends priority and
+// tenant, SocketServer decodes them into SubmitOptions, and the request is
+// accounted under its tenant. Malformed scheduling fields are outside input:
+// each gets a typed InvalidArgument error frame, nothing reaches the serve
+// queue, and the connection keeps answering.
+TEST(SocketServerTest, ExtendedQueryFormCarriesTenantAndRejectsMalformed) {
+  NetFixture fx;
+  QueryServer::Options sopts;
+  sopts.autoscale_enabled = false;
+  QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+  ASSERT_TRUE(serve.Start().ok());
+  SocketServer server(&serve);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kLoopback, server.port()).ok());
+
+  WireRouteAnswer answer;
+  ASSERT_TRUE(
+      client.Query(fx.Query(0), NetClient::QueryOptions{2, "premium"}, &answer)
+          .ok());
+  EXPECT_EQ(answer.status_code, StatusCode::kOk);
+  serve.WaitIdle();
+  const TenantServeStats* premium = nullptr;
+  ServeStatsSnapshot stats = serve.Stats();
+  for (const TenantServeStats& t : stats.tenants) {
+    if (t.tenant == "premium") premium = &t;
+  }
+  ASSERT_NE(premium, nullptr);
+  EXPECT_EQ(premium->submitted, 1u);
+  EXPECT_EQ(premium->completed, 1u);
+
+  auto expect_invalid = [&](uint64_t id, const std::vector<uint8_t>& payload) {
+    std::vector<uint8_t> frame;
+    EncodeNetFrame(id, NetOpcode::kRouteQuery, payload.data(), payload.size(),
+                   &frame);
+    ASSERT_TRUE(client.SendRaw(frame.data(), frame.size()).ok());
+    NetFrame reply;
+    ASSERT_TRUE(client.ReceiveFrame(&reply).ok());
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(static_cast<NetOpcode>(reply.opcode), NetOpcode::kError);
+    EXPECT_EQ(DecodeErrorPayload(reply.payload.data(), reply.payload.size())
+                  .code(),
+              StatusCode::kInvalidArgument);
+  };
+  // Truncated scheduling fields: a priority byte and no tenant_len.
+  std::vector<uint8_t> truncated;
+  EncodeRouteQueryPayload(fx.Query(0), &truncated);
+  truncated.push_back(2);
+  expect_invalid(41, truncated);
+  // tenant_len says 7 ("premium") but only 3 tenant bytes follow.
+  std::vector<uint8_t> mismatched;
+  EncodeRouteQueryPayloadEx(fx.Query(0), 2, "premium", &mismatched);
+  mismatched.resize(mismatched.size() - 4);
+  expect_invalid(42, mismatched);
+
+  // The connection survives both and answers a legacy query.
+  ASSERT_TRUE(client.Query(fx.Query(1), &answer).ok());
+  EXPECT_EQ(answer.status_code, StatusCode::kOk);
+  serve.WaitIdle();
+  EXPECT_EQ(serve.Stats().submitted, 2u);
 
   client.Close();
   server.Stop();

@@ -13,7 +13,6 @@
 #include "src/obs/metrics_export.h"
 #include "src/obs/trace.h"
 #include "src/serve/autoscale_controller.h"
-#include "src/serve/micro_batcher.h"
 #include "src/serve/query_server.h"
 #include "src/serve/request_queue.h"
 #include "src/sim/road_gen.h"
@@ -154,108 +153,6 @@ TEST(RequestQueueTest, CloseDrainsAndRejects) {
   EXPECT_EQ(stats.shed_closed, 4u);  // 3 drained + 1 rejected
   EXPECT_EQ(stats.depth, 0u);
   queue.Close();  // idempotent
-}
-
-// --- MicroBatcher --------------------------------------------------------
-
-TEST(MicroBatcherTest, DispatchesFullBatchPerSnapshot) {
-  MicroBatcher::Options opts;
-  opts.max_batch = 2;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
-
-  batcher.Add(MakeRequest(1, /*snapshot=*/0), &ready);
-  batcher.Add(MakeRequest(2, /*snapshot=*/1), &ready);
-  EXPECT_TRUE(ready.empty());
-  EXPECT_EQ(batcher.pending(), 2u);
-
-  // Snapshot 0 fills up; snapshot 1 keeps waiting — batches never mix
-  // snapshots.
-  batcher.Add(MakeRequest(3, /*snapshot=*/0), &ready);
-  ASSERT_EQ(ready.size(), 1u);
-  ASSERT_EQ(ready[0].size(), 2u);
-  EXPECT_EQ(ready[0][0].query.snapshot_id, 0);
-  EXPECT_EQ(ready[0][1].query.snapshot_id, 0);
-  EXPECT_EQ(batcher.pending(), 1u);
-
-  batcher.FlushAll(&ready);
-  ASSERT_EQ(ready.size(), 2u);
-  EXPECT_EQ(ready[1][0].query.snapshot_id, 1);
-  EXPECT_EQ(batcher.pending(), 0u);
-
-  EXPECT_EQ(batcher.stats().batches, 2u);
-  EXPECT_EQ(batcher.stats().batched_requests, 3u);
-  EXPECT_EQ(batcher.stats().max_batch_seen, 2u);
-}
-
-TEST(MicroBatcherTest, FlushExpiredUsesOldestMember) {
-  MicroBatcher::Options opts;
-  opts.max_batch = 100;
-  opts.max_wait_seconds = 0.002;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
-
-  batcher.Add(MakeRequest(1), &ready);
-  uint64_t now = TraceRecorder::NowNs();
-  batcher.FlushExpired(now, &ready);
-  EXPECT_TRUE(ready.empty());  // not old enough yet
-
-  batcher.FlushExpired(now + 3000000ull, &ready);  // +3ms
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(batcher.pending(), 0u);
-}
-
-TEST(MicroBatcherTest, FlushExpiredFiresAtExactDeadline) {
-  // The age trigger is `now - oldest >= budget`: a batch whose age equals
-  // the budget EXACTLY is flushed — the boundary belongs to the flush, so
-  // a dispatcher polling on whole budget multiples never strands a batch
-  // for an extra tick.
-  MicroBatcher::Options opts;
-  opts.max_batch = 100;
-  opts.max_wait_seconds = 0.002;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
-
-  const uint64_t t0 = 1000000000ull;  // controlled clock, no NowNs jitter
-  ServeRequest req = MakeRequest(1);
-  req.enqueue_ns = t0;
-  batcher.Add(std::move(req), &ready);
-
-  const uint64_t deadline = t0 + 2000000ull;  // t0 + max_wait exactly
-  batcher.FlushExpired(deadline - 1, &ready);
-  EXPECT_TRUE(ready.empty());  // one ns early: still batching
-  EXPECT_EQ(batcher.pending(), 1u);
-
-  batcher.FlushExpired(deadline, &ready);  // exact equality flushes
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(batcher.pending(), 0u);
-}
-
-TEST(MicroBatcherTest, SingleRequestBatchIsFlushedByAgeAlone) {
-  // A lone request must never wait for company: with max_batch far away,
-  // the age trigger alone dispatches a size-1 batch, and the batch
-  // bookkeeping records it as a real (if minimal) batch.
-  MicroBatcher::Options opts;
-  opts.max_batch = 100;
-  opts.max_wait_seconds = 0.001;
-  MicroBatcher batcher(opts);
-  std::vector<std::vector<ServeRequest>> ready;
-
-  const uint64_t t0 = 5000000000ull;
-  ServeRequest req = MakeRequest(7, /*snapshot=*/3);
-  req.enqueue_ns = t0;
-  batcher.Add(std::move(req), &ready);
-  ASSERT_TRUE(ready.empty());
-
-  batcher.FlushExpired(t0 + 1000000ull, &ready);
-  ASSERT_EQ(ready.size(), 1u);
-  ASSERT_EQ(ready[0].size(), 1u);
-  EXPECT_EQ(ready[0][0].id, 7u);
-  EXPECT_EQ(ready[0][0].query.snapshot_id, 3);
-  EXPECT_EQ(batcher.pending(), 0u);
-  EXPECT_EQ(batcher.stats().batches, 1u);
-  EXPECT_EQ(batcher.stats().batched_requests, 1u);
-  EXPECT_EQ(batcher.stats().max_batch_seen, 1u);
 }
 
 // --- AutoscaleController -------------------------------------------------
@@ -662,6 +559,202 @@ TEST(QueryServerTest, QueueFullMatchesClampedCapacity) {
   // Not started: the admitted request stays queued until Stop drains it.
   ASSERT_TRUE(server.Submit(query, [](const RouteAnswer&) {}).ok());
   EXPECT_TRUE(server.QueueFull());
+  server.Stop();
+}
+
+// --- Run-to-completion workers ------------------------------------------
+
+RouteQuery GridQuery(const ServeFixture& fx, int i) {
+  RouteQuery query;
+  query.source = GridNodeId(fx.spec, 0, 0);
+  query.target = GridNodeId(fx.spec, 4, (i % 2) ? 4 : 3);
+  query.k = 2;
+  query.depart_seconds = 8 * 3600.0;
+  return query;
+}
+
+QueryServer::SubmitOptions LongBudget() {
+  QueryServer::SubmitOptions sopts;
+  sopts.queue_budget_seconds = 30.0;
+  return sopts;
+}
+
+// Size rule: with no linger, one worker pops runs of at most max_batch, so
+// 10 requests queued before Start are served as runs of 4, 4 and 2.
+TEST(QueryServerBatchTest, RunsAreCappedAtMaxBatch) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.initial_workers = 1;
+  opts.autoscale_enabled = false;
+  opts.batch.max_batch = 4;
+  opts.batch.max_wait_seconds = 0.0;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(server.Submit(GridQuery(fx, i), nullptr, LongBudget()).ok());
+  }
+  ASSERT_TRUE(server.Start().ok());
+  server.WaitIdle();
+
+  ServeStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.completed, 10u);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.max_batch, 4u);
+  EXPECT_EQ(stats.batched_requests, 10u);
+}
+
+// Age rule: a lone request waits for company until it is max_wait past
+// admission, so its queue + batch stages add up to at least max_wait.
+TEST(QueryServerBatchTest, LoneRequestWaitsOutMaxWait) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.initial_workers = 1;
+  opts.autoscale_enabled = false;
+  opts.batch.max_batch = 100;
+  opts.batch.max_wait_seconds = 0.005;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  RouteAnswer answer;
+  ASSERT_TRUE(server
+                  .Submit(GridQuery(fx, 0),
+                          [&answer](const RouteAnswer& a) { answer = a; },
+                          LongBudget())
+                  .ok());
+  server.WaitIdle();
+  ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+  EXPECT_GE(answer.stages.queue_ns + answer.stages.batch_ns, 5000000u);
+  EXPECT_EQ(server.Stats().batches, 1u);
+}
+
+// Lost-wake-up stress (run under TSan and ASan by scripts/check.sh): one
+// worker with no linger drains four bursty producers, so the queue empties
+// over and over and the drain task releases and re-acquires its slot
+// constantly. A Push racing a release must still get its request served.
+// A lost wake-up is only visible once nobody submits again, so the
+// producers pause after every burst and the server must go idle on its own:
+// each pause is one chance to catch a request stranded in the queue.
+TEST(QueryServerBatchTest, NoLostWakeUpUnderBurstyProducers) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.initial_workers = 1;
+  opts.autoscale_enabled = false;
+  opts.batch.max_wait_seconds = 0.0;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2000;
+  constexpr int kBurst = 10;
+  std::vector<std::atomic<int>> calls(kProducers * kPerProducer);
+  std::vector<char> admitted(kProducers * kPerProducer, 0);
+  std::vector<Rng> rngs;
+  for (int p = 0; p < kProducers; ++p) rngs.emplace_back(100 + p);
+
+  // WaitIdle under a watchdog: a stranded request would make it block
+  // forever, so on timeout Stop sheds the queue to unblock it.
+  auto idle_within_deadline = [&server] {
+    std::atomic<bool> idle{false};
+    std::thread waiter([&] {
+      server.WaitIdle();
+      idle.store(true);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!idle.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const bool ok = idle.load();
+    if (!ok) server.Stop();
+    waiter.join();
+    return ok;
+  };
+
+  for (int first = 0; first < kPerProducer; first += kBurst) {
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (int i = first; i < first + kBurst; ++i) {
+          const size_t slot = static_cast<size_t>(p * kPerProducer + i);
+          Status s = server.Submit(
+              GridQuery(fx, i),
+              [&calls, slot](const RouteAnswer&) { calls[slot].fetch_add(1); },
+              LongBudget());
+          admitted[slot] = s.ok() ? 1 : 0;
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rngs[p].Int(0, 50)));
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    if (!idle_within_deadline()) {
+      ADD_FAILURE() << "WaitIdle hung after the burst at " << first
+                    << ": a queued request lost its wake-up";
+      break;
+    }
+  }
+
+  uint64_t admitted_count = 0;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    admitted_count += static_cast<uint64_t>(admitted[i]);
+    EXPECT_EQ(calls[i].load(), admitted[i] ? 1 : 0) << "request " << i;
+  }
+  ServeStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.admitted, admitted_count);
+  EXPECT_EQ(stats.shed_closed, 0u);
+  server.Stop();
+}
+
+// A drain task serves one run and resubmits itself rather than looping
+// until the queue is empty: ThreadPool::Resize joins a retiring worker only
+// when its current task ends, so a looping task would hold autoscale
+// scale-down (and the control lock Stats() reads under) for as long as the
+// backlog lasts.
+TEST(QueryServerBatchTest, PoolShrinksWhileBacklogIsServed) {
+  ServeFixture fx;
+  QueryServer::Options opts;
+  opts.initial_workers = 4;
+  opts.autoscale_enabled = true;
+  opts.autoscale.min_workers = 1;
+  opts.autoscale.max_workers = 4;
+  // Any observed demand fits one worker, so the first review shrinks the
+  // pool to its floor.
+  opts.autoscale.per_worker_capacity = 1e9;
+  opts.autoscale_interval_seconds = 0.005;
+  opts.batch.max_batch = 1;
+  opts.batch.max_wait_seconds = 0.0;
+  QueryServer server(&fx.net, fx.BaseModel(), opts);
+
+  // 300 requests at >= 1 ms each take >= 75 ms on 4 workers: 15 intervals.
+  constexpr int kBacklog = 300;
+  for (int i = 0; i < kBacklog; ++i) {
+    ASSERT_TRUE(server
+                    .Submit(GridQuery(fx, i),
+                            [](const RouteAnswer&) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(1));
+                            },
+                            LongBudget())
+                    .ok());
+  }
+  ASSERT_TRUE(server.Start().ok());
+
+  bool shrank_with_backlog = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    ServeStatsSnapshot stats = server.Stats();
+    if (stats.workers == 1 && stats.scale_events >= 1) {
+      // The resize has returned; the backlog must still be there.
+      shrank_with_backlog = server.Stats().queue_depth > 0;
+      break;
+    }
+    if (stats.queue_depth == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(shrank_with_backlog);
+
+  server.WaitIdle();
+  EXPECT_EQ(server.Stats().completed, static_cast<uint64_t>(kBacklog));
   server.Stop();
 }
 
