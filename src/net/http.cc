@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace tsdm {
 
@@ -22,6 +24,36 @@ std::string Trim(const std::string& s) {
   if (b == std::string::npos) return "";
   size_t e = s.find_last_not_of(" \t");
   return s.substr(b, e - b + 1);
+}
+
+/// Offset of the value after `"key":` (blanks skipped) in a flat JSON
+/// object, or npos when the key or its value is absent.
+size_t JsonValueStart(const std::string& json, const std::string& key) {
+  const std::string quoted = "\"" + key + "\"";
+  size_t pos = json.find(quoted);
+  if (pos == std::string::npos) return pos;
+  pos = json.find_first_not_of(" \t", pos + quoted.size());
+  if (pos == std::string::npos || json[pos] != ':') return std::string::npos;
+  return json.find_first_not_of(" \t", pos + 1);
+}
+
+/// Reads an optional integer field into *out, which keeps its value when
+/// the key is absent. A number that is not integral or not in range for T
+/// is InvalidArgument, so the cast from the parsed double stays defined.
+template <typename T>
+Status ExtractJsonInteger(const std::string& json, const char* key, T* out) {
+  double v = 0;
+  if (!ExtractJsonNumber(json, key, &v)) return Status::OK();
+  // Both bounds are exact doubles: [-2^31, 2^31) for int, [0, 2^64) for
+  // uint64_t. NaN fails the first comparison.
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  if (!(v >= lo && v < hi) || v != std::trunc(v)) {
+    return Status::InvalidArgument(std::string("net: \"") + key +
+                                   "\" must be an integer in range");
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
 }
 
 bool TokenValid(const std::string& s) {
@@ -174,14 +206,8 @@ void WriteHttpResponse(int status_code, const std::string& content_type,
 
 bool ExtractJsonNumber(const std::string& json, const std::string& key,
                        double* out) {
-  const std::string quoted = "\"" + key + "\"";
-  size_t pos = json.find(quoted);
+  const size_t pos = JsonValueStart(json, key);
   if (pos == std::string::npos) return false;
-  pos += quoted.size();
-  while (pos < json.size() && (json[pos] == ' ' || json[pos] == '\t')) ++pos;
-  if (pos >= json.size() || json[pos] != ':') return false;
-  ++pos;
-  while (pos < json.size() && (json[pos] == ' ' || json[pos] == '\t')) ++pos;
   char* end = nullptr;
   const double v = std::strtod(json.c_str() + pos, &end);
   if (end == json.c_str() + pos) return false;
@@ -191,15 +217,8 @@ bool ExtractJsonNumber(const std::string& json, const std::string& key,
 
 bool ExtractJsonString(const std::string& json, const std::string& key,
                        std::string* out) {
-  const std::string quoted = "\"" + key + "\"";
-  size_t pos = json.find(quoted);
-  if (pos == std::string::npos) return false;
-  pos += quoted.size();
-  while (pos < json.size() && (json[pos] == ' ' || json[pos] == '\t')) ++pos;
-  if (pos >= json.size() || json[pos] != ':') return false;
-  ++pos;
-  while (pos < json.size() && (json[pos] == ' ' || json[pos] == '\t')) ++pos;
-  if (pos >= json.size() || json[pos] != '"') return false;
+  size_t pos = JsonValueStart(json, key);
+  if (pos == std::string::npos || json[pos] != '"') return false;
   ++pos;
   std::string value;
   while (pos < json.size() && json[pos] != '"') {
@@ -213,6 +232,29 @@ bool ExtractJsonString(const std::string& json, const std::string& key,
   if (pos >= json.size()) return false;  // unterminated string
   *out = std::move(value);
   return true;
+}
+
+Status DecodeHttpRouteQuery(const std::string& body, RouteQuery* out,
+                            int* priority, std::string* tenant,
+                            uint64_t* request_id) {
+  double v = 0;
+  if (!ExtractJsonNumber(body, "source", &v) ||
+      !ExtractJsonNumber(body, "target", &v)) {
+    return Status::InvalidArgument(
+        "net: body must be JSON with numeric source/target");
+  }
+  TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "source", &out->source));
+  TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "target", &out->target));
+  TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "k", &out->k));
+  TSDM_RETURN_IF_ERROR(
+      ExtractJsonInteger(body, "snapshot_id", &out->snapshot_id));
+  TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "priority", priority));
+  TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "request_id", request_id));
+  ExtractJsonNumber(body, "depart_seconds", &out->depart_seconds);
+  ExtractJsonNumber(body, "arrival_deadline_seconds",
+                    &out->arrival_deadline_seconds);
+  ExtractJsonString(body, "tenant", tenant);
+  return Status::OK();
 }
 
 void SplitTarget(const std::string& target, std::string* path,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/serve/request_queue.h"
 
 namespace tsdm {
 
@@ -94,6 +95,16 @@ bool ExtractJsonNumber(const std::string& json, const std::string& key,
 /// or its value is not a string.
 bool ExtractJsonString(const std::string& json, const std::string& key,
                        std::string* out);
+
+/// Decodes a POST /query body, the HTTP sibling of DecodeRouteQueryPayload:
+/// numeric "source" and "target" are required; "k", "depart_seconds",
+/// "arrival_deadline_seconds", "snapshot_id", "priority", "tenant" and
+/// "request_id" are optional and keep their defaults when absent.
+/// InvalidArgument when a required field is missing, or when an integer
+/// field holds a number that is not integral or out of range for its type.
+Status DecodeHttpRouteQuery(const std::string& body, RouteQuery* out,
+                            int* priority, std::string* tenant,
+                            uint64_t* request_id);
 
 /// Splits a request target at the first '?' into the path and the query
 /// string ("/debug/traces?n=5" -> path "/debug/traces", query "n=5"; no

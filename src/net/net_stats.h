@@ -17,13 +17,13 @@ struct NetStatsSnapshot {
   uint64_t connections_closed = 0;
   size_t connections_active = 0;
 
-  // Socket-layer admission control: overload shed *before* payload
-  // deserialization, by reason. conn_cap closes the connection at accept;
-  // queue_full and deadline answer a typed error frame without decoding
-  // the query payload.
+  // Socket-layer admission sheds, by reason. SocketServer documents which
+  // happen before the query is decoded and which come from Submit.
   uint64_t shed_conn_cap = 0;
   uint64_t shed_queue_full = 0;
   uint64_t shed_deadline = 0;
+  uint64_t shed_unavailable = 0;
+  uint64_t shed_closed = 0;
 
   // Binary protocol (aggregated over all connections' FrameParsers).
   NetFrameStats frames;
@@ -52,11 +52,13 @@ struct NetStatsSnapshot {
   uint64_t bytes_written = 0;
 
   /// Wire-level request latency: first byte of the request read ->
-  /// response fully handed to the kernel, for binary route queries.
+  /// response fully handed to the kernel, for admitted route queries on
+  /// both protocols (binary and POST /query).
   LatencyHistogram wire_latency;
 
   uint64_t ShedTotal() const {
-    return shed_conn_cap + shed_queue_full + shed_deadline;
+    return shed_conn_cap + shed_queue_full + shed_deadline + shed_unavailable +
+           shed_closed;
   }
   uint64_t HttpErrorsTotal() const {
     return http_bad_request + http_not_found + http_method_not_allowed +

@@ -52,8 +52,6 @@ bool SetNonBlocking(int fd) {
 /// All per-connection state. Owned by exactly one event loop after
 /// adoption; only that loop's thread touches it.
 struct SocketServer::Connection {
-  enum class Protocol { kUnknown, kBinary, kHttp };
-
   int fd = -1;
   uint64_t id = 0;
   int loop_index = 0;
@@ -425,12 +423,12 @@ void SocketServer::HandleReadable(EventLoop* loop, Connection* conn) {
       if (conn->request_start_ns == 0) {
         conn->request_start_ns = TraceRecorder::NowNs();
       }
-      if (conn->protocol == Connection::Protocol::kUnknown) {
+      if (conn->protocol == Protocol::kUnknown) {
         conn->protocol = (buf[0] == kNetFrameMagic)
-                             ? Connection::Protocol::kBinary
-                             : Connection::Protocol::kHttp;
+                             ? Protocol::kBinary
+                             : Protocol::kHttp;
       }
-      if (conn->protocol == Connection::Protocol::kBinary) {
+      if (conn->protocol == Protocol::kBinary) {
         std::vector<NetFrame> frames;
         const NetFrameStats before = conn->frames.stats();
         conn->frames.Consume(buf, static_cast<size_t>(n), &frames);
@@ -484,7 +482,7 @@ void SocketServer::ProcessBinaryFrames(EventLoop* loop, Connection* conn,
         break;
       }
       case NetOpcode::kRouteQuery:
-        SubmitWireQuery(conn, frame);
+        Admit(conn, &frame, nullptr);
         break;
       default: {
         rejected_bad_opcode_.fetch_add(1, std::memory_order_relaxed);
@@ -503,25 +501,34 @@ void SocketServer::ProcessBinaryFrames(EventLoop* loop, Connection* conn,
   if (!TryWrite(conn)) CloseConnection(loop, conn);
 }
 
-void SocketServer::SubmitWireQuery(Connection* conn, const NetFrame& frame) {
+// --- Route-query admission (both protocols) -------------------------------
+
+void SocketServer::Admit(Connection* conn, const NetFrame* frame,
+                         const std::string* body) {
+  const Protocol protocol = conn->protocol;
   const uint64_t now_ns = TraceRecorder::NowNs();
   const uint64_t start_ns =
       conn->request_start_ns != 0 ? conn->request_start_ns : now_ns;
+  RouteQuery query;
+  SubmitOptions submit;
+  if (frame != nullptr) submit.client_request_id = frame->request_id;
 
-  auto reject = [&](Status status, std::atomic<uint64_t>* counter) {
-    if (counter) counter->fetch_add(1, std::memory_order_relaxed);
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<uint8_t> payload;
-    EncodeErrorPayload(status, &payload);
+  // Answers on this loop thread: the query never reached the serve layer,
+  // so no callback will.
+  auto reject = [&](Status status, std::atomic<uint64_t>* shed) {
+    if (shed != nullptr) shed->fetch_add(1, std::memory_order_relaxed);
+    RouteAnswer answer;
+    answer.status = std::move(status);
+    answer.client_request_id = submit.client_request_id;
+    CountAnswer(protocol, answer.status);
     const size_t before = conn->out.size();
-    EncodeNetFrame(frame.request_id, NetOpcode::kError, payload.data(),
-                   payload.size(), &conn->out);
+    EncodeAnswer(protocol, answer, &conn->out);
     unflushed_bytes_.fetch_add(conn->out.size() - before,
                                std::memory_order_relaxed);
   };
 
-  // Socket-layer admission control — all three checks run BEFORE the query
-  // payload is deserialized, so a shed request costs framing only.
+  // These three run BEFORE the query is decoded, so a shed costs framing
+  // (or HTTP parsing) only.
   if (serve_ == nullptr) {
     reject(Status::FailedPrecondition("net: no serve backend"), nullptr);
     return;
@@ -540,18 +547,21 @@ void SocketServer::SubmitWireQuery(Connection* conn, const NetFrame& frame) {
     return;
   }
 
-  RouteQuery query;
-  int priority = 0;
-  std::string tenant;
-  Status parsed = DecodeRouteQueryPayload(
-      frame.payload.data(), frame.payload.size(), &query, &priority, &tenant);
-  if (!parsed.ok()) {
-    reject(std::move(parsed), nullptr);
+  Status decoded =
+      protocol == Protocol::kBinary
+          ? DecodeRouteQueryPayload(frame->payload.data(),
+                                    frame->payload.size(), &query,
+                                    &submit.priority, &submit.tenant_id)
+          : DecodeHttpRouteQuery(*body, &query, &submit.priority,
+                                 &submit.tenant_id, &submit.client_request_id);
+  if (decoded.ok()) decoded = CheckRouteQueryBounds(query);
+  if (!decoded.ok()) {
+    reject(std::move(decoded), nullptr);
     return;
   }
 
-  // Root the wire request's trace tree: net/request spans the whole wire
-  // lifetime; net/read covers first byte -> frame complete; serve/submit
+  // Root the request's trace tree: net/request spans its whole life on the
+  // socket; net/read covers first byte -> request complete; serve/submit
   // (and its subtree) attaches via SubmitOptions::trace_parent; net/write
   // closes the tree when the response goes out.
   uint64_t net_request_id = 0;
@@ -564,14 +574,9 @@ void SocketServer::SubmitWireQuery(Connection* conn, const NetFrame& frame) {
     TraceRecorder::Global().RecordSpan(
         "net/read", start_ns, now_ns,
         TraceContext{net_request_id, root_span_id},
-        static_cast<int64_t>(frame.request_id));
+        static_cast<int64_t>(submit.client_request_id));
   }
-
-  SubmitOptions submit;
   submit.queue_budget_seconds = options_.queue_budget_seconds;
-  submit.priority = priority;
-  submit.tenant_id = std::move(tenant);
-  submit.client_request_id = frame.request_id;
   submit.trace_parent = TraceContext{net_request_id, root_span_id};
 
   std::shared_ptr<CompletionRouter> router = router_;
@@ -581,37 +586,16 @@ void SocketServer::SubmitWireQuery(Connection* conn, const NetFrame& frame) {
   ++conn->in_flight;
 
   Status admitted = serve_->Submit(
-      query,
-      [router, loop_index, conn_id, start_ns, root_span_id,
+      std::move(query),
+      [router, protocol, loop_index, conn_id, start_ns, root_span_id,
        net_request_id](const RouteAnswer& answer) {
         // Serve-worker thread: encode here, ship bytes to the owning loop.
-        Completion item;
-        item.conn_id = conn_id;
-        item.start_ns = start_ns;
-        item.root_span_id = root_span_id;
-        item.net_request_id = net_request_id;
-        if (answer.status.ok()) {
-          std::vector<uint8_t> payload;
-          EncodeRouteAnswerPayload(answer, &payload);
-          EncodeNetFrame(answer.client_request_id, NetOpcode::kRouteAnswer,
-                         payload.data(), payload.size(), &item.bytes);
-        } else {
-          std::vector<uint8_t> payload;
-          EncodeErrorPayload(answer.status, &payload);
-          EncodeNetFrame(answer.client_request_id, NetOpcode::kError,
-                         payload.data(), payload.size(), &item.bytes);
-        }
-        const bool ok = answer.status.ok();
+        Completion item{conn_id, {}, start_ns, root_span_id, net_request_id};
+        EncodeAnswer(protocol, answer, &item.bytes);
         {
           std::lock_guard<std::mutex> lock(router->mu);
           if (router->server != nullptr) {
-            if (ok) {
-              router->server->queries_answered_.fetch_add(
-                  1, std::memory_order_relaxed);
-            } else {
-              router->server->queries_failed_.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
+            router->server->CountAnswer(protocol, answer.status);
             router->server->PostCompletion(loop_index, std::move(item));
           } else {
             router->dropped.fetch_add(1, std::memory_order_relaxed);
@@ -620,14 +604,72 @@ void SocketServer::SubmitWireQuery(Connection* conn, const NetFrame& frame) {
         router->in_flight.fetch_sub(1, std::memory_order_acq_rel);
       },
       submit);
+  if (admitted.ok()) return;
 
-  if (!admitted.ok()) {
-    // Shed at the serve queue between the QueueFull probe and Push — the
-    // callback was not retained, answer inline.
-    router->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    --conn->in_flight;
-    reject(std::move(admitted), &shed_queue_full_);
+  // Shed by the service itself: the callback was not retained. The reason
+  // comes from the status code, never from its message.
+  router->in_flight.fetch_sub(1, std::memory_order_acq_rel);
+  --conn->in_flight;
+  const StatusCode code = admitted.code();
+  reject(std::move(admitted),
+         code == StatusCode::kResourceExhausted    ? &shed_queue_full_
+         : code == StatusCode::kUnavailable        ? &shed_unavailable_
+         : code == StatusCode::kFailedPrecondition ? &shed_closed_
+                                                   : nullptr);
+}
+
+void SocketServer::EncodeAnswer(Protocol protocol, const RouteAnswer& answer,
+                                std::vector<uint8_t>* out) {
+  const bool ok = answer.status.ok();
+  if (protocol == Protocol::kBinary) {
+    std::vector<uint8_t> payload;
+    if (ok) {
+      EncodeRouteAnswerPayload(answer, &payload);
+    } else {
+      EncodeErrorPayload(answer.status, &payload);
+    }
+    EncodeNetFrame(answer.client_request_id,
+                   ok ? NetOpcode::kRouteAnswer : NetOpcode::kError,
+                   payload.data(), payload.size(), out);
+    return;
   }
+  std::ostringstream body;
+  if (ok) {
+    body << "{\"status\":\"ok\",\"code\":0"
+         << ",\"cost_mean_seconds\":" << JsonNumber(answer.cost_mean_seconds)
+         << ",\"on_time_probability\":"
+         << JsonNumber(answer.on_time_probability)
+         << ",\"num_candidates\":" << answer.num_candidates
+         << ",\"request_id\":" << answer.client_request_id
+         << ",\"route_edges\":[";
+    for (size_t i = 0; i < answer.route.edges.size(); ++i) {
+      if (i) body << ",";
+      body << answer.route.edges[i];
+    }
+    body << "]}";
+  } else {
+    body << "{\"status\":\"error\",\"code\":"
+         << static_cast<int>(answer.status.code()) << ",\"message\":\""
+         << JsonEscape(answer.status.message()) << "\",\"request_id\":"
+         << answer.client_request_id << "}";
+  }
+  const int code = ok ? 200
+                   : answer.status.code() == StatusCode::kInvalidArgument
+                       ? 400
+                       : 503;
+  WriteHttpResponse(code, "application/json", body.str(), out);
+}
+
+void SocketServer::CountAnswer(Protocol protocol, const Status& status) {
+  std::atomic<uint64_t>* counter = nullptr;
+  if (protocol == Protocol::kBinary) {
+    counter = status.ok() ? &queries_answered_ : &queries_failed_;
+  } else if (status.ok()) {
+    counter = &http_query_;
+  } else if (status.code() == StatusCode::kInvalidArgument) {
+    counter = &http_bad_request_;
+  }
+  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
 }
 
 void SocketServer::ApplyCompletion(EventLoop* loop, Completion* item) {
@@ -673,20 +715,13 @@ void SocketServer::ProcessHttp(EventLoop* loop, Connection* conn) {
     const HttpParser::Result r = conn->http.Next(&req);
     if (r == HttpParser::Result::kNeedMore) return;
     if (r == HttpParser::Result::kBadRequest) {
-      http_bad_request_.fetch_add(1, std::memory_order_relaxed);
-      const size_t before = conn->out.size();
-      WriteHttpResponse(400, "text/plain", "bad request\n", &conn->out);
-      unflushed_bytes_.fetch_add(conn->out.size() - before,
-                                 std::memory_order_relaxed);
+      Respond(conn, &http_bad_request_, 400, "text/plain", "bad request\n");
       conn->close_after_write = true;
       break;
     }
     if (r == HttpParser::Result::kTooLarge) {
-      http_too_large_.fetch_add(1, std::memory_order_relaxed);
-      const size_t before = conn->out.size();
-      WriteHttpResponse(431, "text/plain", "request too large\n", &conn->out);
-      unflushed_bytes_.fetch_add(conn->out.size() - before,
-                                 std::memory_order_relaxed);
+      Respond(conn, &http_too_large_, 431, "text/plain",
+              "request too large\n");
       conn->close_after_write = true;
       break;
     }
@@ -703,224 +738,71 @@ void SocketServer::ProcessHttp(EventLoop* loop, Connection* conn) {
   MaybeClose(loop, conn);
 }
 
-void SocketServer::ServeHttpRequest(Connection* conn, const HttpRequest& req) {
-  auto respond = [&](int code, const std::string& type,
-                     const std::string& body) {
-    const size_t before = conn->out.size();
-    WriteHttpResponse(code, type, body, &conn->out);
-    unflushed_bytes_.fetch_add(conn->out.size() - before,
-                               std::memory_order_relaxed);
-  };
+void SocketServer::Respond(Connection* conn, std::atomic<uint64_t>* counter,
+                           int code, const std::string& type,
+                           const std::string& body) {
+  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+  const size_t before = conn->out.size();
+  WriteHttpResponse(code, type, body, &conn->out);
+  unflushed_bytes_.fetch_add(conn->out.size() - before,
+                             std::memory_order_relaxed);
+}
 
+void SocketServer::ServeHttpRequest(Connection* conn, const HttpRequest& req) {
   // Endpoints route on the path; the query string (everything after '?')
   // only matters to the /debug endpoints and is bounded before parsing.
   std::string path, query;
   SplitTarget(req.target, &path, &query);
+  if (path != "/metrics" && path != "/health" && path != "/debug/traces" &&
+      path != "/debug/flight" && path != "/query") {
+    Respond(conn, &http_not_found_, 404, "text/plain", "not found\n");
+    return;
+  }
+  // POST /query is the one endpoint that is not a GET.
+  if (req.method != (path == "/query" ? "POST" : "GET")) {
+    Respond(conn, &http_method_not_allowed_, 405, "text/plain",
+            "method not allowed\n");
+    return;
+  }
 
-  if (path == "/metrics") {
-    if (req.method != "GET") {
-      http_method_not_allowed_.fetch_add(1, std::memory_order_relaxed);
-      respond(405, "text/plain", "method not allowed\n");
-      return;
-    }
-    http_metrics_.fetch_add(1, std::memory_order_relaxed);
-    respond(200, "text/plain; version=0.0.4",
-            MetricsExporter::ExportPrometheus());
-    return;
-  }
-  if (path == "/health") {
-    if (req.method != "GET") {
-      http_method_not_allowed_.fetch_add(1, std::memory_order_relaxed);
-      respond(405, "text/plain", "method not allowed\n");
-      return;
-    }
-    http_health_.fetch_add(1, std::memory_order_relaxed);
-    const HealthSnapshot snapshot =
-        options_.health_source ? options_.health_source() : HealthSnapshot();
-    respond(200, "application/json", MetricsExporter::HealthToJson(snapshot));
-    return;
-  }
-  if (path == "/debug/traces") {
-    if (req.method != "GET") {
-      http_method_not_allowed_.fetch_add(1, std::memory_order_relaxed);
-      respond(405, "text/plain", "method not allowed\n");
-      return;
-    }
-    if (query.size() > kMaxDebugQueryBytes) {
-      http_bad_request_.fetch_add(1, std::memory_order_relaxed);
-      respond(400, "text/plain", "query string too long\n");
-      return;
-    }
-    uint64_t n = kDefaultDebugTraces;
-    switch (ParseQueryParamU64(query, "n", &n)) {
-      case QueryParamResult::kBad:
-        http_bad_request_.fetch_add(1, std::memory_order_relaxed);
-        respond(400, "text/plain", "bad query parameter: n\n");
-        return;
-      case QueryParamResult::kOk:
-        if (n == 0 || n > kMaxDebugTraces) {
-          http_bad_request_.fetch_add(1, std::memory_order_relaxed);
-          respond(400, "text/plain",
-                  "bad query parameter: n must be in [1, " +
-                      std::to_string(kMaxDebugTraces) + "]\n");
-          return;
-        }
-        break;
-      case QueryParamResult::kAbsent:
-        break;
-    }
-    http_debug_traces_.fetch_add(1, std::memory_order_relaxed);
-    respond(200, "application/json",
-            FlightRecorder::Global().ToChromeTraceJson(
-                static_cast<size_t>(n)));
-    return;
-  }
-  if (path == "/debug/flight") {
-    if (req.method != "GET") {
-      http_method_not_allowed_.fetch_add(1, std::memory_order_relaxed);
-      respond(405, "text/plain", "method not allowed\n");
-      return;
-    }
-    std::string dump = FlightRecorder::Global().LatestDumpJson();
-    if (dump.empty()) {
-      http_not_found_.fetch_add(1, std::memory_order_relaxed);
-      respond(404, "text/plain", "no flight dump\n");
-      return;
-    }
-    http_debug_flight_.fetch_add(1, std::memory_order_relaxed);
-    respond(200, "application/json", dump);
-    return;
-  }
   if (path == "/query") {
-    if (req.method != "POST") {
-      http_method_not_allowed_.fetch_add(1, std::memory_order_relaxed);
-      respond(405, "text/plain", "method not allowed\n");
-      return;
+    Admit(conn, nullptr, &req.body);
+  } else if (path == "/metrics") {
+    // Counted before the export, so the scrape includes itself.
+    http_metrics_.fetch_add(1, std::memory_order_relaxed);
+    Respond(conn, nullptr, 200, "text/plain; version=0.0.4",
+            MetricsExporter::ExportPrometheus());
+  } else if (path == "/health") {
+    Respond(conn, &http_health_, 200, "application/json",
+            MetricsExporter::HealthToJson(options_.health_source
+                                              ? options_.health_source()
+                                              : HealthSnapshot()));
+  } else if (path == "/debug/flight") {
+    const std::string dump = FlightRecorder::Global().LatestDumpJson();
+    if (dump.empty()) {
+      Respond(conn, &http_not_found_, 404, "text/plain", "no flight dump\n");
+    } else {
+      Respond(conn, &http_debug_flight_, 200, "application/json", dump);
     }
-    const Status submitted = SubmitHttpQuery(conn, req);
-    if (!submitted.ok()) {
-      const int code =
-          submitted.code() == StatusCode::kInvalidArgument ? 400 : 503;
-      if (code == 400) {
-        http_bad_request_.fetch_add(1, std::memory_order_relaxed);
-      }
-      respond(code, "application/json",
-              "{\"status\":\"error\",\"code\":" +
-                  std::to_string(static_cast<int>(submitted.code())) +
-                  ",\"message\":\"" + JsonEscape(submitted.message()) +
-                  "\"}");
+  } else {  // /debug/traces
+    uint64_t n = kDefaultDebugTraces;
+    std::string bad;
+    if (query.size() > kMaxDebugQueryBytes) {
+      bad = "query string too long\n";
+    } else if (ParseQueryParamU64(query, "n", &n) == QueryParamResult::kBad) {
+      bad = "bad query parameter: n\n";
+    } else if (n == 0 || n > kMaxDebugTraces) {
+      bad = "bad query parameter: n must be in [1, " +
+            std::to_string(kMaxDebugTraces) + "]\n";
     }
-    return;
+    if (!bad.empty()) {
+      Respond(conn, &http_bad_request_, 400, "text/plain", bad);
+    } else {
+      Respond(conn, &http_debug_traces_, 200, "application/json",
+              FlightRecorder::Global().ToChromeTraceJson(
+                  static_cast<size_t>(n)));
+    }
   }
-  http_not_found_.fetch_add(1, std::memory_order_relaxed);
-  respond(404, "text/plain", "not found\n");
-}
-
-Status SocketServer::SubmitHttpQuery(Connection* conn,
-                                     const HttpRequest& req) {
-  if (serve_ == nullptr) {
-    return Status::FailedPrecondition("net: no serve backend");
-  }
-  // Queue-full probe before the body is parsed — the HTTP arm of
-  // shed-before-deserialize.
-  if (serve_->QueueFull()) {
-    shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted("net: serve queue full");
-  }
-  double source = 0, target = 0;
-  if (!ExtractJsonNumber(req.body, "source", &source) ||
-      !ExtractJsonNumber(req.body, "target", &target)) {
-    return Status::InvalidArgument(
-        "net: body must be JSON with numeric source/target");
-  }
-  RouteQuery query;
-  query.source = static_cast<int>(source);
-  query.target = static_cast<int>(target);
-  double v = 0;
-  if (ExtractJsonNumber(req.body, "k", &v)) query.k = static_cast<int>(v);
-  if (ExtractJsonNumber(req.body, "depart_seconds", &v)) {
-    query.depart_seconds = v;
-  }
-  if (ExtractJsonNumber(req.body, "arrival_deadline_seconds", &v)) {
-    query.arrival_deadline_seconds = v;
-  }
-  if (ExtractJsonNumber(req.body, "snapshot_id", &v)) {
-    query.snapshot_id = static_cast<int>(v);
-  }
-  uint64_t client_request_id = 0;
-  if (ExtractJsonNumber(req.body, "request_id", &v) && v >= 0) {
-    client_request_id = static_cast<uint64_t>(v);
-  }
-
-  SubmitOptions submit;
-  submit.queue_budget_seconds = options_.queue_budget_seconds;
-  if (ExtractJsonNumber(req.body, "priority", &v)) {
-    submit.priority = static_cast<int>(v);
-  }
-  ExtractJsonString(req.body, "tenant", &submit.tenant_id);
-  submit.client_request_id = client_request_id;
-
-  std::shared_ptr<CompletionRouter> router = router_;
-  const int loop_index = conn->loop_index;
-  const uint64_t conn_id = conn->id;
-  const uint64_t start_ns =
-      conn->request_start_ns != 0 ? conn->request_start_ns
-                                  : TraceRecorder::NowNs();
-  router->in_flight.fetch_add(1, std::memory_order_acq_rel);
-  ++conn->in_flight;
-
-  Status admitted = serve_->Submit(
-      query,
-      [router, loop_index, conn_id, start_ns](const RouteAnswer& answer) {
-        std::ostringstream body;
-        if (answer.status.ok()) {
-          body << "{\"status\":\"ok\",\"code\":0"
-               << ",\"cost_mean_seconds\":"
-               << JsonNumber(answer.cost_mean_seconds)
-               << ",\"on_time_probability\":"
-               << JsonNumber(answer.on_time_probability)
-               << ",\"num_candidates\":" << answer.num_candidates
-               << ",\"request_id\":" << answer.client_request_id
-               << ",\"route_edges\":[";
-          for (size_t i = 0; i < answer.route.edges.size(); ++i) {
-            if (i) body << ",";
-            body << answer.route.edges[i];
-          }
-          body << "]}";
-        } else {
-          body << "{\"status\":\"error\",\"code\":"
-               << static_cast<int>(answer.status.code()) << ",\"message\":\""
-               << JsonEscape(answer.status.message()) << "\",\"request_id\":"
-               << answer.client_request_id << "}";
-        }
-        Completion item;
-        item.conn_id = conn_id;
-        item.start_ns = start_ns;
-        const int code = answer.status.ok() ? 200 : 503;
-        WriteHttpResponse(code, "application/json", body.str(), &item.bytes);
-        const bool ok = answer.status.ok();
-        {
-          std::lock_guard<std::mutex> lock(router->mu);
-          if (router->server != nullptr) {
-            if (ok) {
-              router->server->http_query_.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            router->server->PostCompletion(loop_index, std::move(item));
-          } else {
-            router->dropped.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        router->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      },
-      submit);
-
-  if (!admitted.ok()) {
-    router->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    --conn->in_flight;
-    shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return admitted;
 }
 
 // --- Stats / metrics ------------------------------------------------------
@@ -934,6 +816,8 @@ NetStatsSnapshot SocketServer::Stats() const {
   s.shed_conn_cap = shed_conn_cap_.load(std::memory_order_relaxed);
   s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
   s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
+  s.shed_unavailable = shed_unavailable_.load(std::memory_order_relaxed);
+  s.shed_closed = shed_closed_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < std::size(kFrameStatsCounters); ++i) {
     s.frames.*kFrameStatsCounters[i] =
         frame_counters_[i].load(std::memory_order_relaxed);

@@ -43,21 +43,23 @@ namespace tsdm {
 /// wake), which writes it out on the loop thread — the socket is never
 /// written from two threads.
 ///
-/// Admission control extends to the socket layer, and every shed happens
-/// BEFORE the query payload is deserialized:
-///   conn_cap    accept-time: at max_connections the new socket is closed;
-///   queue_full  frame-time: QueryService::QueueFull() probe fails — a typed
-///               kError(ResourceExhausted) frame answers the request id
-///               without decoding its payload;
-///   deadline    frame-time: the frame completed more than
-///               admission_deadline_seconds after its first byte arrived —
-///               the client has likely given up; same typed error answer.
-/// Sheds are counted by reason and exported as tsdm_net_sheds_total.
+/// Admission control extends to the socket layer: both protocols admit a
+/// route query through one path (Admit). A shed answers a typed error
+/// frame or a 503 and is counted by reason (tsdm_net_sheds_total):
+///   conn_cap     at accept, past max_connections: the socket is closed;
+///   deadline     before decode: the request took more than
+///                admission_deadline_seconds from first to last byte;
+///   queue_full   before decode when QueueFull() (nothing can admit), or
+///                Submit returned ResourceExhausted (owner full, quota);
+///   unavailable  Submit returned Unavailable (owning shard stopped);
+///   closed       Submit returned FailedPrecondition (service stopped).
+/// A query that fails to decode or CheckRouteQueryBounds is answered
+/// InvalidArgument (HTTP 400), not shed.
 ///
-/// Tracing: each binary route query roots a `net/request` span (request id
-/// namespaced with the high bit: (1<<63) | counter) with children
-/// `net/read` (first byte -> frame complete), the serve layer's own
-/// `serve/submit` subtree (linked via SubmitOptions::trace_parent), and
+/// Tracing: each route query, on either protocol, roots a `net/request`
+/// span (request id namespaced with the high bit: (1<<63) | counter) with
+/// children `net/read` (first byte -> request complete), the serve layer's
+/// own `serve/submit` subtree (linked via SubmitOptions::trace_parent), and
 /// `net/write` (completion applied -> bytes handed to the kernel).
 class SocketServer {
  public:
@@ -70,11 +72,11 @@ class SocketServer {
     /// Accept-time connection cap; above it new sockets are closed
     /// immediately (shed_conn_cap).
     size_t max_connections = 256;
-    /// Queue budget handed to SubmitOptions for wire queries.
+    /// Queue budget handed to SubmitOptions for route queries.
     double queue_budget_seconds = 0.25;
-    /// Frame-time admission deadline: a route-query frame whose last byte
-    /// arrives more than this after its first byte is shed before its
-    /// payload is decoded (<= 0 disables).
+    /// Admission deadline: a route query (frame or POST /query) whose last
+    /// byte arrives more than this after its first byte is shed before it
+    /// is decoded (<= 0 disables).
     double admission_deadline_seconds = 0.0;
     /// Snapshot for GET /health; when unset the endpoint serves a default
     /// (empty) HealthSnapshot.
@@ -113,6 +115,7 @@ class SocketServer {
   NetStatsSnapshot Stats() const;
 
  private:
+  enum class Protocol { kUnknown, kBinary, kHttp };
   struct Connection;
   struct EventLoop;
   /// An encoded response crossing from a serve worker (or another loop)
@@ -150,9 +153,19 @@ class SocketServer {
                            std::vector<NetFrame>* frames);
   void ProcessHttp(EventLoop* loop, Connection* conn);
   void ServeHttpRequest(Connection* conn, const HttpRequest& req);
-  /// Submits a wire route query; writes a typed error frame on rejection.
-  void SubmitWireQuery(Connection* conn, const NetFrame& frame);
-  Status SubmitHttpQuery(Connection* conn, const HttpRequest& req);
+  /// Counts (when counter != nullptr) and writes one HTTP response.
+  void Respond(Connection* conn, std::atomic<uint64_t>* counter, int code,
+               const std::string& type, const std::string& body);
+  /// The one admission path for a route query on conn->protocol: `frame`
+  /// carries a binary query, `body` a POST /query body.
+  void Admit(Connection* conn, const NetFrame* frame, const std::string* body);
+  /// Appends a kRouteAnswer or kError frame, or a JSON HTTP response (200,
+  /// 400 for InvalidArgument, 503 otherwise).
+  static void EncodeAnswer(Protocol protocol, const RouteAnswer& answer,
+                           std::vector<uint8_t>* out);
+  /// Counts a finished query: queries_answered/queries_failed for binary,
+  /// http_query/http_bad_request for HTTP.
+  void CountAnswer(Protocol protocol, const Status& status);
 
   void PostCompletion(int loop_index, Completion item);
   void ApplyCompletion(EventLoop* loop, Completion* item);
@@ -181,6 +194,8 @@ class SocketServer {
   std::atomic<uint64_t> shed_conn_cap_{0};
   std::atomic<uint64_t> shed_queue_full_{0};
   std::atomic<uint64_t> shed_deadline_{0};
+  std::atomic<uint64_t> shed_unavailable_{0};
+  std::atomic<uint64_t> shed_closed_{0};
   /// All connections' FrameParser counters, one per kFrameStatsCounters.
   std::atomic<uint64_t> frame_counters_[std::size(kFrameStatsCounters)]{};
   std::atomic<uint64_t> rejected_bad_opcode_{0};

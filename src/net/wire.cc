@@ -1,6 +1,7 @@
 #include "src/net/wire.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "src/common/bytes.h"
@@ -85,6 +86,20 @@ Status DecodeRouteQueryPayload(const uint8_t* payload, size_t size,
     tenant->assign(
         reinterpret_cast<const char*>(payload + kRouteQueryPayloadSize + 2),
         tenant_len);
+  }
+  return Status::OK();
+}
+
+Status CheckRouteQueryBounds(const RouteQuery& query) {
+  if (query.k < 1 || query.k > kMaxQueryK) {
+    return Status::InvalidArgument("net: k is " + std::to_string(query.k) +
+                                   ", want [1, " + std::to_string(kMaxQueryK) +
+                                   "]");
+  }
+  if (!std::isfinite(query.depart_seconds) ||
+      !std::isfinite(query.arrival_deadline_seconds)) {
+    return Status::InvalidArgument(
+        "net: depart_seconds and arrival_deadline_seconds must be finite");
   }
   return Status::OK();
 }

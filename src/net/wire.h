@@ -111,6 +111,17 @@ Status DecodeRouteQueryPayload(const uint8_t* payload, size_t size,
                                RouteQuery* out, int* priority = nullptr,
                                std::string* tenant = nullptr);
 
+/// Largest candidate count a remote query may ask for. Yen's cost grows
+/// faster than linearly in k, so an unbounded k lets one request pin a
+/// worker (or, for a scattered query, a socket event loop) for minutes.
+inline constexpr int kMaxQueryK = 64;
+
+/// The bounds every route query from outside input must satisfy, whatever
+/// protocol carried it: k in [1, kMaxQueryK] and finite departure and
+/// deadline times (a non-finite time has no departure bucket).
+/// InvalidArgument otherwise.
+Status CheckRouteQueryBounds(const RouteQuery& query);
+
 /// kRouteAnswer payload:
 ///   u8 status code | f64 cost_mean_seconds | f64 on_time_probability |
 ///   i32 num_candidates | u32 edge count N | u32 edge id x N

@@ -528,8 +528,7 @@ MetricSet MetricsExporter::Describe(const FlightStatsSnapshot& s) {
 MetricSet MetricsExporter::Describe(const NetStatsSnapshot& s) {
   static constexpr MetricFamily kSheds{
       "net_sheds_total", kCounter,
-      "Wire requests shed by socket-layer admission control BEFORE "
-      "payload deserialization, by reason."};
+      "Requests shed by socket-layer admission control, by reason."};
   static constexpr MetricFamily kRejected{
       "net_frames_rejected_total", kCounter,
       "Binary frames rejected, by reason."};
@@ -554,6 +553,8 @@ MetricSet MetricsExporter::Describe(const NetStatsSnapshot& s) {
   m.Add("conn_cap", s.shed_conn_cap, kSheds, {"reason", "conn_cap"});
   m.Add("queue_full", s.shed_queue_full, kSheds, {"reason", "queue_full"});
   m.Add("deadline", s.shed_deadline, kSheds, {"reason", "deadline"});
+  m.Add("unavailable", s.shed_unavailable, kSheds, {"reason", "unavailable"});
+  m.Add("closed", s.shed_closed, kSheds, {"reason", "closed"});
   m.Add("total", s.ShedTotal());
   m.Close();
   m.Open("frames");

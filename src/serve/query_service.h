@@ -58,7 +58,8 @@ class QueryService {
   virtual ~QueryService() = default;
 
   /// Admission control: OK means `on_done` will be called exactly once;
-  /// a shed returns ResourceExhausted (queue full) or FailedPrecondition
+  /// a shed returns ResourceExhausted (queue full or tenant at quota),
+  /// Unavailable (the owning shard is stopped) or FailedPrecondition
   /// (stopped) immediately and `on_done` is NOT retained.
   virtual Status Submit(RouteQuery query,
                         std::function<void(const RouteAnswer&)> on_done,
@@ -68,8 +69,8 @@ class QueryService {
     return Submit(std::move(query), std::move(on_done), SubmitOptions());
   }
 
-  /// True when the admission path is at capacity — the cheap socket-layer
-  /// probe for shedding a wire request before its payload is even decoded.
+  /// True when no query can be admitted anywhere — the cheap socket-layer
+  /// probe for shedding a request before its payload is even decoded.
   virtual bool QueueFull() const = 0;
 
   /// One coherent stats snapshot. For a router this is the fleet

@@ -178,22 +178,27 @@ Status ShardRouter::Submit(RouteQuery query,
   const int source_owner = placeable ? OwnerOfNode(query.source) : 0;
   const int target_owner = placeable ? OwnerOfNode(query.target) : 0;
 
+  // Rejected before any shard saw it: on_done is not retained, so the
+  // synthesized answer is the request's only terminal record.
+  auto reject = [&](Status st, int shard) {
+    if (FlightRecorder::Enabled()) {
+      RouteAnswer dead;
+      dead.status = st;
+      dead.client_request_id = options.client_request_id;
+      dead.tenant_id =
+          options.tenant_id.empty() ? "default" : options.tenant_id;
+      FlightRecorder::MaybeComplete(ctx.request_id, shard, dead);
+    }
+    return st;
+  };
+
   if (source_owner == target_owner) {
+    // Forwarded: admission is the owning shard's typed Push result alone.
     const int s = source_owner;
     if (shard_stopped_[s].load(std::memory_order_acquire)) {
-      Status st = Status::Unavailable("shard: shard " + std::to_string(s) +
-                                      " is stopped");
-      // Rejected before any shard saw it: on_done is not retained, so this
-      // synthesized answer is the request's only terminal record.
-      if (FlightRecorder::Enabled()) {
-        RouteAnswer dead;
-        dead.status = st;
-        dead.client_request_id = options.client_request_id;
-        dead.tenant_id =
-            options.tenant_id.empty() ? "default" : options.tenant_id;
-        FlightRecorder::MaybeComplete(ctx.request_id, s, dead);
-      }
-      return st;
+      return reject(Status::Unavailable("shard: shard " + std::to_string(s) +
+                                        " is stopped"),
+                    s);
     }
     TraceSpan forward("shard/forward", ctx, s);
     SubmitOptions inner = options;
@@ -210,6 +215,16 @@ Status ShardRouter::Submit(RouteQuery query,
     return st;
   }
 
+  // A scatter may probe any shard, and which ones is known only after Yen
+  // has run: shed it up front while any shard's queue is full.
+  for (int s = 0; s < num_shards(); ++s) {
+    if (shards_[static_cast<size_t>(s)]->QueueFull()) {
+      return reject(Status::ResourceExhausted(
+                        "shard: shard " + std::to_string(s) +
+                        " queue full, scatter shed"),
+                    -1);
+    }
+  }
   SubmitOptions caller = options;
   caller.shard = -1;
   Scatter(std::move(query), std::move(on_done), caller, ctx);
@@ -487,9 +502,9 @@ void ShardRouter::Merge(const std::shared_ptr<ScatterState>& state) {
 
 bool ShardRouter::QueueFull() const {
   for (const auto& shard : shards_) {
-    if (shard->QueueFull()) return true;
+    if (!shard->QueueFull()) return false;
   }
-  return false;
+  return true;
 }
 
 ServeStatsSnapshot ShardRouter::Stats() const { return ShardStats().Aggregate(); }

@@ -111,8 +111,10 @@ class ShardRouter : public QueryService {
                 std::function<void(const RouteAnswer&)> on_done,
                 const SubmitOptions& options) override;
 
-  /// True when any member shard's admission queue is full — conservative,
-  /// because a scatter may need every shard.
+  /// True when no member shard can admit: every shard's queue is full.
+  /// Which shard a query needs is decided in Submit, where a forwarded
+  /// query meets its owner's typed Push result and a scatter is shed while
+  /// any shard is full.
   bool QueueFull() const override;
 
   /// Fleet aggregate (ShardStats().Aggregate()).

@@ -413,6 +413,8 @@ NetStatsSnapshot MakeNet() {
   s.shed_conn_cap = 3;
   s.shed_queue_full = 4;
   s.shed_deadline = 5;
+  s.shed_unavailable = 22;
+  s.shed_closed = 23;
   s.frames.bytes_consumed = 9000;
   s.frames.frames_accepted = 300;
   s.frames.rejected_bad_length = 6;
@@ -817,7 +819,8 @@ TEST(MetricsExporterTest, GoldenNetJson) {
       MetricsExporter::NetToJson(MakeNet()),
       "{\"schema_version\":1,\"net\":{\"connections\":{\"accepted\":31,"
       "\"closed\":29,\"active\":2},\"sheds\":{\"conn_cap\":3,\"queue_full\":4,"
-      "\"deadline\":5,\"total\":12},\"frames\":{\"bytes_consumed\":9000,"
+      "\"deadline\":5,\"unavailable\":22,\"closed\":23,\"total\":57},"
+      "\"frames\":{\"bytes_consumed\":9000,"
       "\"accepted\":300,\"rejected\":{\"bad_length\":6,\"bad_crc\":7,"
       "\"bad_opcode\":9},\"resync_bytes\":8},\"queries_answered\":280,"
       "\"queries_failed\":10,\"pings\":11,\"http\":{\"metrics\":12,"
@@ -838,12 +841,14 @@ TEST(MetricsExporterTest, GoldenNetPrometheus) {
       "# HELP tsdm_net_connections_active Currently open connections.\n"
       "# TYPE tsdm_net_connections_active gauge\n"
       "tsdm_net_connections_active 2\n"
-      "# HELP tsdm_net_sheds_total Wire requests shed by socket-layer "
-      "admission control BEFORE payload deserialization, by reason.\n"
+      "# HELP tsdm_net_sheds_total Requests shed by socket-layer admission "
+      "control, by reason.\n"
       "# TYPE tsdm_net_sheds_total counter\n"
       "tsdm_net_sheds_total{reason=\"conn_cap\"} 3\n"
       "tsdm_net_sheds_total{reason=\"queue_full\"} 4\n"
       "tsdm_net_sheds_total{reason=\"deadline\"} 5\n"
+      "tsdm_net_sheds_total{reason=\"unavailable\"} 22\n"
+      "tsdm_net_sheds_total{reason=\"closed\"} 23\n"
       "# HELP tsdm_net_frames_accepted_total Binary frames accepted by the "
       "parser.\n"
       "# TYPE tsdm_net_frames_accepted_total counter\n"

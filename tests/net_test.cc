@@ -14,9 +14,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <sys/time.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +32,7 @@
 #include "src/obs/metrics_export.h"
 #include "src/obs/trace.h"
 #include "src/serve/query_server.h"
+#include "src/shard/shard_router.h"
 #include "src/sim/road_gen.h"
 #include "src/sim/traffic_sim.h"
 
@@ -89,6 +94,99 @@ struct NetFixture {
     return q;
   }
 };
+
+/// A raw loopback connection whose reads give up after `timeout_seconds`:
+/// the watchdog for requests that must be answered promptly, so a request
+/// that pins a worker fails the test instead of hanging it.
+class TimedConnection {
+ public:
+  TimedConnection(uint16_t port, int timeout_seconds)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    timeval tv{timeout_seconds, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  ~TimedConnection() { ::close(fd_); }
+
+  bool connected() const { return connected_; }
+  bool Send(const std::string& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+  bool SendQuery(uint64_t id, const RouteQuery& query) {
+    std::vector<uint8_t> payload;
+    EncodeRouteQueryPayload(query, &payload);
+    std::vector<uint8_t> frame;
+    EncodeNetFrame(id, NetOpcode::kRouteQuery, payload.data(), payload.size(),
+                   &frame);
+    return Send(std::string(frame.begin(), frame.end()));
+  }
+  /// The next wire frame; false on timeout or close.
+  bool ReceiveFrame(NetFrame* out) {
+    while (frames_.empty()) {
+      uint8_t buf[4096];
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return false;
+      parser_.Consume(buf, static_cast<size_t>(n), &frames_);
+    }
+    *out = std::move(frames_.front());
+    frames_.erase(frames_.begin());
+    return true;
+  }
+  /// Everything until the server closes the connection or the timeout.
+  std::string ReceiveAll() {
+    std::string all;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd_, buf, sizeof(buf), 0)) > 0) {
+      all.append(buf, static_cast<size_t>(n));
+    }
+    return all;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  FrameParser parser_;
+  std::vector<NetFrame> frames_;
+};
+
+std::string HttpQueryRequest(const std::string& body) {
+  return "POST /query HTTP/1.1\r\nHost: x\r\nContent-Type: "
+         "application/json\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
+         body;
+}
+
+/// POSTs `body` to /query under a 10 s watchdog; the HTTP status, or 0 when
+/// no answer came in time.
+int TimedHttpQuery(uint16_t port, const std::string& body) {
+  TimedConnection conn(port, 10);
+  if (!conn.connected() || !conn.Send(HttpQueryRequest(body))) return 0;
+  const std::string response = conn.ReceiveAll();
+  return response.rfind("HTTP/1.1 ", 0) == 0 ? std::atoi(response.c_str() + 9)
+                                             : 0;
+}
+
+std::string QueryBody(const RouteQuery& q, const std::string& extra = "") {
+  return "{\"source\": " + std::to_string(q.source) +
+         ", \"target\": " + std::to_string(q.target) + ", \"k\": " +
+         std::to_string(q.k) + ", \"depart_seconds\": 28800.0" + extra + "}";
+}
+
+/// The shed counters by reason: conn_cap, queue_full, deadline,
+/// unavailable, closed. Each per-reason case asserts the whole vector, so
+/// a shed counted under the wrong reason fails it.
+std::vector<uint64_t> Sheds(const NetStatsSnapshot& s) {
+  return {s.shed_conn_cap, s.shed_queue_full, s.shed_deadline,
+          s.shed_unavailable, s.shed_closed};
+}
+using ShedVector = std::vector<uint64_t>;
 
 TEST(SocketServerTest, BinaryLoopbackAnswersQueriesAndPings) {
   NetFixture fx;
@@ -652,6 +750,316 @@ TEST(SocketServerTest, TraceSpansLinkNetReadServeSubmitNetWrite) {
   EXPECT_TRUE(saw_read);
   EXPECT_TRUE(saw_submit);  // the serve subtree joined the wire trace tree
   EXPECT_TRUE(saw_write);
+
+  TraceRecorder::Global().Disable();
+  TraceRecorder::Global().Clear();
+}
+
+// Out-of-bounds fields are outside input: k past kMaxQueryK would pin a
+// worker in Yen for minutes, and a non-finite time has no departure
+// bucket. Each gets a typed InvalidArgument frame at once, nothing reaches
+// the serve queue, and the connection keeps answering.
+TEST(SocketServerTest, OutOfBoundsWireQueriesAnswerInvalidArgumentPromptly) {
+  NetFixture fx;
+  QueryServer::Options sopts;
+  sopts.autoscale_enabled = false;
+  QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+  ASSERT_TRUE(serve.Start().ok());
+  SocketServer server(&serve);
+  ASSERT_TRUE(server.Start().ok());
+  TimedConnection conn(server.port(), 10);
+  ASSERT_TRUE(conn.connected());
+
+  RouteQuery huge_k = fx.Query(0);
+  huge_k.k = 1 << 30;
+  RouteQuery nan_depart = fx.Query(0);
+  nan_depart.depart_seconds = std::numeric_limits<double>::quiet_NaN();
+  RouteQuery inf_deadline = fx.Query(0);
+  inf_deadline.arrival_deadline_seconds =
+      std::numeric_limits<double>::infinity();
+  RouteQuery zero_k = fx.Query(0);
+  zero_k.k = 0;
+  const std::vector<RouteQuery> bad = {huge_k, nan_depart, inf_deadline,
+                                       zero_k};
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(conn.SendQuery(i + 1, bad[i]));
+    NetFrame reply;
+    ASSERT_TRUE(conn.ReceiveFrame(&reply)) << "no answer before the watchdog";
+    EXPECT_EQ(reply.request_id, i + 1);
+    EXPECT_EQ(static_cast<NetOpcode>(reply.opcode), NetOpcode::kError);
+    EXPECT_EQ(DecodeErrorPayload(reply.payload.data(), reply.payload.size())
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  ASSERT_TRUE(conn.SendQuery(9, fx.Query(1)));
+  NetFrame reply;
+  ASSERT_TRUE(conn.ReceiveFrame(&reply));
+  EXPECT_EQ(reply.request_id, 9u);
+  ASSERT_EQ(static_cast<NetOpcode>(reply.opcode), NetOpcode::kRouteAnswer);
+  WireRouteAnswer answer;
+  ASSERT_TRUE(
+      DecodeRouteAnswerPayload(reply.payload.data(), reply.payload.size(),
+                               &answer)
+          .ok());
+  EXPECT_EQ(answer.status_code, StatusCode::kOk);
+
+  serve.WaitIdle();
+  EXPECT_EQ(serve.Stats().submitted, 1u);
+  const NetStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.queries_failed, bad.size());
+  EXPECT_EQ(stats.queries_answered, 1u);
+  EXPECT_EQ(stats.ShedTotal(), 0u);
+  server.Stop();
+  serve.Stop();
+}
+
+// The HTTP decoder casts JSON numbers to integer fields only when they are
+// integral and in range; anything else, and every bound the wire enforces,
+// is a 400 before the query reaches the serve layer.
+TEST(SocketServerTest, HttpRejectsOutOfRangeAndNonIntegralFields) {
+  NetFixture fx;
+  QueryServer::Options sopts;
+  sopts.autoscale_enabled = false;
+  QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+  ASSERT_TRUE(serve.Start().ok());
+  SocketServer server(&serve);
+  ASSERT_TRUE(server.Start().ok());
+  const RouteQuery q = fx.Query(0);
+
+  const std::vector<std::string> bad = {
+      "{\"source\": 1e300, \"target\": " + std::to_string(q.target) + "}",
+      "{\"source\": " + std::to_string(q.source) + ", \"target\": 2.5}",
+      "{\"source\": " + std::to_string(q.source) + ", \"target\": " +
+          std::to_string(q.target) + ", \"k\": 1e9}",
+      QueryBody(q, ", \"request_id\": 1e30"),
+      QueryBody(q, ", \"request_id\": -1"),
+      QueryBody(q, ", \"priority\": 3e9"),
+      QueryBody(q, ", \"arrival_deadline_seconds\": 1e999"),
+  };
+  for (const std::string& body : bad) {
+    SCOPED_TRACE(body);
+    EXPECT_EQ(TimedHttpQuery(server.port(), body), 400);
+  }
+  EXPECT_EQ(TimedHttpQuery(server.port(),
+                           QueryBody(q, ", \"request_id\": 7")),
+            200);
+
+  serve.WaitIdle();
+  EXPECT_EQ(serve.Stats().submitted, 1u);
+  const NetStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.http_bad_request, bad.size());
+  EXPECT_EQ(stats.http_query, 1u);
+  EXPECT_EQ(stats.ShedTotal(), 0u);
+  server.Stop();
+  serve.Stop();
+}
+
+// Submit's typed rejection picks the shed reason. A stopped server and a
+// router that never started both answer FailedPrecondition: counted as
+// closed, on either protocol, and under no other reason.
+TEST(SocketServerTest, ClosedServiceShedsAsClosedOnBothProtocols) {
+  NetFixture fx;
+  QueryServer::Options sopts;
+  sopts.autoscale_enabled = false;
+  QueryServer stopped(&fx.net, fx.BaseModel(), sopts);
+  ASSERT_TRUE(stopped.Start().ok());
+  stopped.Stop();
+  ShardRouter::Options ropts;
+  ropts.map.num_shards = 2;
+  ropts.server = sopts;
+  ShardRouter unstarted(&fx.net, fx.BaseModel(), ropts);
+
+  for (QueryService* service :
+       std::vector<QueryService*>{&stopped, &unstarted}) {
+    SocketServer server(service);
+    ASSERT_TRUE(server.Start().ok());
+    NetClient client;
+    ASSERT_TRUE(client.Connect(kLoopback, server.port()).ok());
+    WireRouteAnswer answer;
+    ASSERT_TRUE(client.Query(fx.Query(0), &answer).ok());
+    EXPECT_EQ(answer.status_code, StatusCode::kFailedPrecondition);
+    EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 0, 0, 0, 1}));
+    EXPECT_EQ(TimedHttpQuery(server.port(), QueryBody(fx.Query(0))), 503);
+    EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 0, 0, 0, 2}));
+    EXPECT_EQ(server.Stats().queries_failed, 1u);
+    client.Close();
+    server.Stop();
+  }
+}
+
+// A query owned by a stopped shard is answered Unavailable and counted as
+// unavailable, on either protocol.
+TEST(SocketServerTest, StoppedShardShedsAsUnavailableOnBothProtocols) {
+  NetFixture fx;
+  ShardRouter::Options ropts;
+  ropts.map.num_shards = 2;
+  ropts.server.autoscale_enabled = false;
+  ropts.server.initial_workers = 1;
+  ropts.region_cell_meters = 800.0;
+  ShardRouter router(&fx.net, fx.BaseModel(), ropts);
+  ASSERT_TRUE(router.Start().ok());
+  RouteQuery owned = fx.Query(0);
+  owned.source = -1;
+  const int nodes = static_cast<int>(fx.net.NumNodes());
+  for (int a = 0; a < nodes && owned.source < 0; ++a) {
+    for (int b = 0; b < nodes; ++b) {
+      if (a != b && router.OwnerOfNode(a) == 0 && router.OwnerOfNode(b) == 0) {
+        owned.source = a;
+        owned.target = b;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(owned.source, 0) << "no pair owned by shard 0";
+  ASSERT_TRUE(router.StopShard(0).ok());
+
+  SocketServer server(&router);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kLoopback, server.port()).ok());
+  WireRouteAnswer answer;
+  ASSERT_TRUE(client.Query(owned, &answer).ok());
+  EXPECT_EQ(answer.status_code, StatusCode::kUnavailable);
+  EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 0, 0, 1, 0}));
+  EXPECT_EQ(TimedHttpQuery(server.port(), QueryBody(owned)), 503);
+  EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 0, 0, 2, 0}));
+  client.Close();
+  server.Stop();
+  router.Stop();
+}
+
+// Capacity sheds count as queue_full on either protocol, whether the
+// QueueFull probe catches them before decode or Submit rejects them after
+// (a tenant at quota is ResourceExhausted too, as RequestQueue counts it).
+TEST(SocketServerTest, CapacitySheddingCountsQueueFullOnBothProtocols) {
+  NetFixture fx;
+  QueryServer::Options sopts;
+  sopts.autoscale_enabled = false;
+  sopts.queue.capacity = 1;
+  QueryServer full(&fx.net, fx.BaseModel(), sopts);
+  sopts.queue.capacity = 64;
+  sopts.queue.tenants["capped"].quota = 1;
+  QueryServer quota(&fx.net, fx.BaseModel(), sopts);
+  // Unstarted, each holds one queued request: `full` is at capacity and
+  // tenant "capped" of `quota` is at its quota.
+  SubmitOptions capped;
+  capped.tenant_id = "capped";
+  ASSERT_TRUE(full.Submit(fx.Query(0), [](const RouteAnswer&) {}).ok());
+  ASSERT_TRUE(
+      quota.Submit(fx.Query(0), [](const RouteAnswer&) {}, capped).ok());
+  ASSERT_TRUE(full.QueueFull());
+  ASSERT_FALSE(quota.QueueFull());
+
+  for (QueryServer* serve : {&full, &quota}) {
+    SocketServer server(serve);
+    ASSERT_TRUE(server.Start().ok());
+    NetClient client;
+    ASSERT_TRUE(client.Connect(kLoopback, server.port()).ok());
+    WireRouteAnswer answer;
+    ASSERT_TRUE(
+        client.Query(fx.Query(1), NetClient::QueryOptions{0, "capped"}, &answer)
+            .ok());
+    EXPECT_EQ(answer.status_code, StatusCode::kResourceExhausted);
+    EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 1, 0, 0, 0}));
+    EXPECT_EQ(TimedHttpQuery(server.port(),
+                             QueryBody(fx.Query(1), ", \"tenant\": \"capped\"")),
+              503);
+    EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 2, 0, 0, 0}));
+    client.Close();
+    server.Stop();
+  }
+  full.Stop();
+  quota.Stop();
+}
+
+// The admission deadline applies to POST /query as it does to a frame: a
+// request dribbled in past it is shed before its body is decoded.
+TEST(SocketServerTest, DeadlineShedsDribbledQueriesOnBothProtocols) {
+  NetFixture fx;
+  QueryServer::Options sopts;
+  sopts.autoscale_enabled = false;
+  QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+  ASSERT_TRUE(serve.Start().ok());
+  SocketServer::Options nopts;
+  nopts.admission_deadline_seconds = 0.05;
+  SocketServer server(&serve, nopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    TimedConnection http(server.port(), 10);
+    ASSERT_TRUE(http.connected());
+    const std::string request = HttpQueryRequest(QueryBody(fx.Query(0)));
+    ASSERT_TRUE(http.Send(request.substr(0, 40)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ASSERT_TRUE(http.Send(request.substr(40)));
+    EXPECT_EQ(http.ReceiveAll().rfind("HTTP/1.1 503", 0), 0u);
+    EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 0, 1, 0, 0}));
+  }
+  {
+    TimedConnection wire(server.port(), 10);
+    ASSERT_TRUE(wire.connected());
+    std::vector<uint8_t> payload;
+    EncodeRouteQueryPayload(fx.Query(0), &payload);
+    std::vector<uint8_t> frame;
+    EncodeNetFrame(1, NetOpcode::kRouteQuery, payload.data(), payload.size(),
+                   &frame);
+    const std::string bytes(frame.begin(), frame.end());
+    ASSERT_TRUE(wire.Send(bytes.substr(0, 10)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ASSERT_TRUE(wire.Send(bytes.substr(10)));
+    NetFrame reply;
+    ASSERT_TRUE(wire.ReceiveFrame(&reply));
+    EXPECT_EQ(DecodeErrorPayload(reply.payload.data(), reply.payload.size())
+                  .code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(Sheds(server.Stats()), (ShedVector{0, 0, 2, 0, 0}));
+  }
+  // A prompt POST /query is admitted.
+  EXPECT_EQ(TimedHttpQuery(server.port(), QueryBody(fx.Query(0))), 200);
+  server.Stop();
+  serve.Stop();
+}
+
+TEST(SocketServerTest, TraceSpansLinkForHttpQuery) {
+  TraceRecorder::Global().SetCapacity(1 << 16);
+  TraceRecorder::Global().Clear();
+  TraceRecorder::Global().Enable();
+
+  NetFixture fx;
+  {
+    QueryServer::Options sopts;
+    sopts.autoscale_enabled = false;
+    QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+    ASSERT_TRUE(serve.Start().ok());
+    SocketServer server(&serve);
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(TimedHttpQuery(server.port(), QueryBody(fx.Query(0))), 200);
+    server.Stop();  // loop threads exit -> their span buffers flush
+    serve.Stop();
+  }
+
+  const std::vector<TraceEvent> events = TraceRecorder::Global().Snapshot();
+  uint64_t net_request_id = 0;
+  uint64_t root_span = 0;
+  for (const TraceEvent& e : events) {
+    if (e.name == "net/request") {
+      EXPECT_GE(e.request_id, 1ull << 63);
+      net_request_id = e.request_id;
+      root_span = e.span_id;
+    }
+  }
+  ASSERT_NE(root_span, 0u);
+  std::vector<std::string> children;
+  for (const TraceEvent& e : events) {
+    if (e.request_id == net_request_id && e.parent_span_id == root_span) {
+      children.push_back(e.name);
+    }
+  }
+  std::sort(children.begin(), children.end());
+  EXPECT_EQ(children, (std::vector<std::string>{"net/read", "net/write",
+                                                "serve/submit"}));
 
   TraceRecorder::Global().Disable();
   TraceRecorder::Global().Clear();

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "src/common/rng.h"
 #include "src/governance/uncertainty/travel_cost_models.h"
+#include "src/net/net_client.h"
 #include "src/net/socket_server.h"
 #include "src/obs/metrics_export.h"
 #include "src/obs/trace.h"
@@ -503,6 +506,94 @@ TEST(ShardRouterTest, WireServerOverRouterExportsEachFamilyOnce) {
   EXPECT_EQ(types.count("tsdm_net_connections_total"), 1u);
   for (const auto& [name, n] : types) EXPECT_EQ(n, 1) << name;
   for (const auto& [name, n] : helps) EXPECT_EQ(n, 1) << name;
+  server.Stop();
+  router.Stop();
+}
+
+/// A (source, target) pair whose regions are both owned by `shard`.
+std::pair<int, int> PairOwnedBy(const ShardRouter& router, int shard,
+                                int num_nodes) {
+  for (int a = 0; a < num_nodes; ++a) {
+    for (int b = 0; b < num_nodes; ++b) {
+      if (a != b && router.OwnerOfNode(a) == shard &&
+          router.OwnerOfNode(b) == shard) {
+        return {a, b};
+      }
+    }
+  }
+  ADD_FAILURE() << "no pair owned by shard " << shard;
+  return {0, 1};
+}
+
+// One full shard sheds only what needs it. Shard 0's single worker is held
+// inside the base model and its one queue slot is taken: a wire query
+// owned by shard 1 is still answered, while a scatter (which may probe any
+// shard) is shed ResourceExhausted before Yen runs.
+TEST(ShardRouterTest, FullShardShedsOnlyItsOwnAndScatteredQueries) {
+  ShardFixture fx;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  std::atomic<bool> armed{false};
+  const PathCostModel base = fx.BaseModel();
+  PathCostModel gated = [&, base](const std::vector<int>& edges,
+                                  double depart) {
+    if (armed.exchange(false)) {  // the first call once armed blocks
+      std::unique_lock<std::mutex> lock(mu);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    }
+    return base(edges, depart);
+  };
+  ShardRouter::Options opts = fx.RouterOptions(2);
+  opts.server.queue.capacity = 1;
+  ShardRouter router(&fx.net, gated, opts);
+  ASSERT_TRUE(router.Start().ok());
+  auto release = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  };
+  // Destroyed before the router, so its workers never stay blocked.
+  std::shared_ptr<void> release_on_exit(nullptr, [&](void*) { release(); });
+
+  const int nodes = static_cast<int>(fx.net.NumNodes());
+  const auto own0 = PairOwnedBy(router, 0, nodes);
+  const auto own1 = PairOwnedBy(router, 1, nodes);
+  armed.store(true);
+  ASSERT_TRUE(router.Submit(MakeQuery(own0.first, own0.second),
+                            [](const RouteAnswer&) {})
+                  .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  ASSERT_TRUE(router.Submit(MakeQuery(own0.first, own0.second, 9 * 3600.0),
+                            [](const RouteAnswer&) {})
+                  .ok());
+  EXPECT_TRUE(router.shard(0).QueueFull());
+  EXPECT_FALSE(router.QueueFull());
+
+  SocketServer server(&router);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  WireRouteAnswer answer;
+  ASSERT_TRUE(
+      client.Query(MakeQuery(own1.first, own1.second), &answer).ok());
+  EXPECT_EQ(answer.status_code, StatusCode::kOk);
+  const auto cross = fx.CrossShardPair(router);
+  ASSERT_TRUE(
+      client.Query(MakeQuery(cross.first, cross.second), &answer).ok());
+  EXPECT_EQ(answer.status_code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(server.Stats().shed_queue_full, 1u);
+  EXPECT_EQ(router.ShardStats().router.scattered, 0u);
+
+  release();
+  router.WaitIdle();
+  client.Close();
   server.Stop();
   router.Stop();
 }
