@@ -6,7 +6,7 @@
 // instead of biasing whichever arm ran second. Tracing is enabled in both
 // arms: that is the production configuration the recorder taps into, and it
 // keeps the comparison to the recorder's own marginal cost (a policy check
-// and two relaxed counter bumps per completion; the trace sweep runs only
+// and one relaxed counter bump per completion; the trace sweep runs only
 // on the rare retained request), not the span machinery's.
 //
 // Rates are served requests per *process CPU second*
@@ -274,7 +274,7 @@ int main() {
   std::printf(
       "\nexpected shape: the on and off arms are within noise of each other "
       "(< 1%% overhead) — an unremarkable completion costs a policy check "
-      "plus two relaxed counter bumps, no lock; spans stay in the trace "
+      "plus one relaxed counter bump, no lock; spans stay in the trace "
       "ring and are swept out only for the rare retained request.\n");
   reporter.Write();
   return 0;

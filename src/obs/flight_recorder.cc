@@ -9,7 +9,7 @@
 namespace tsdm {
 
 std::atomic<bool> FlightRecorder::enabled_{false};
-std::atomic<uint32_t> FlightRecorder::tap_armed_{0};
+std::atomic<uint64_t> FlightRecorder::span_gate_{0};
 
 namespace {
 
@@ -25,13 +25,10 @@ bool IsShedCode(StatusCode code) {
 
 std::string U64(uint64_t v) { return std::to_string(v); }
 
-/// Fills a record's completion-side fields. For table-resident records the
-/// caller holds the owning shard lock (the span vector may be appending
-/// concurrently); standalone records have no concurrent writers.
-void FillOutcome(FlightRecord* rec, uint64_t seq, int shard,
-                 const RouteAnswer& answer, FlightOutcome outcome,
-                 FlightRetainReason reason, double e2e_seconds) {
-  rec->seq = seq;
+/// Fills a new record's completion-side fields (before it is shared).
+void FillOutcome(FlightRecord* rec, int shard, const RouteAnswer& answer,
+                 FlightOutcome outcome, FlightRetainReason reason,
+                 double e2e_seconds) {
   rec->tenant = answer.tenant_id.empty() ? "default" : answer.tenant_id;
   rec->shard = shard;
   rec->outcome = outcome;
@@ -42,7 +39,6 @@ void FillOutcome(FlightRecord* rec, uint64_t seq, int shard,
   rec->stages = answer.stages;
   rec->client_request_id = answer.client_request_id;
   rec->completed_ns = TraceRecorder::NowNs();
-  rec->complete = true;
 }
 
 void AppendRecordJson(const FlightRecord& rec, std::string* out) {
@@ -134,10 +130,13 @@ void FlightRecorder::Configure(const Options& options) {
 }
 
 void FlightRecorder::Clear() {
-  for (size_t i = 0; i < kOpenShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    shards_[i].records.clear();
-    shards_[i].tombstones.clear();
+  {
+    std::lock_guard<std::mutex> lock(late_mu_);
+    for (LateSlot& slot : late_slots_) {
+      slot.request_id.store(0, std::memory_order_relaxed);
+      slot.record.reset();
+    }
+    next_late_slot_ = 0;
   }
   {
     std::lock_guard<std::mutex> lock(ring_mu_);
@@ -147,118 +146,45 @@ void FlightRecorder::Clear() {
   {
     std::lock_guard<std::mutex> lock(dump_mu_);
     latest_dump_json_.clear();
-    last_dump_stats_ = ServeStatsSnapshot{};
   }
-  {
-    std::lock_guard<std::mutex> lock(late_mu_);
-    late_open_.clear();
-  }
-  pending_open_.store(0, std::memory_order_relaxed);
   span_gate_.store(0, std::memory_order_relaxed);
-  for (size_t i = 0; i < kRecentRetained; ++i) {
-    recent_retained_[i].store(0, std::memory_order_relaxed);
-  }
-  recent_idx_.store(0, std::memory_order_relaxed);
-  RearmTap();
   observed_.store(0, std::memory_order_relaxed);
   retained_slo_.store(0, std::memory_order_relaxed);
   retained_shed_.store(0, std::memory_order_relaxed);
   retained_error_.store(0, std::memory_order_relaxed);
   retained_sample_.store(0, std::memory_order_relaxed);
   evicted_.store(0, std::memory_order_relaxed);
-  open_overflow_.store(0, std::memory_order_relaxed);
   spans_captured_.store(0, std::memory_order_relaxed);
   spans_dropped_.store(0, std::memory_order_relaxed);
   dumps_.store(0, std::memory_order_relaxed);
 }
 
-void FlightRecorder::RearmTap() {
-  const bool armed = pending_open_.load(std::memory_order_relaxed) != 0 ||
-                     span_gate_.load(std::memory_order_relaxed) != 0;
-  tap_armed_.store(armed ? 1 : 0, std::memory_order_relaxed);
-  // A disarm can race a concurrent retention's arm and land second; the
-  // recheck narrows that window to nanoseconds. A lost arm costs only
-  // best-effort late spans for one window — never a wrong record.
-  if (!armed && (pending_open_.load(std::memory_order_relaxed) != 0 ||
-                 span_gate_.load(std::memory_order_relaxed) != 0)) {
-    tap_armed_.store(1, std::memory_order_relaxed);
-  }
-}
-
-void FlightRecorder::TombstoneLocked(OpenShard* sh, uint64_t request_id) {
-  auto it = sh->records.find(request_id);
-  if (it != sh->records.end() && it->second != nullptr) {
-    it->second = nullptr;
-    sh->tombstones.push_back(request_id);
-  }
-  while (sh->tombstones.size() > kTombstoneWindow) {
-    sh->records.erase(sh->tombstones.front());
-    sh->tombstones.pop_front();
-  }
-}
-
-void FlightRecorder::OnSpan(const TraceEvent& ev) {
-  OpenShard& sh = ShardFor(ev.request_id);
-  const size_t max_spans =
-      max_spans_per_record_.load(std::memory_order_relaxed);
-  constexpr size_t shard_cap = kMaxOpenRequests / kOpenShards;
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.records.find(ev.request_id);
-  if (it == sh.records.end()) {
-    if (sh.records.size() - sh.tombstones.size() >= shard_cap) {
-      open_overflow_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    auto rec = std::make_shared<FlightRecord>();
-    rec->request_id = ev.request_id;
-    rec->open_shard = ev.request_id % kOpenShards;
-    it = sh.records.emplace(ev.request_id, std::move(rec)).first;
-    pending_open_.fetch_add(1, std::memory_order_relaxed);
-    RearmTap();
-  }
-  if (it->second == nullptr) return;  // tombstone: late span, record gone
-  FlightRecord& rec = *it->second;
-  if (rec.spans.size() >= max_spans) {
-    ++rec.spans_dropped;
+void FlightRecorder::AppendSpanLocked(FlightRecord* rec, TraceEvent ev) {
+  if (rec->spans.size() >=
+      max_spans_per_record_.load(std::memory_order_relaxed)) {
+    ++rec->spans_dropped;
     spans_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  rec.spans.push_back(ev);
+  rec->spans.push_back(std::move(ev));
   spans_captured_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FlightRecorder::OnLateSpan(const TraceEvent& ev) {
   // Lock-free pre-filter: inside the late-span window the tap routes every
   // span here, but only spans of the few recently retained requests can
-  // land — everything else bails on a handful of relaxed loads. Skipped
-  // while records are manually staged (tests), whose ids are not listed.
-  if (pending_open_.load(std::memory_order_relaxed) == 0) {
-    bool recent = false;
-    for (size_t i = 0; i < kRecentRetained; ++i) {
-      if (recent_retained_[i].load(std::memory_order_relaxed) ==
-          ev.request_id) {
-        recent = true;
-        break;
-      }
+  // land — everything else bails on a handful of relaxed loads.
+  for (LateSlot& slot : late_slots_) {
+    if (slot.request_id.load(std::memory_order_relaxed) != ev.request_id) {
+      continue;
     }
-    if (!recent) return;
-  }
-  OpenShard& sh = ShardFor(ev.request_id);
-  const size_t max_spans =
-      max_spans_per_record_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.records.find(ev.request_id);
-  // Append-only: spans for requests nobody retained (or staged) belong to
-  // the TraceRecorder's buffers, not here.
-  if (it == sh.records.end() || it->second == nullptr) return;
-  FlightRecord& rec = *it->second;
-  if (rec.spans.size() >= max_spans) {
-    ++rec.spans_dropped;
-    spans_dropped_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(late_mu_);
+    // Re-check under the lock: a retention may have reused the slot.
+    if (slot.request_id.load(std::memory_order_relaxed) == ev.request_id) {
+      AppendSpanLocked(slot.record.get(), ev);
+    }
     return;
   }
-  rec.spans.push_back(ev);
-  spans_captured_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FlightRecorder::OnComplete(uint64_t request_id, int shard,
@@ -270,7 +196,6 @@ void FlightRecorder::OnComplete(uint64_t request_id, int shard,
   uint64_t gate = span_gate_.load(std::memory_order_relaxed);
   if (gate != 0 && n >= gate) {
     span_gate_.compare_exchange_strong(gate, 0, std::memory_order_relaxed);
-    RearmTap();
   }
   const uint64_t slo_ns = slo_threshold_ns_.load(std::memory_order_relaxed);
 
@@ -288,7 +213,6 @@ void FlightRecorder::OnComplete(uint64_t request_id, int shard,
 
   // Retroactive retention: the whole point of the flight recorder is that
   // this decision happens *after* the outcome is known.
-  bool retain = true;
   FlightRetainReason reason = FlightRetainReason::kHeadSample;
   if (outcome == FlightOutcome::kShed) {
     reason = FlightRetainReason::kShed;
@@ -301,97 +225,24 @@ void FlightRecorder::OnComplete(uint64_t request_id, int shard,
   } else {
     const uint64_t every = head_sample_every_.load(std::memory_order_relaxed);
     const uint64_t mask = head_sample_mask_.load(std::memory_order_relaxed);
-    if (every > 0 && (mask != ~0ull ? (n & mask) == 0 : n % every == 0)) {
-      reason = FlightRetainReason::kHeadSample;
-    } else {
-      retain = false;
-    }
-  }
-
-  if (!retain) {
     // The production fast path: nothing is staged per span and nothing is
     // counted (the snapshot derives discards), so an unremarkable
     // completion has already paid its whole cost — the observed_ bump at
-    // entry. The table walk runs only when OnSpan-staged records exist
-    // (tests / manual staging), preserving fill-then-tombstone semantics.
-    if (request_id != 0 &&
-        pending_open_.load(std::memory_order_relaxed) != 0) {
-      OpenShard& sh = ShardFor(request_id);
-      std::lock_guard<std::mutex> lock(sh.mu);
-      auto it = sh.records.find(request_id);
-      if (it != sh.records.end() && it->second != nullptr) {
-        if (it->second->complete) return;  // duplicate completion
-        const double e2e_seconds =
-            total_ns > 0 ? 1e-9 * static_cast<double>(total_ns)
-                         : answer.queue_seconds + answer.service_seconds;
-        FillOutcome(it->second.get(),
-                    next_seq_.fetch_add(1, std::memory_order_relaxed), shard,
-                    answer, outcome, reason, e2e_seconds);
-        pending_open_.fetch_sub(1, std::memory_order_relaxed);
-        TombstoneLocked(&sh, request_id);
-        RearmTap();
-      }
+    // entry.
+    if (every == 0 || (mask != ~0ull ? (n & mask) != 0 : n % every != 0)) {
+      return;
     }
-    return;
   }
   const double e2e_seconds =
       total_ns > 0 ? 1e-9 * static_cast<double>(total_ns)
                    : answer.queue_seconds + answer.service_seconds;
 
-  std::shared_ptr<FlightRecord> rec;
-  bool in_table = false;
-  if (request_id != 0) {
-    OpenShard& sh = ShardFor(request_id);
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.records.find(request_id);
-    if (it != sh.records.end()) {
-      if (it->second == nullptr) {
-        // Tombstoned (evicted, or a late duplicate of a discarded
-        // request): fall through to a standalone record.
-      } else if (it->second->complete) {
-        return;  // duplicate completion; first wins
-      } else {
-        rec = it->second;  // staged spans ride along
-        pending_open_.fetch_sub(1, std::memory_order_relaxed);
-        in_table = true;
-      }
-    } else {
-      // Enter the table *at retention*: the entry exists to receive late
-      // spans (the ones that close after this callback) for a short
-      // window, not to stage per-span state for every request.
-      rec = std::make_shared<FlightRecord>();
-      rec->request_id = request_id;
-      rec->open_shard = request_id % kOpenShards;
-      sh.records.emplace(request_id, rec);
-      in_table = true;
-    }
-    if (rec != nullptr) {
-      FillOutcome(rec.get(), next_seq_.fetch_add(1, std::memory_order_relaxed),
-                  shard, answer, outcome, reason, e2e_seconds);
-    }
-  }
-  if (rec == nullptr) {
-    // Request id 0 (tracing disabled) or a tombstoned id: keep an
-    // outcome-only record — the tail evidence an operator needs most
-    // survives even without the tree.
-    rec = std::make_shared<FlightRecord>();
-    rec->request_id = request_id;
-    FillOutcome(rec.get(), next_seq_.fetch_add(1, std::memory_order_relaxed),
-                shard, answer, outcome, reason, e2e_seconds);
-  }
-  if (in_table) {
-    // Open the late-span window before sweeping, so a span racing this
-    // completion lands via the table if the sweep misses it. The id goes
-    // into the recent-retained ring first: once the gate opens, the tap
-    // consults the ring, and a late span of *this* request must match.
-    recent_retained_[recent_idx_.fetch_add(1, std::memory_order_relaxed) %
-                     kRecentRetained]
-        .store(request_id, std::memory_order_relaxed);
-    span_gate_.store(n + kLateSpanWindow, std::memory_order_relaxed);
-    RearmTap();
-    MergeTraceSpans(rec);
-    AgeLateOpen(request_id, n);
-  }
+  // Request id 0 (tracing disabled) keeps an outcome-only record — the
+  // tail evidence an operator needs most survives even without the tree.
+  auto rec = std::make_shared<FlightRecord>();
+  rec->request_id = request_id;
+  FillOutcome(rec.get(), shard, answer, outcome, reason, e2e_seconds);
+  if (!RetainRecord(rec)) return;  // duplicate completion; first wins
   switch (reason) {
     case FlightRetainReason::kSloBreach:
       retained_slo_.fetch_add(1, std::memory_order_relaxed);
@@ -406,12 +257,24 @@ void FlightRecorder::OnComplete(uint64_t request_id, int shard,
       retained_sample_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  RetainRecord(rec);
+  if (request_id == 0) return;
+  // Publish the record to a late-span slot and open the window before
+  // sweeping, so a span racing this completion lands via the tap if the
+  // sweep misses it. The slot first: once the gate opens, the tap consults
+  // the slots, and a late span of *this* request must match.
+  {
+    std::lock_guard<std::mutex> lock(late_mu_);
+    LateSlot& slot = late_slots_[next_late_slot_++ % kRecentRetained];
+    slot.request_id.store(request_id, std::memory_order_relaxed);
+    slot.record = rec;
+  }
+  span_gate_.store(n + kLateSpanWindow, std::memory_order_relaxed);
+  MergeTraceSpans(rec);
 }
 
 void FlightRecorder::MergeTraceSpans(const std::shared_ptr<FlightRecord>& rec) {
-  // The sweep reads the TraceRecorder's locks; the record's shard lock is
-  // deliberately NOT held across it (lock-order hygiene with the tap).
+  // The sweep reads the TraceRecorder's locks; late_mu_ is deliberately
+  // NOT held across it (lock-order hygiene with the tap).
   // Bound the ring scan: no span of this request can have started before
   // the request did, so skip batches flushed earlier than completion time
   // minus twice the e2e latency (clock-skew/stage-rounding headroom) and
@@ -427,46 +290,30 @@ void FlightRecorder::MergeTraceSpans(const std::shared_ptr<FlightRecord>& rec) {
   std::vector<TraceEvent> collected =
       TraceRecorder::Global().CollectRequest(rec->request_id, min_start_ns);
   if (collected.empty()) return;
-  const size_t max_spans =
-      max_spans_per_record_.load(std::memory_order_relaxed);
-  OpenShard& sh = shards_[rec->open_shard];
-  std::lock_guard<std::mutex> lock(sh.mu);
+  std::lock_guard<std::mutex> lock(late_mu_);
   // Dedup by span id: the sweep can return a flush-raced event twice, and
-  // a late span may have raced in through the table already.
+  // a late span may have raced in through the tap already.
   std::unordered_set<uint64_t> seen;
   seen.reserve(rec->spans.size() + collected.size());
   for (const TraceEvent& ev : rec->spans) seen.insert(ev.span_id);
   for (TraceEvent& ev : collected) {
     if (ev.span_id != 0 && !seen.insert(ev.span_id).second) continue;
-    if (rec->spans.size() >= max_spans) {
-      ++rec->spans_dropped;
-      spans_dropped_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    rec->spans.push_back(std::move(ev));
-    spans_captured_.fetch_add(1, std::memory_order_relaxed);
+    AppendSpanLocked(rec.get(), std::move(ev));
   }
 }
 
-void FlightRecorder::AgeLateOpen(uint64_t request_id, uint64_t observed_at) {
-  std::lock_guard<std::mutex> lock(late_mu_);
-  late_open_.emplace_back(request_id, observed_at);
-  while (!late_open_.empty() &&
-         late_open_.front().second + kLateSpanWindow < observed_at) {
-    const uint64_t old = late_open_.front().first;
-    late_open_.pop_front();
-    OpenShard& sh = ShardFor(old);
-    std::lock_guard<std::mutex> slock(sh.mu);
-    TombstoneLocked(&sh, old);
-  }
-}
-
-void FlightRecorder::RetainRecord(const std::shared_ptr<FlightRecord>& rec) {
+bool FlightRecorder::RetainRecord(const std::shared_ptr<FlightRecord>& rec) {
   const size_t cap = std::max<size_t>(1, capacity_.load(std::memory_order_relaxed));
   const size_t reserve = reserved_per_tenant_.load(std::memory_order_relaxed);
-  std::vector<std::shared_ptr<FlightRecord>> victims;
+  uint64_t evicted = 0;
   {
     std::lock_guard<std::mutex> lock(ring_mu_);
+    if (rec->request_id != 0) {
+      for (const auto& r : retained_) {
+        if (r->request_id == rec->request_id) return false;
+      }
+    }
+    rec->seq = next_seq_++;
     retained_.push_back(rec);
     ++tenant_counts_[rec->tenant];
     while (retained_.size() > cap) {
@@ -484,23 +331,16 @@ void FlightRecorder::RetainRecord(const std::shared_ptr<FlightRecord>& rec) {
           break;
         }
       }
-      std::shared_ptr<FlightRecord> v = retained_[victim];
-      retained_.erase(retained_.begin() + static_cast<long>(victim));
-      auto tc = tenant_counts_.find(v->tenant);
+      auto tc = tenant_counts_.find(retained_[victim]->tenant);
       if (tc != tenant_counts_.end() && --tc->second == 0) {
         tenant_counts_.erase(tc);
       }
-      victims.push_back(std::move(v));
+      retained_.erase(retained_.begin() + static_cast<long>(victim));
+      ++evicted;
     }
   }
-  for (const auto& v : victims) {
-    evicted_.fetch_add(1, std::memory_order_relaxed);
-    if (v->open_shard < kOpenShards) {
-      OpenShard& sh = shards_[v->open_shard];
-      std::lock_guard<std::mutex> lock(sh.mu);
-      TombstoneLocked(&sh, v->request_id);
-    }
-  }
+  evicted_.fetch_add(evicted, std::memory_order_relaxed);
+  return true;
 }
 
 std::vector<FlightRecord> FlightRecorder::Retained(size_t n) const {
@@ -516,14 +356,9 @@ std::vector<FlightRecord> FlightRecorder::Retained(size_t n) const {
   std::vector<FlightRecord> out;
   out.reserve(refs.size());
   for (const auto& r : refs) {
-    if (r->open_shard < kOpenShards) {
-      // Table-resident: late spans may still be appending under the shard
-      // lock, so the copy takes it too.
-      std::lock_guard<std::mutex> lock(shards_[r->open_shard].mu);
-      out.push_back(*r);
-    } else {
-      out.push_back(*r);
-    }
+    // Late spans and the retention sweep may still be appending.
+    std::lock_guard<std::mutex> lock(late_mu_);
+    out.push_back(*r);
   }
   return out;
 }
@@ -540,18 +375,10 @@ std::string FlightRecorder::ToChromeTraceJson(size_t n) const {
   return ChromeTraceJsonFromEvents(std::move(events));
 }
 
-void FlightRecorder::SetStatsSource(
-    std::function<ServeStatsSnapshot()> source) {
-  ServeStatsSnapshot baseline = source ? source() : ServeStatsSnapshot{};
-  std::lock_guard<std::mutex> lock(dump_mu_);
-  stats_source_ = std::move(source);
-  // The first dump's delta is measured from here, not from process zero —
-  // "what changed leading into the degradation", not "everything ever".
-  last_dump_stats_ = std::move(baseline);
-}
-
 void FlightRecorder::OnHealthTransition(const HealthTransition& transition,
-                                        const HealthSnapshot& health) {
+                                        const HealthSnapshot& health,
+                                        const ServeStatsSnapshot& serve,
+                                        const ServeStatsSnapshot& prev_serve) {
   if (!Enabled()) return;
   // Dump only on worsening transitions into Degraded/Unhealthy: recovery
   // (and the Unhealthy -> Degraded step of one) changes no evidence, and
@@ -560,20 +387,17 @@ void FlightRecorder::OnHealthTransition(const HealthTransition& transition,
     return;
   }
   if (transition.to == HealthState::kHealthy) return;
-  BuildDump(transition, health);
+  BuildDump(transition, health, serve, prev_serve);
 }
 
 void FlightRecorder::BuildDump(const HealthTransition& transition,
-                               const HealthSnapshot& health) {
-  std::function<ServeStatsSnapshot()> src;
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    src = stats_source_;
-  }
-  // The sampler is user code (QueryServer::Stats) — call it unlocked.
-  ServeStatsSnapshot stats = src ? src() : ServeStatsSnapshot{};
+                               const HealthSnapshot& health,
+                               const ServeStatsSnapshot& stats,
+                               const ServeStatsSnapshot& prev) {
   std::vector<FlightRecord> records =
       Retained(capacity_.load(std::memory_order_relaxed));
+  // Held across the build so dumps publish in dump_seq order.
+  std::lock_guard<std::mutex> lock(dump_mu_);
   const uint64_t dump_seq = dumps_.fetch_add(1, std::memory_order_relaxed) + 1;
 
   std::string out;
@@ -591,52 +415,47 @@ void FlightRecorder::BuildDump(const HealthTransition& transition,
   out += ",\"health\":" + MetricsExporter::HealthToJson(health);
   out += ",\"serve\":" + MetricsExporter::ServeToJson(stats);
 
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    const ServeStatsSnapshot& prev = last_dump_stats_;
-    auto delta = [](uint64_t now, uint64_t then) {
-      return now >= then ? now - then : 0;
-    };
-    out += ",\"serve_delta\":{";
-    out += "\"submitted\":" + U64(delta(stats.submitted, prev.submitted));
-    out += ",\"admitted\":" + U64(delta(stats.admitted, prev.admitted));
-    out += ",\"completed\":" + U64(delta(stats.completed, prev.completed));
-    out += ",\"failed\":" + U64(delta(stats.failed, prev.failed));
-    out += ",\"shed\":" + U64(delta(stats.TotalShed(), prev.TotalShed()));
-    out += ",\"queue_depth\":" + U64(stats.queue_depth);
-    out += ",\"tenants\":{";
-    bool first = true;
-    for (const TenantServeStats& t : stats.tenants) {
-      const TenantServeStats* was = nullptr;
-      for (const TenantServeStats& p : prev.tenants) {
-        if (p.tenant == t.tenant) {
-          was = &p;
-          break;
-        }
+  auto delta = [](uint64_t now, uint64_t then) {
+    return now >= then ? now - then : 0;
+  };
+  out += ",\"serve_delta\":{";
+  out += "\"submitted\":" + U64(delta(stats.submitted, prev.submitted));
+  out += ",\"admitted\":" + U64(delta(stats.admitted, prev.admitted));
+  out += ",\"completed\":" + U64(delta(stats.completed, prev.completed));
+  out += ",\"failed\":" + U64(delta(stats.failed, prev.failed));
+  out += ",\"shed\":" + U64(delta(stats.TotalShed(), prev.TotalShed()));
+  out += ",\"queue_depth\":" + U64(stats.queue_depth);
+  out += ",\"tenants\":{";
+  bool first = true;
+  for (const TenantServeStats& t : stats.tenants) {
+    const TenantServeStats* was = nullptr;
+    for (const TenantServeStats& p : prev.tenants) {
+      if (p.tenant == t.tenant) {
+        was = &p;
+        break;
       }
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + JsonEscape(t.tenant) + "\":{";
-      out += "\"submitted\":" +
-             U64(delta(t.submitted, was ? was->submitted : 0));
-      out += ",\"shed\":" +
-             U64(delta(t.TotalShed(), was ? was->TotalShed() : 0));
-      out += ",\"completed\":" +
-             U64(delta(t.completed, was ? was->completed : 0));
-      out += ",\"queue_depth\":" + U64(t.queue_depth);
-      out += "}";
     }
-    out += "}}";
-    out += ",\"retained_records\":" + U64(records.size());
-    out += ",\"traces\":[";
-    for (size_t i = 0; i < records.size(); ++i) {
-      if (i) out += ",";
-      AppendRecordJson(records[i], &out);
-    }
-    out += "]}";
-    last_dump_stats_ = std::move(stats);
-    latest_dump_json_ = std::move(out);
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + JsonEscape(t.tenant) + "\":{";
+    out += "\"submitted\":" +
+           U64(delta(t.submitted, was ? was->submitted : 0));
+    out += ",\"shed\":" +
+           U64(delta(t.TotalShed(), was ? was->TotalShed() : 0));
+    out += ",\"completed\":" +
+           U64(delta(t.completed, was ? was->completed : 0));
+    out += ",\"queue_depth\":" + U64(t.queue_depth);
+    out += "}";
   }
+  out += "}}";
+  out += ",\"retained_records\":" + U64(records.size());
+  out += ",\"traces\":[";
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i) out += ",";
+    AppendRecordJson(records[i], &out);
+  }
+  out += "]}";
+  latest_dump_json_ = std::move(out);
 }
 
 std::string FlightRecorder::LatestDumpJson() const {
@@ -657,15 +476,9 @@ FlightStatsSnapshot FlightRecorder::Stats() const {
                                   s.retained_error + s.retained_sample;
   s.discarded = s.observed >= retained_total ? s.observed - retained_total : 0;
   s.evicted = evicted_.load(std::memory_order_relaxed);
-  s.open_overflow = open_overflow_.load(std::memory_order_relaxed);
   s.spans_captured = spans_captured_.load(std::memory_order_relaxed);
   s.spans_dropped = spans_dropped_.load(std::memory_order_relaxed);
   s.dumps = dumps_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < kOpenShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    s.open_requests +=
-        shards_[i].records.size() - shards_[i].tombstones.size();
-  }
   {
     std::lock_guard<std::mutex> lock(ring_mu_);
     s.retained_records = retained_.size();

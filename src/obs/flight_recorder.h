@@ -4,13 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/obs/health.h"
@@ -58,15 +55,11 @@ struct FlightRecord {
   uint64_t client_request_id = 0;
   uint64_t completed_ns = 0;  ///< TraceRecorder::NowNs at completion
   uint64_t spans_dropped = 0;  ///< spans lost to max_spans_per_record
-  bool complete = false;       ///< OnComplete has been applied
-  /// Every span recorded under this request id, in arrival order. Late
-  /// spans (a worker's exec span closes after the completion callback
-  /// fires) keep appending while the record sits in the retained ring.
+  /// Every span recorded under this request id: the ones swept out of the
+  /// TraceRecorder at retention, then late spans (a worker's exec span and
+  /// the socket layer's net/request root close after the completion
+  /// callback fires), appended while the late-span window is open.
   std::vector<TraceEvent> spans;
-
-  /// Which open-table shard owns the record's span vector (internal;
-  /// SIZE_MAX for records synthesized at completion with no spans).
-  size_t open_shard = SIZE_MAX;
 };
 
 /// One coherent snapshot of the recorder's self-metrics — the shape
@@ -83,11 +76,9 @@ struct FlightStatsSnapshot {
   /// pays one atomic bump, not two; duplicate completions land here.
   uint64_t discarded = 0;
   uint64_t evicted = 0;          ///< retained then displaced from the ring
-  uint64_t open_overflow = 0;    ///< spans dropped: open table at capacity
   uint64_t spans_captured = 0;
   uint64_t spans_dropped = 0;  ///< spans over max_spans_per_record
   uint64_t dumps = 0;          ///< black-box dumps frozen
-  size_t open_requests = 0;    ///< in-flight + retained records in the table
   size_t retained_records = 0;
 
   uint64_t RetainedTotal() const {
@@ -100,7 +91,7 @@ struct FlightStatsSnapshot {
 ///
 /// While a request is in flight its spans cost the recorder *nothing*:
 /// they sit in the TraceRecorder's own thread buffers, and the tap on the
-/// span hot path is a few relaxed loads and a branch. When the request
+/// span hot path is two relaxed loads and a branch. When the request
 /// completes (QueryServer's worker, the queue's shed paths, or the shard
 /// router's merge call OnComplete with the terminal RouteAnswer), the
 /// retention policy decides retroactively:
@@ -109,19 +100,20 @@ struct FlightStatsSnapshot {
 ///         or  the request was shed/errored   (failure evidence)
 ///         or  it hit the 1-in-N head sample  (baseline for comparison)
 ///
-/// A discard — the healthy high-throughput case — costs two relaxed
-/// counter bumps, no lock. Only a *retained* completion pays: its spans
-/// are swept out of the TraceRecorder (CollectRequest reads every
-/// thread's unflushed buffer plus the global ring) into a record in a
-/// sharded open table, which then accepts late spans (the root span
-/// closes right after the completion callback) for a short window before
-/// the table entry is tombstoned. So the requests an operator will
-/// actually ask about ("show me the last 50 over-SLO requests") are here,
-/// whole span tree included, even though nobody knew to sample them at
-/// the head — while the other 1023-in-1024 pay nanoseconds. The sweep
-/// sees spans the TraceRecorder has not flushed yet; only a ring that
-/// already overflowed (tsdm_trace_dropped_total) can cost a retained
-/// record spans.
+/// A discard — the healthy high-throughput case — costs one relaxed
+/// counter bump, no lock. Only a *retained* completion pays: its record
+/// enters the retained ring, takes one of the kRecentRetained late-span
+/// slots, and has its spans swept out of the TraceRecorder
+/// (CollectRequest reads every thread's unflushed buffer plus the global
+/// ring). The retention also opens the late-span window for the next
+/// kLateSpanWindow completions: spans that close after the completion
+/// callback (the worker's exec span, the socket layer's net/request root)
+/// land on their record while it still holds a slot. So the requests an
+/// operator will actually ask about ("show me the last 50 over-SLO
+/// requests") are here, whole span tree included, even though nobody knew
+/// to sample them at the head — while the other 1023-in-1024 pay
+/// nanoseconds. Only a ring that already overflowed
+/// (tsdm_trace_dropped_total) can cost a retained record spans.
 ///
 /// The retained ring is bounded (Options::capacity) with *per-tenant
 /// reservoir slots*: when full, the victim is the oldest record of a
@@ -131,8 +123,9 @@ struct FlightStatsSnapshot {
 ///
 /// On every HealthMonitor transition *into* Degraded/Unhealthy the
 /// recorder freezes a "black-box dump": one JSON artifact with the
-/// trigger, the health picture, a serve-stats snapshot plus its delta
-/// since the previous dump, and every retained trace — retrievable over
+/// trigger, the health picture, the monitor's serve-stats sample that
+/// judged the transition plus its delta over the sampling interval in
+/// which the state flipped, and every retained trace — retrievable over
 /// the wire via GET /debug/flight (latest dump) and GET /debug/traces?n=K
 /// (Chrome-trace JSON of the K most recent retained traces, byte-identical
 /// per event to TraceRecorder::ToChromeTraceJson).
@@ -168,23 +161,18 @@ class FlightRecorder {
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Drops every open record, retained record, dump, and counter.
+  /// Drops every retained record, late-span slot, dump, and counter.
   void Clear();
 
   /// TraceRecorder::Record tap. The common case — no request retained
-  /// recently, no manually staged records — is a few relaxed loads and a
-  /// branch: spans stay in the TraceRecorder's own buffers and are only
-  /// collected (CollectRequest) if their request retains. The table path
-  /// runs solely inside the short late-span window after a retention, to
-  /// catch spans that close after their request's completion callback.
+  /// recently — is two relaxed loads and a branch: spans stay in the
+  /// TraceRecorder's own buffers and are only collected (CollectRequest)
+  /// if their request retains. Past the gate, the tap runs solely inside
+  /// the short late-span window after a retention, to catch spans that
+  /// close after their request's completion callback.
   static void MaybeRecordSpan(const TraceEvent& ev) {
     if (!Enabled() || ev.request_id == 0) return;
-    // tap_armed_ mirrors (pending_open_ != 0 || span_gate_ != 0) as a
-    // single *static* flag, so the common case — no staged records, no
-    // late-span window — is one relaxed load with no Global() guard and
-    // no gate reads. The flag is read-mostly (written only around
-    // retentions and staging), so the load stays in shared cache state.
-    if (tap_armed_.load(std::memory_order_relaxed) == 0) return;
+    if (span_gate_.load(std::memory_order_relaxed) == 0) return;
     Global().OnLateSpan(ev);
   }
 
@@ -194,17 +182,12 @@ class FlightRecorder {
     if (Enabled()) Global().OnComplete(request_id, shard, answer);
   }
 
-  /// Appends a closed span to the request's open record, creating it on
-  /// first span. This is the *manual staging* path (tests, embedders
-  /// recording spans without a TraceRecorder); the production pipeline
-  /// stages nothing per span — OnComplete collects a retained request's
-  /// spans from the TraceRecorder instead.
-  void OnSpan(const TraceEvent& ev);
-
-  /// Applies the terminal answer to the request's record and runs the
-  /// retention policy. `request_id` is the trace request id (0 when
+  /// Runs the retention policy on the request's terminal answer and, if
+  /// it retains, records it. `request_id` is the trace request id (0 when
   /// tracing is disabled — the record is then outcome-only, no span tree);
-  /// `shard` is the serving shard (-1 = unsharded / router-level).
+  /// `shard` is the serving shard (-1 = unsharded / router-level). A
+  /// second completion of a request id still in the ring is a discard:
+  /// the first completion wins.
   void OnComplete(uint64_t request_id, int shard, const RouteAnswer& answer);
 
   /// Copies the `n` most recent retained records, newest first.
@@ -217,17 +200,17 @@ class FlightRecorder {
   /// GET /debug/traces?n=K returns.
   std::string ToChromeTraceJson(size_t n) const;
 
-  /// Source of the serve-stats snapshot embedded in black-box dumps
-  /// (QueryServer::Stats / ShardRouter::Stats). Also captures the delta
-  /// baseline: the first dump's delta is measured from this call.
-  void SetStatsSource(std::function<ServeStatsSnapshot()> source);
-
   /// HealthMonitor notification. Freezes a black-box dump iff the
   /// transition worsens into Degraded or Unhealthy (to > from) — a
   /// recovery transition changes no evidence, so it only shows up in the
-  /// health transition ring, not as a dump.
+  /// health transition ring, not as a dump. `serve` is the monitor's
+  /// sample that judged the transition and `prev_serve` the one before it
+  /// (zero on the first sample): the dump's serve section and its delta
+  /// over the interval in which the state flipped.
   void OnHealthTransition(const HealthTransition& transition,
-                          const HealthSnapshot& health);
+                          const HealthSnapshot& health,
+                          const ServeStatsSnapshot& serve,
+                          const ServeStatsSnapshot& prev_serve);
 
   /// The latest black-box dump artifact ("" when none has been frozen).
   std::string LatestDumpJson() const;
@@ -235,70 +218,49 @@ class FlightRecorder {
   FlightStatsSnapshot Stats() const;
 
  private:
-  /// Sharded open-record table: spans hash to a shard by request id, so
-  /// concurrent workers closing spans for different requests take
-  /// different locks.
-  struct OpenShard {
-    mutable std::mutex mu;
-    /// request id -> record; a nullptr value is a tombstone marking a
-    /// recently discarded/evicted request, so its late spans (the exec
-    /// span closes after the completion callback) are dropped instead of
-    /// resurrecting a half-empty record.
-    std::unordered_map<uint64_t, std::shared_ptr<FlightRecord>> records;
-    std::deque<uint64_t> tombstones;  ///< FIFO of tombstoned ids
-  };
-
-  static constexpr size_t kOpenShards = 16;
-  /// Bound on concurrently open (in-flight + retained) records across the
-  /// table; spans for new requests beyond it are dropped + counted.
-  static constexpr size_t kMaxOpenRequests = 4096;
-  static constexpr size_t kTombstoneWindow = 128;
-  /// How many completions after a retention the table keeps accepting late
-  /// spans for it. Late spans (the root span closes right after the
-  /// completion callback, on the same thread) arrive within one or two
-  /// completions; the window is generous so they always land, yet short
-  /// enough that the span hot path returns to its loads-only fast path.
+  /// How many completions after a retention the tap keeps routing spans
+  /// to the late-span slots. Late spans (the root span closes right after
+  /// the completion callback) arrive within one or two completions; the
+  /// window is generous so they always land, yet short enough that the
+  /// span hot path returns to its loads-only fast path.
   static constexpr uint64_t kLateSpanWindow = 64;
-  /// Ring of the most recently retained request ids, read lock-free by the
-  /// span tap while the late-span window is open: a span whose request is
-  /// not in the ring bails with a handful of relaxed loads instead of
-  /// paying a shard lock + table lookup. Sized past the number of
-  /// retentions that can plausibly share one window in production (window
-  /// 64 completions, retention ~1-in-SLO-breach).
+  /// The most recently retained requests that still accept late spans.
+  /// Sized past the number of retentions that can plausibly share one
+  /// window in production (window 64 completions, retention ~1-in-SLO-
+  /// breach).
   static constexpr size_t kRecentRetained = 8;
+
+  /// One late-span slot: a recently retained record and its request id.
+  struct LateSlot {
+    /// Written under late_mu_, read lock-free by the tap's pre-filter: a
+    /// span whose request holds no slot bails on a handful of relaxed
+    /// loads instead of taking the lock.
+    std::atomic<uint64_t> request_id{0};
+    std::shared_ptr<FlightRecord> record;  ///< guarded by late_mu_
+  };
 
   FlightRecorder() = default;
 
-  OpenShard& ShardFor(uint64_t request_id) {
-    return shards_[request_id % kOpenShards];
-  }
-  /// Append-only tap body for spans closing inside the late-span window:
-  /// lands on an existing table record, never creates one.
+  /// Tap body for spans closing inside the late-span window: appends to
+  /// the record in the span's slot, never creates one.
   void OnLateSpan(const TraceEvent& ev);
   /// Pulls the request's spans out of the TraceRecorder (buffers + ring)
-  /// and merges them into `rec` under its shard lock, deduping by span id
-  /// and honoring max_spans_per_record. Runs once per retention.
+  /// and merges them into `rec`, deduping by span id. Runs once per
+  /// retention.
   void MergeTraceSpans(const std::shared_ptr<FlightRecord>& rec);
-  /// Tracks `rec` as open for late spans and tombstones retentions older
-  /// than kLateSpanWindow, so the table stays bounded and the tap's fast
-  /// path re-closes.
-  void AgeLateOpen(uint64_t request_id, uint64_t observed_at);
-  /// Replaces the entry with a tombstone, bounding the tombstone FIFO
-  /// (shard lock held).
-  static void TombstoneLocked(OpenShard* sh, uint64_t request_id);
-  /// Recomputes tap_armed_ from pending_open_/span_gate_. Called after
-  /// every mutation of either; the recompute-then-recheck shape keeps the
-  /// flag conservative under races (a disarm racing a concurrent retention
-  /// re-arms), at worst costing a handful of best-effort late spans.
-  void RearmTap();
-  /// Inserts `rec` into the retained ring and evicts per the reservoir
-  /// policy; evicted records are tombstoned out of the open table.
-  void RetainRecord(const std::shared_ptr<FlightRecord>& rec);
+  /// Appends `ev` to `rec` or counts it over max_spans_per_record
+  /// (late_mu_ held).
+  void AppendSpanLocked(FlightRecord* rec, TraceEvent ev);
+  /// Inserts `rec` into the retained ring, stamps its seq and evicts per
+  /// the reservoir policy. Returns false, inserting nothing, when a record
+  /// of the same nonzero request id is already retained.
+  bool RetainRecord(const std::shared_ptr<FlightRecord>& rec);
   void BuildDump(const HealthTransition& transition,
-                 const HealthSnapshot& health);
+                 const HealthSnapshot& health, const ServeStatsSnapshot& serve,
+                 const ServeStatsSnapshot& prev_serve);
 
-  // Hot-path knobs held in atomics so OnSpan/OnComplete read them without
-  // a lock (Configure may race a draining pipeline).
+  // Hot-path knobs held in atomics so OnComplete reads them without a lock
+  // (Configure may race a draining pipeline).
   std::atomic<uint64_t> slo_threshold_ns_{50u * 1000u * 1000u};
   std::atomic<uint64_t> head_sample_every_{0};
   /// every-1 when head_sample_every is a power of two (the sampling test
@@ -308,45 +270,24 @@ class FlightRecorder {
   std::atomic<size_t> capacity_{256};
   std::atomic<size_t> reserved_per_tenant_{8};
 
-  OpenShard shards_[kOpenShards];
-
-  /// Span-tap gate block, isolated on its own cache line: MaybeRecordSpan
-  /// reads both gates on every closed span, so they must not share a line
-  /// with the per-completion counters below — a span reading a line the
-  /// completion path just wrote would cache-miss on every span.
-  ///
-  /// pending_open_: records staged via OnSpan that have not completed yet.
-  /// Zero in the production pipeline (which stages nothing per span) — the
-  /// completion fast path skips the table entirely while this is zero.
-  alignas(64) std::atomic<size_t> pending_open_{0};
-  /// Nonzero while the late-span window is open: set to
-  /// observed + kLateSpanWindow on each retention, CAS-closed back to 0 by
-  /// the first completion at/past that mark. Written only around
-  /// retentions (rare), so span-tap reads stay in shared cache state.
-  std::atomic<uint64_t> span_gate_{0};
-  /// Most recently retained request ids (round-robin), written only at
-  /// retention. OnLateSpan consults this before touching any lock.
-  std::atomic<uint64_t> recent_retained_[kRecentRetained] = {};
-  std::atomic<size_t> recent_idx_{0};
-  /// FIFO of (request_id, observed_ at retention) for open retained
-  /// records, drained by AgeLateOpen. Lock order: late_mu_ -> shard mu.
-  std::mutex late_mu_;
-  std::deque<std::pair<uint64_t, uint64_t>> late_open_;
+  /// Guards slot publication and the span vector of every published
+  /// record: the tap's late appends, the retention sweep's merge, and
+  /// Retained's copies. On its own cache line so late-span locking never
+  /// invalidates the knobs every completion reads.
+  alignas(64) mutable std::mutex late_mu_;
+  LateSlot late_slots_[kRecentRetained];
+  size_t next_late_slot_ = 0;  ///< round-robin cursor (late_mu_)
 
   mutable std::mutex ring_mu_;
   std::deque<std::shared_ptr<FlightRecord>> retained_;  ///< oldest first
   std::map<std::string, size_t> tenant_counts_;
-  /// Atomic (not ring_mu_-guarded): the seq is stamped in OnComplete while
-  /// the record's owning shard lock is held, before ring insertion.
-  std::atomic<uint64_t> next_seq_{0};
+  uint64_t next_seq_ = 0;  ///< stamped at ring insertion (ring_mu_)
 
   mutable std::mutex dump_mu_;
-  std::function<ServeStatsSnapshot()> stats_source_;
-  ServeStatsSnapshot last_dump_stats_;
   std::string latest_dump_json_;
 
   /// The one per-completion counter, on its own cache line so the span
-  /// tap's gate reads never touch it. There is no discarded counter — the
+  /// tap's slot reads never touch it. There is no discarded counter — the
   /// snapshot derives discards from observed minus the retained reasons —
   /// so an unremarkable completion pays exactly one atomic bump.
   alignas(64) std::atomic<uint64_t> observed_{0};
@@ -355,17 +296,18 @@ class FlightRecorder {
   std::atomic<uint64_t> retained_error_{0};
   std::atomic<uint64_t> retained_sample_{0};
   std::atomic<uint64_t> evicted_{0};
-  std::atomic<uint64_t> open_overflow_{0};
   std::atomic<uint64_t> spans_captured_{0};
   std::atomic<uint64_t> spans_dropped_{0};
   std::atomic<uint64_t> dumps_{0};
 
   static std::atomic<bool> enabled_;
-  /// 1 iff pending_open_ != 0 || span_gate_ != 0 (maintained by RearmTap).
+  /// The late-span gate: accept late spans until completion number N
+  /// (observed at retention + kLateSpanWindow); 0 = closed. Set on each
+  /// retention, CAS-closed by the first completion at/past the mark.
   /// Static so the span tap reads it without the Global() accessor's
-  /// magic-static guard — the tap is the only per-span cost when nothing
-  /// was recently retained, and it must stay a load and a branch.
-  static std::atomic<uint32_t> tap_armed_;
+  /// magic-static guard, and written only around retentions (rare), so
+  /// the tap's load stays in shared cache state.
+  static std::atomic<uint64_t> span_gate_;
 };
 
 }  // namespace tsdm

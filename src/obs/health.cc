@@ -250,13 +250,15 @@ void HealthMonitor::SampleOnce() {
     if (transitioned) at_transition = snapshot_;
   }
 
+  // The dump carries this sample and its delta over the interval in
+  // which the state flipped.
+  if (transitioned) {
+    FlightRecorder::Global().OnHealthTransition(transition, at_transition,
+                                                now, prev_);
+  }
   prev_ = std::move(now);
   have_prev_ = true;
   ++samples_;
-
-  if (transitioned) {
-    FlightRecorder::Global().OnHealthTransition(transition, at_transition);
-  }
 }
 
 HealthSnapshot HealthMonitor::Snapshot() const {

@@ -475,7 +475,7 @@ MetricSet MetricsExporter::Describe(const TraceRecorder& recorder) {
   MetricSet m;
   m.Open("trace");
   m.Add("enabled", TraceRecorder::Enabled());
-  m.Add("dropped", recorder.DroppedSpans(), "trace_dropped_total", kCounter,
+  m.Add("dropped", recorder.dropped(), "trace_dropped_total", kCounter,
         "Trace spans lost to ring overflow since the last Clear; nonzero means "
         "the exported trace is incomplete (raise SetCapacity).");
   m.Close();
@@ -510,13 +510,8 @@ MetricSet MetricsExporter::Describe(const FlightStatsSnapshot& s) {
   m.Add("evicted", s.evicted, "flight_evicted_total", kCounter,
         "Retained records displaced from the ring by the per-tenant reservoir "
         "policy.");
-  m.Add("open_overflow", s.open_overflow, "flight_open_overflow_total",
-        kCounter,
-        "Spans dropped because the open-request table was at capacity.");
   m.Add("spans_captured", s.spans_captured, kSpans, {"fate", "captured"});
   m.Add("spans_dropped", s.spans_dropped, kSpans, {"fate", "dropped"});
-  m.Add("open_requests", s.open_requests, "flight_open_requests", kGauge,
-        "Records live in the open table (in-flight + retained).");
   m.Add("retained_records", s.retained_records, "flight_retained_records",
         kGauge, "Records currently in the retained ring.");
   m.Add("dumps", s.dumps, "flight_dumps_total", kCounter,
@@ -600,8 +595,9 @@ MetricSet MetricsExporter::Describe(const NetStatsSnapshot& s) {
   m.Add("bytes_read", s.bytes_read, kBytes, {"direction", "read"});
   m.Add("bytes_written", s.bytes_written, kBytes, {"direction", "written"});
   m.Latency("wire_latency", s.wire_latency, "net_request_latency_seconds",
-            "Wire-level binary request latency in seconds (first byte read to "
-            "response handed to the kernel).");
+            "Route query latency on both protocols (binary and POST /query) "
+            "in seconds (first byte read to response handed to the "
+            "kernel).");
   m.Close();
   return m;
 }

@@ -72,7 +72,7 @@ std::string ChromeTraceJsonFromEvents(std::vector<TraceEvent> events);
 /// are batch-flushed into a bounded global ring under a mutex when they fill,
 /// when a thread exits, or on Snapshot/FlushCurrentThread. The ring never
 /// grows past its capacity — overflow drops the newest events and counts
-/// them (DroppedSpans, exported as `tsdm_trace_dropped_total`), so tracing
+/// them (dropped(), exported as `tsdm_trace_dropped_total`), so tracing
 /// a long run has bounded memory. Size the ring to the run with
 /// SetCapacity before enabling.
 ///
@@ -125,12 +125,10 @@ class TraceRecorder {
   std::vector<TraceEvent> CollectRequest(uint64_t request_id,
                                          uint64_t min_start_ns = 0);
 
-  /// Events lost to ring overflow since the last Clear.
+  /// Events lost to ring overflow since the last Clear. Exported as
+  /// `tsdm_trace_dropped_total`: a nonzero value means the ring
+  /// (SetCapacity) is undersized for the run and the trace is incomplete.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  /// Self-metric alias for the Prometheus export (`tsdm_trace_dropped_total`):
-  /// a nonzero value means the ring (SetCapacity) is undersized for the run
-  /// and the trace is incomplete.
-  uint64_t DroppedSpans() const { return dropped(); }
 
   /// Allocates a process-unique span id (never 0). Used by TraceSpan and by
   /// retrospective RecordSpan calls.

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -94,7 +96,6 @@ class DebugEndpointTest : public ::testing::Test {
     TraceRecorder::Global().Clear();
     FlightRecorder::Global().Disable();
     FlightRecorder::Global().Configure(FlightRecorder::Options{});
-    FlightRecorder::Global().SetStatsSource(nullptr);
   }
 };
 
@@ -178,6 +179,66 @@ TEST_F(DebugEndpointTest, DebugTracesMatchesTraceRecorderExportByteForByte) {
   server.Stop();
 }
 
+// The span that closes last — the socket layer's net/request root, recorded
+// after the serve completion — must still land on the retained record, so
+// a wire query's whole tree survives in GET /debug/traces.
+TEST_F(DebugEndpointTest, WireQueryWholeTreeSurvivesInDebugTraces) {
+  DebugFixture fx;
+  FlightRecorder::Options fopts;
+  fopts.slo_threshold_seconds = 1e-9;  // every request breaches: tail mode
+  FlightRecorder::Global().Configure(fopts);
+  FlightRecorder::Global().Enable();
+
+  std::string body;
+  {
+    QueryServer::Options sopts;
+    sopts.initial_workers = 1;
+    sopts.autoscale_enabled = false;
+    QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+    ASSERT_TRUE(serve.Start().ok());
+    SocketServer server(&serve);
+    ASSERT_TRUE(server.Start().ok());
+
+    NetClient client;
+    ASSERT_TRUE(client.Connect(kLoopback, server.port()).ok());
+    WireRouteAnswer answer;
+    ASSERT_TRUE(client.Query(fx.Query(0), &answer).ok());
+    EXPECT_EQ(answer.status_code, StatusCode::kOk);
+
+    // The client can read its answer before the event loop records the
+    // root span right after writing it: poll until the root has landed.
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      NetClient::HttpResponse res;
+      ASSERT_TRUE(NetClient::HttpGet(kLoopback, server.port(),
+                                     "/debug/traces", &res)
+                      .ok());
+      ASSERT_EQ(res.status_code, 200);
+      body = res.body;
+      if (body.find("\"net/request\"") != std::string::npos) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    client.Close();
+    server.Stop();  // loop and worker threads exit -> their buffers flush
+    serve.Stop();
+  }
+  ASSERT_EQ(TraceRecorder::Global().dropped(), 0u);
+
+  for (const char* name : {"\"net/request\"", "\"net/read\"",
+                           "\"serve/exec\"", "\"net/write\""}) {
+    EXPECT_NE(body.find(name), std::string::npos) << name;
+  }
+  FlightStatsSnapshot fs = FlightRecorder::Global().Stats();
+  EXPECT_EQ(fs.observed, 1u);
+  EXPECT_EQ(fs.retained_records, 1u);
+
+  // The retained tree is exactly the TraceRecorder's request-linked spans.
+  std::vector<TraceEvent> linked;
+  for (const TraceEvent& ev : TraceRecorder::Global().Snapshot()) {
+    if (ev.request_id != 0) linked.push_back(ev);
+  }
+  EXPECT_EQ(body, ChromeTraceJsonFromEvents(std::move(linked)));
+}
+
 TEST_F(DebugEndpointTest, HostileQueryStringsAnswerTyped400AndNeverCrash) {
   DebugFixture fx;
   QueryServer::Options sopts;
@@ -257,7 +318,6 @@ TEST_F(DebugEndpointTest, ForcedDegradationFreezesExactlyOneDump) {
     }
     snap.cache_hits += static_cast<uint64_t>(requests * 4);
   };
-  fr.SetStatsSource([&snap] { return snap; });
 
   // Tail evidence the dump should carry.
   RouteAnswer failed;

@@ -1,7 +1,8 @@
 // The flight recorder judged in isolation: retroactive retention (keep iff
 // over-SLO / shed / errored / head-sampled), per-tenant reservoir eviction,
-// tombstoned late spans, duplicate-completion defense, dump-on-worsening —
-// and a multi-threaded retain/evict/dump race (the TSan/ASan gate target).
+// the retention sweep and the late-span tap over spans recorded through the
+// TraceRecorder, duplicate-completion defense, dump-on-worsening — and a
+// multi-threaded retain/evict/dump race (the TSan/ASan gate target).
 
 #include <gtest/gtest.h>
 
@@ -18,18 +19,22 @@
 namespace tsdm {
 namespace {
 
-/// Resets the global recorder around every test: the recorder is a process
-/// singleton (like TraceRecorder), so tests must leave it disabled+empty.
+/// Resets the global recorders around every test: both are process
+/// singletons, so tests must leave them disabled+empty. Spans are recorded
+/// through the TraceRecorder, so the retention sweep and the late-span tap
+/// are what capture them — the production path.
 class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    TraceRecorder::Global().Clear();
+    TraceRecorder::Global().Enable();
     FlightRecorder::Global().Disable();
     FlightRecorder::Global().Configure(FlightRecorder::Options{});
   }
   void TearDown() override {
     FlightRecorder::Global().Disable();
     FlightRecorder::Global().Configure(FlightRecorder::Options{});
-    FlightRecorder::Global().SetStatsSource(nullptr);
+    TraceRecorder::Global().Disable();
   }
 
   static void Use(const FlightRecorder::Options& opts) {
@@ -61,6 +66,13 @@ TraceEvent Span(uint64_t request_id, const std::string& name,
   return ev;
 }
 
+/// Records a closed root span of `request_id` through the TraceRecorder.
+void RecordSpan(uint64_t request_id, const std::string& name,
+                uint64_t start_ns, uint64_t dur_ns) {
+  TraceRecorder::Global().RecordSpan(name, start_ns, start_ns + dur_ns,
+                                     TraceContext{request_id, 0});
+}
+
 TEST_F(FlightRecorderTest, DisabledRecorderObservesNothing) {
   FlightRecorder::Global().Configure(FlightRecorder::Options{});
   ASSERT_FALSE(FlightRecorder::Enabled());
@@ -68,7 +80,6 @@ TEST_F(FlightRecorderTest, DisabledRecorderObservesNothing) {
   FlightRecorder::MaybeComplete(1, -1, Answer(Status::OK(), 1.0));
   FlightStatsSnapshot s = FlightRecorder::Global().Stats();
   EXPECT_EQ(s.observed, 0u);
-  EXPECT_EQ(s.open_requests, 0u);
   EXPECT_EQ(s.retained_records, 0u);
 }
 
@@ -142,9 +153,8 @@ TEST_F(FlightRecorderTest, SpansAccumulateIntoRetainedRecord) {
   FlightRecorder& fr = FlightRecorder::Global();
 
   const uint64_t rid = 42;
-  fr.OnSpan(Span(rid, "serve/queue_wait", 100, 50));
-  fr.OnSpan(Span(rid, "serve/exec", 150, 80));
-  EXPECT_EQ(fr.Stats().open_requests, 1u);
+  RecordSpan(rid, "serve/queue_wait", 100, 50);
+  RecordSpan(rid, "serve/exec", 150, 80);
 
   fr.OnComplete(rid, 2, Answer(Status::OK(), 0.050));
   std::vector<FlightRecord> kept = fr.Retained(1);
@@ -152,11 +162,10 @@ TEST_F(FlightRecorderTest, SpansAccumulateIntoRetainedRecord) {
   EXPECT_EQ(kept[0].request_id, rid);
   EXPECT_EQ(kept[0].shard, 2);
   ASSERT_EQ(kept[0].spans.size(), 2u);
-  EXPECT_TRUE(kept[0].complete);
 
   // A late span (the worker's exec span closes after the completion
   // callback) still lands on the retained record.
-  fr.OnSpan(Span(rid, "serve/late", 300, 10));
+  RecordSpan(rid, "serve/late", 300, 10);
   EXPECT_EQ(fr.Retained(1)[0].spans.size(), 3u);
 
   // The Chrome export carries the request linkage for the retained trace.
@@ -165,21 +174,19 @@ TEST_F(FlightRecorderTest, SpansAccumulateIntoRetainedRecord) {
   EXPECT_NE(json.find("serve/queue_wait"), std::string::npos);
 }
 
-TEST_F(FlightRecorderTest, DiscardedRequestIsTombstonedAgainstLateSpans) {
+TEST_F(FlightRecorderTest, DiscardedRequestNeverGainsARecord) {
   FlightRecorder::Options opts;
   opts.slo_threshold_seconds = 10.0;  // everything discards
   Use(opts);
   FlightRecorder& fr = FlightRecorder::Global();
 
   const uint64_t rid = 7;
-  fr.OnSpan(Span(rid, "serve/exec", 10, 5));
+  RecordSpan(rid, "serve/exec", 10, 5);
   fr.OnComplete(rid, -1, Answer(Status::OK(), 0.001));
   EXPECT_EQ(fr.Stats().discarded, 1u);
-  EXPECT_EQ(fr.Stats().open_requests, 0u);
 
   // A late span must not resurrect the discarded record.
-  fr.OnSpan(Span(rid, "serve/late", 30, 2));
-  EXPECT_EQ(fr.Stats().open_requests, 0u);
+  RecordSpan(rid, "serve/late", 30, 2);
   EXPECT_EQ(fr.Retained(10).size(), 0u);
 }
 
@@ -190,7 +197,7 @@ TEST_F(FlightRecorderTest, PerRecordSpanCapCountsOverflow) {
   Use(opts);
   FlightRecorder& fr = FlightRecorder::Global();
   for (uint64_t i = 0; i < 6; ++i) {
-    fr.OnSpan(Span(9, "serve/path_cost", 10 * (i + 1), 5));
+    RecordSpan(9, "serve/path_cost", 10 * (i + 1), 5);
   }
   fr.OnComplete(9, -1, Answer(Status::OK(), 0.001));
   std::vector<FlightRecord> kept = fr.Retained(1);
@@ -206,13 +213,15 @@ TEST_F(FlightRecorderTest, DuplicateCompletionFirstWins) {
   opts.slo_threshold_seconds = 0.0;
   Use(opts);
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.OnSpan(Span(5, "serve/exec", 10, 5));
+  RecordSpan(5, "serve/exec", 10, 5);
   fr.OnComplete(5, 1, Answer(Status::OK(), 0.001));
   fr.OnComplete(5, 2, Answer(Status::Internal("late duplicate"), 0.002));
   std::vector<FlightRecord> kept = fr.Retained(10);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].shard, 1);
   EXPECT_EQ(kept[0].status_code, StatusCode::kOk);
+  // The duplicate is counted as a discard.
+  EXPECT_EQ(fr.Stats().discarded, 1u);
 }
 
 TEST_F(FlightRecorderTest, NoisyTenantCannotEvictAnotherTenantsReserve) {
@@ -259,13 +268,13 @@ TEST_F(FlightRecorderTest, DumpFreezesOnWorseningTransitionsOnly) {
   Use(opts);
   FlightRecorder& fr = FlightRecorder::Global();
 
-  // Scripted stats source: the dump's delta section must report what
-  // changed since the baseline captured by SetStatsSource.
-  ServeStatsSnapshot live;
-  live.submitted = 100;
-  live.admitted = 90;
-  live.completed = 80;
-  fr.SetStatsSource([&live] { return live; });
+  // Scripted health-monitor samples: the dump's delta section must report
+  // what changed over the sampling interval in which the state flipped.
+  ServeStatsSnapshot before;
+  before.submitted = 100;
+  before.admitted = 90;
+  before.completed = 80;
+  ServeStatsSnapshot live = before;
   live.submitted = 160;
   live.admitted = 140;
   live.completed = 120;
@@ -281,7 +290,7 @@ TEST_F(FlightRecorderTest, DumpFreezesOnWorseningTransitionsOnly) {
   worse.burn_rate = 1.5;
   HealthSnapshot health;
   health.state = HealthState::kDegraded;
-  fr.OnHealthTransition(worse, health);
+  fr.OnHealthTransition(worse, health, live, before);
 
   EXPECT_EQ(fr.Stats().dumps, 1u);
   std::string dump = fr.LatestDumpJson();
@@ -298,16 +307,17 @@ TEST_F(FlightRecorderTest, DumpFreezesOnWorseningTransitionsOnly) {
   HealthTransition recover;
   recover.from = HealthState::kDegraded;
   recover.to = HealthState::kHealthy;
-  fr.OnHealthTransition(recover, health);
+  fr.OnHealthTransition(recover, health, live, before);
   EXPECT_EQ(fr.Stats().dumps, 1u);
 
-  // A further escalation freezes the next dump, with a delta measured from
-  // the previous one.
-  live.submitted = 200;
+  // A further escalation freezes the next dump, with a delta measured over
+  // its own sampling interval.
+  ServeStatsSnapshot later = live;
+  later.submitted = 200;
   HealthTransition escalate;
   escalate.from = HealthState::kDegraded;
   escalate.to = HealthState::kUnhealthy;
-  fr.OnHealthTransition(escalate, health);
+  fr.OnHealthTransition(escalate, health, later, live);
   EXPECT_EQ(fr.Stats().dumps, 2u);
   std::string second = fr.LatestDumpJson();
   EXPECT_NE(second.find("\"dump_seq\":2"), std::string::npos);
@@ -327,11 +337,8 @@ TEST_F(FlightRecorderTest, ConcurrentRetainEvictDumpIsRaceFree) {
   opts.max_spans_per_record = 8;
   Use(opts);
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetStatsSource([] {
-    ServeStatsSnapshot s;
-    s.submitted = 1;
-    return s;
-  });
+  ServeStatsSnapshot serve;
+  serve.submitted = 1;
 
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 400;
@@ -350,7 +357,7 @@ TEST_F(FlightRecorderTest, ConcurrentRetainEvictDumpIsRaceFree) {
     t.to = HealthState::kDegraded;
     HealthSnapshot h;
     while (!stop.load(std::memory_order_relaxed)) {
-      fr.OnHealthTransition(t, h);
+      fr.OnHealthTransition(t, h, serve, ServeStatsSnapshot{});
       std::this_thread::yield();
     }
   });
@@ -360,14 +367,14 @@ TEST_F(FlightRecorderTest, ConcurrentRetainEvictDumpIsRaceFree) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kPerWriter; ++i) {
         const uint64_t rid = 1 + static_cast<uint64_t>(w) * kPerWriter + i;
-        fr.OnSpan(Span(rid, "serve/exec", rid * 10, 5));
-        fr.OnSpan(Span(rid, "serve/path_cost", rid * 10 + 1, 2));
+        RecordSpan(rid, "serve/exec", rid * 10, 5);
+        RecordSpan(rid, "serve/path_cost", rid * 10 + 1, 2);
         RouteAnswer a = Answer(
             i % 7 == 0 ? Status::ResourceExhausted("shed") : Status::OK(),
             0.001, "tenant-" + std::to_string(w % 3));
         fr.OnComplete(rid, w, a);
         // Late span after the completion decided the record's fate.
-        fr.OnSpan(Span(rid, "serve/late", rid * 10 + 7, 1));
+        RecordSpan(rid, "serve/late", rid * 10 + 7, 1);
       }
     });
   }
@@ -386,9 +393,8 @@ TEST_F(FlightRecorderTest, ConcurrentRetainEvictDumpIsRaceFree) {
   EXPECT_EQ(s.evicted, kTotal - opts.capacity);
   EXPECT_GT(s.dumps, 0u);
   EXPECT_NE(fr.LatestDumpJson(), "");
-  // Every retained record is complete and carries its span tree.
+  // Every retained record carries its span tree.
   for (const FlightRecord& rec : fr.Retained(opts.capacity)) {
-    EXPECT_TRUE(rec.complete);
     EXPECT_GE(rec.spans.size(), 2u);
   }
 }

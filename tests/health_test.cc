@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/common/rng.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics_export.h"
 
@@ -233,6 +234,34 @@ TEST(HealthMonitorTest, SloBurnDrivesUnhealthy) {
   EXPECT_GE(after.transitions_total, 2u);
   EXPECT_LE(after.transitions.size(), monitor.options().transition_history);
   EXPECT_EQ(after.transitions.back().to, HealthState::kHealthy);
+}
+
+// The black-box dump a worsening transition freezes carries the monitor's
+// own sample that judged it, and its delta over that sampling interval.
+TEST(HealthMonitorTest, TransitionDumpCarriesTheJudgingSample) {
+  FlightRecorder& fr = FlightRecorder::Global();
+  fr.Configure(FlightRecorder::Options{});
+  fr.Enable();
+  SyntheticServer server;
+  Rng rng(6);
+  HealthMonitor monitor(server.AsSampler(), TestOptions());
+  for (int round = 0; round < 40; ++round) {
+    SteadyRound(&server, &rng, round);
+    monitor.SampleOnce();
+  }
+  ASSERT_EQ(fr.Stats().dumps, 0u);
+
+  server.Advance(100, /*latency_seconds=*/0.5, 0.9, /*depth=*/3);
+  monitor.SampleOnce();
+  fr.Disable();
+  ASSERT_EQ(fr.Stats().dumps, 1u);
+  const std::string dump = fr.LatestDumpJson();
+  fr.Configure(FlightRecorder::Options{});
+  const std::string expected =
+      ",\"serve\":" + MetricsExporter::ServeToJson(server.snap()) +
+      ",\"serve_delta\":{\"submitted\":100,\"admitted\":100,"
+      "\"completed\":100,\"failed\":0,\"shed\":0,\"queue_depth\":3,";
+  EXPECT_NE(dump.find(expected), std::string::npos) << dump;
 }
 
 TEST(HealthMonitorTest, WarmupNeverAlarmsEvenOnWildFirstSamples) {

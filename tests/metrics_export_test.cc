@@ -450,11 +450,9 @@ FlightStatsSnapshot MakeFlight() {
   s.retained_sample = 5;
   s.discarded = 486;
   s.evicted = 6;
-  s.open_overflow = 7;
   s.spans_captured = 800;
   s.spans_dropped = 9;
   s.dumps = 10;
-  s.open_requests = 11;
   s.retained_records = 12;
   return s;
 }
@@ -894,8 +892,9 @@ TEST(MetricsExporterTest, GoldenNetPrometheus) {
       "# TYPE tsdm_net_bytes_total counter\n"
       "tsdm_net_bytes_total{direction=\"read\"} 12000\n"
       "tsdm_net_bytes_total{direction=\"written\"} 34000\n"
-      "# HELP tsdm_net_request_latency_seconds Wire-level binary request "
-      "latency in seconds (first byte read to response handed to the kernel).\n"
+      "# HELP tsdm_net_request_latency_seconds Route query latency on both "
+      "protocols (binary and POST /query) in seconds (first byte read to "
+      "response handed to the kernel).\n"
       "# TYPE tsdm_net_request_latency_seconds summary\n"
       "tsdm_net_request_latency_seconds{quantile=\"0.5\"} 0.0002\n"
       "tsdm_net_request_latency_seconds{quantile=\"0.95\"} 0.0002\n"
@@ -909,8 +908,8 @@ TEST(MetricsExporterTest, GoldenFlightJson) {
       MetricsExporter::FlightToJson(MakeFlight()),
       "{\"schema_version\":1,\"flight\":{\"enabled\":true,\"observed\":500,"
       "\"retained\":{\"slo_breach\":2,\"shed\":3,\"error\":4,\"head_sample\":5,"
-      "\"total\":14},\"discarded\":486,\"evicted\":6,\"open_overflow\":7,"
-      "\"spans_captured\":800,\"spans_dropped\":9,\"open_requests\":11,"
+      "\"total\":14},\"discarded\":486,\"evicted\":6,"
+      "\"spans_captured\":800,\"spans_dropped\":9,"
       "\"retained_records\":12,\"dumps\":10}}");
 }
 
@@ -939,19 +938,11 @@ TEST(MetricsExporterTest, GoldenFlightPrometheus) {
       "ring by the per-tenant reservoir policy.\n"
       "# TYPE tsdm_flight_evicted_total counter\n"
       "tsdm_flight_evicted_total 6\n"
-      "# HELP tsdm_flight_open_overflow_total Spans dropped because the "
-      "open-request table was at capacity.\n"
-      "# TYPE tsdm_flight_open_overflow_total counter\n"
-      "tsdm_flight_open_overflow_total 7\n"
       "# HELP tsdm_flight_spans_total Spans offered to open records, by fate "
       "(over-cap spans are counted per record too).\n"
       "# TYPE tsdm_flight_spans_total counter\n"
       "tsdm_flight_spans_total{fate=\"captured\"} 800\n"
       "tsdm_flight_spans_total{fate=\"dropped\"} 9\n"
-      "# HELP tsdm_flight_open_requests Records live in the open table "
-      "(in-flight + retained).\n"
-      "# TYPE tsdm_flight_open_requests gauge\n"
-      "tsdm_flight_open_requests 11\n"
       "# HELP tsdm_flight_retained_records Records currently in the retained "
       "ring.\n"
       "# TYPE tsdm_flight_retained_records gauge\n"
