@@ -19,15 +19,16 @@
 // per-pair rate deltas: each off round is immediately followed (or
 // preceded — the order alternates) by its on round, so drift lands on
 // both arms, and the IQ mean discards outlier pairs a preemption mangled.
-// It is unbiased but not free: on a busy 1-core host one run carries
-// roughly ±0.7% of residual noise (measured by a null run with both arms
-// disabled), which is why bench_smoke repeats the bench and why the gap
-// between the per-arm best rounds (noise only ever subtracts from a
+// It is unbiased but not free: the run prints the interquartile range of
+// its own paired deltas beside the IQ mean as that run's measured noise
+// (on a shared host it is often wider than the overhead itself), and the
+// gap between the per-arm best rounds (noise only ever subtracts from a
 // rate) is reported alongside as flight_overhead_bestarm_pct.
 //
 // The gate: flight_on_per_s within the regression threshold of its
-// committed baseline, like every other *_per_s. The claim printed (and
-// recorded as flight_overhead_pct): enabled costs < 1% of warm q/s.
+// committed baseline, like every other *_per_s. The claim checked (the IQ
+// mean is recorded as flight_overhead_pct): enabled costs < 1% of warm q/s,
+// which this run supports only when its upper quartile is below 1%.
 
 #include <algorithm>
 #include <atomic>
@@ -234,8 +235,12 @@ int main() {
   // outlier-robust as the median (a preempted round cannot drag the
   // estimate), but averages the middle half instead of picking one
   // sample, so it converges faster.
+  // The quartiles are the ends of that middle half: their spread is this
+  // run's noise on the estimate.
   std::sort(pair_overhead_pct.begin(), pair_overhead_pct.end());
   double overhead_pct = 0.0;
+  double lower_pct = 0.0;
+  double upper_pct = 0.0;
   if (!pair_overhead_pct.empty()) {
     const size_t q = pair_overhead_pct.size() / 4;
     double sum = 0.0;
@@ -245,6 +250,8 @@ int main() {
       ++count;
     }
     overhead_pct = sum / static_cast<double>(count);
+    lower_pct = pair_overhead_pct[q];
+    upper_pct = pair_overhead_pct[pair_overhead_pct.size() - 1 - q];
   }
 
   Table table("E-FL flight recorder on/off (best of paired rounds)",
@@ -253,8 +260,12 @@ int main() {
   table.Row({"on", FmtInt(static_cast<long>(served_on)), Fmt(on_per_s, 0)});
   std::printf(
       "flight overhead: %.2f%% of warm q/s (CPU, IQ mean of %zu paired "
-      "rounds, +/-0.7%% host noise; claim: < 1%%), best-arm gap %.2f%%\n",
-      overhead_pct, pair_overhead_pct.size(), bestarm_pct);
+      "rounds, quartiles %.2f%% / %.2f%%), best-arm gap %.2f%%\n",
+      overhead_pct, pair_overhead_pct.size(), lower_pct, upper_pct,
+      bestarm_pct);
+  std::printf("claim < 1%% overhead: %s (upper quartile %.2f%%)\n",
+              upper_pct < 1.0 ? "supported" : "not shown by this run",
+              upper_pct);
   std::printf(
       "recorder books: observed=%llu retained=%llu discarded=%llu "
       "spans_captured=%llu\n",
@@ -273,7 +284,8 @@ int main() {
 
   std::printf(
       "\nexpected shape: the on and off arms are within noise of each other "
-      "(< 1%% overhead) — an unremarkable completion costs a policy check "
+      "(< 1%% overhead where the upper quartile allows the claim) — an "
+      "unremarkable completion costs a policy check "
       "plus one relaxed counter bump, no lock; spans stay in the trace "
       "ring and are swept out only for the rare retained request.\n");
   reporter.Write();

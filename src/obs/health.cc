@@ -100,7 +100,7 @@ void HealthMonitor::RunLoop() {
 
 HealthState HealthMonitor::Judge(int hot_metrics, double burn) const {
   if (hot_metrics >= kUnhealthyAnomalousMetrics ||
-      burn >= options_.burn_unhealthy) {
+      burn >= kBurnUnhealthy) {
     return HealthState::kUnhealthy;
   }
   if (hot_metrics >= kDegradedAnomalousMetrics || burn >= kBurnDegraded) {
@@ -239,8 +239,7 @@ void HealthMonitor::SampleOnce() {
       transition.top_offender = snapshot_.top_offender;
       transition.burn_rate = burn;
       snapshot_.transitions.push_back(transition);
-      const size_t keep = std::max<size_t>(1, options_.transition_history);
-      while (snapshot_.transitions.size() > keep) {
+      while (snapshot_.transitions.size() > kTransitionHistory) {
         snapshot_.transitions.erase(snapshot_.transitions.begin());
       }
       ++snapshot_.transitions_total;

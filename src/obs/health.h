@@ -68,7 +68,7 @@ struct HealthSnapshot {
   uint64_t anomalies_total = 0;  ///< flagged samples across all metrics
 
   /// The most recent state transitions, oldest first, bounded by
-  /// Options::transition_history. transitions_total keeps counting past
+  /// HealthMonitor::kTransitionHistory. transitions_total keeps counting past
   /// the window, so "has anything flapped since?" survives the trim.
   std::vector<HealthTransition> transitions;
   uint64_t transitions_total = 0;
@@ -111,11 +111,11 @@ class HealthMonitor {
     // makes the state at least Degraded).
     double slo_p95_objective_seconds = 0.05;
     double slo_error_budget = 0.05;
-    double burn_unhealthy = 2.0;  ///< burn >= this -> Unhealthy
-
-    /// Transitions kept in HealthSnapshot::transitions (oldest trimmed).
-    size_t transition_history = 16;
   };
+
+  static constexpr double kBurnUnhealthy = 2.0;  ///< burn >= this -> Unhealthy
+  /// Transitions kept in HealthSnapshot::transitions (oldest trimmed).
+  static constexpr size_t kTransitionHistory = 16;
 
   using Sampler = std::function<ServeStatsSnapshot()>;
 
@@ -142,7 +142,6 @@ class HealthMonitor {
   /// Copies the latest health picture; safe from any thread.
   HealthSnapshot Snapshot() const;
 
-  const Options& options() const { return options_; }
 
   /// The watched metrics, in verdict order.
   static constexpr size_t kNumMetrics = 5;

@@ -489,8 +489,9 @@ MetricSet MetricsExporter::Describe(const FlightStatsSnapshot& s) {
       "reason."};
   static constexpr MetricFamily kSpans{
       "flight_spans_total", kCounter,
-      "Spans offered to open records, by fate (over-cap spans are "
-      "counted per record too)."};
+      "Spans swept into retained records at retention or landed in a "
+      "late-span slot, by fate (over-cap spans are counted per record "
+      "too)."};
   MetricSet m;
   m.Open("flight");
   m.Add("enabled", s.enabled, "flight_enabled", kGauge,

@@ -33,9 +33,7 @@ QueryServer::QueryServer(const RoadNetwork* network, PathCostModel base_model,
       routes_(network, options.route_cache_entries),
       queue_(options.queue),
       pool_(std::max(1, options.initial_workers)),
-      controller_(&pool_, MakeAutoscalePolicy(options), options.autoscale) {
-  options_.route_cache_entries = std::max<size_t>(1, options_.route_cache_entries);
-}
+      controller_(&pool_, MakeAutoscalePolicy(options), options.autoscale) {}
 
 QueryServer::~QueryServer() { Stop(); }
 
@@ -134,8 +132,7 @@ Status QueryServer::Submit(RouteQuery query,
     flight_client_id = req.client_request_id;
     flight_tenant = req.tenant;
   }
-  Status st = queue_.Push(std::move(req));
-  if (st.ok()) Wake();
+  Status st = Push(std::move(req));
   if (flight && !st.ok()) {
     RouteAnswer shed;
     shed.status = st;
@@ -149,12 +146,22 @@ Status QueryServer::Submit(RouteQuery query,
 Status QueryServer::SubmitProbe(std::vector<int> segment, int bucket,
                                 std::function<void(const RouteAnswer&)> on_done,
                                 const SubmitOptions& options) {
-  if (segment.empty()) {
-    return Status::InvalidArgument("serve: probe segment is empty");
-  }
   ServeRequest req = MakeRequest(RouteQuery{}, std::move(on_done), options);
+  req.kind = RequestKind::kProbe;
   req.probe_edges = std::move(segment);
   req.probe_bucket = bucket;
+  return Push(std::move(req));
+}
+
+Status QueryServer::SubmitEnumerate(
+    RouteQuery query, std::function<void(const RouteAnswer&)> on_done,
+    const SubmitOptions& options) {
+  ServeRequest req = MakeRequest(std::move(query), std::move(on_done), options);
+  req.kind = RequestKind::kEnumerate;
+  return Push(std::move(req));
+}
+
+Status QueryServer::Push(ServeRequest req) {
   Status st = queue_.Push(std::move(req));
   if (st.ok()) Wake();
   return st;
@@ -346,7 +353,7 @@ void QueryServer::ServeOne(const ServeRequest& req) {
   uint64_t cache_ns = 0;
 
   const RouteQuery& q = req.query;
-  if (!req.probe_edges.empty()) {
+  if (req.kind == RequestKind::kProbe) {
     // Scatter probe: the shard router asked for one segment's cost
     // distribution, not a route decision. Same cache + base-model path a
     // local query's segment would take, so a probed segment is
@@ -367,6 +374,9 @@ void QueryServer::ServeOne(const ServeRequest& req) {
         routes_.Get(q.source, q.target, q.k, exec_ctx);
     if (!routes.ok()) {
       answer.status = routes.status();
+    } else if (req.kind == RequestKind::kEnumerate) {
+      // Scatter enumeration: the shard router probes and scores these.
+      answer.candidates = std::move(routes).value();
     } else {
       // Attach cost distributions through the sub-path cache (one clocked
       // section for all candidates — scoring below is exec time), then
@@ -423,10 +433,9 @@ void QueryServer::ServeOne(const ServeRequest& req) {
     tm.e2e_latency.Add(e2e);
   }
   // Flight-recorder completion: the terminal answer of every served
-  // request, with its stage breakdown. Scatter probes are excluded — a
-  // probe is a sub-operation of its caller's request, whose canonical
-  // completion is the shard router's merge.
-  if (req.probe_edges.empty()) {
+  // request, with its stage breakdown. Probes and enumerations are
+  // excluded: the shard router completes their caller's request.
+  if (req.kind == RequestKind::kRoute) {
     FlightRecorder::MaybeComplete(req.trace.request_id, req.shard, answer);
   }
   if (req.on_done) req.on_done(answer);

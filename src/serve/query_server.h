@@ -45,6 +45,11 @@ namespace tsdm {
 /// A warm query therefore costs two lookups plus a few convolutions where
 /// a cold one pays Yen's algorithm plus full cost recomposition.
 ///
+/// Requests come in three kinds (RequestKind) on one queue: a route query
+/// (Submit) uses both layers; the shard router's enumeration
+/// (SubmitEnumerate) only the route LRU, its probe (SubmitProbe) only the
+/// PathCostCache.
+///
 /// With autoscale enabled, a timer thread is the control loop: every
 /// review interval it feeds the observed arrival count into the
 /// AutoscaleController, which forecasts demand and resizes the worker
@@ -132,8 +137,8 @@ class QueryServer : public QueryService {
                 std::function<void(const RouteAnswer&)> on_done,
                 const SubmitOptions& options) override;
 
-  /// Submits a scatter probe: answer the cost distribution of exactly
-  /// `segment` at departure-time bucket `bucket` (RouteAnswer::probe_cost /
+  /// Submits a scatter probe: answer the cost distribution of exactly the
+  /// non-empty `segment` at departure-time bucket `bucket` (probe_cost /
   /// probe_from_cache), through the same cache + base-model path a local
   /// query would take. Probes ride the ordinary queue/batch/worker
   /// pipeline, so admission control and the exactly-once callback contract
@@ -141,6 +146,13 @@ class QueryServer : public QueryService {
   Status SubmitProbe(std::vector<int> segment, int bucket,
                      std::function<void(const RouteAnswer&)> on_done,
                      const SubmitOptions& options);
+
+  /// Submits a scatter enumeration: answer the candidate routes of `query`
+  /// (RouteAnswer::candidates) from the route LRU a local query reads.
+  /// Rides the pipeline like a probe; the shard router's scatter entry.
+  Status SubmitEnumerate(RouteQuery query,
+                         std::function<void(const RouteAnswer&)> on_done,
+                         const SubmitOptions& options);
 
   /// True when the admission queue is at capacity — the cheap socket-layer
   /// probe for shedding a wire request before its payload is even decoded.
@@ -154,7 +166,6 @@ class QueryServer : public QueryService {
   int workers() const { return pool_.NumThreads(); }
   PathCostCache& cache() { return cache_; }
   const PathCostCache& cache() const { return cache_; }
-  const Options& options() const { return options_; }
 
  private:
   /// Submits a drain task unless NumThreads() of them are outstanding.
@@ -166,11 +177,13 @@ class QueryServer : public QueryService {
   void ServeOne(const ServeRequest& req);
   void AutoscaleLoop();
 
-  /// Builds the queued request shared by Submit and SubmitProbe: assigns
-  /// the id, roots (or adopts) the trace tree, and stamps admission state.
+  /// Builds the queued request shared by every Submit*: assigns the id,
+  /// roots (or adopts) the trace tree, and stamps admission state.
   ServeRequest MakeRequest(RouteQuery query,
                            std::function<void(const RouteAnswer&)> on_done,
                            const SubmitOptions& options);
+  /// Pushes `req` and wakes a worker when it was admitted.
+  Status Push(ServeRequest req);
 
   const RoadNetwork* network_;
   Options options_;

@@ -37,7 +37,7 @@ struct SubmitOptions {
   /// RouteAnswer::client_request_id (0 = unset).
   uint64_t client_request_id = 0;
   /// Shard the routing tier pinned this request to (-1 = not routed).
-  /// Set by ShardRouter when it forwards or probes so per-shard
+  /// Set by ShardRouter on every request it sends a shard, so per-shard
   /// attribution survives into the serve layer; direct callers leave it.
   int shard = -1;
   /// When set (ForRequest()), the request's `serve/submit` span attaches

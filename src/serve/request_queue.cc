@@ -31,9 +31,9 @@ void AnswerShed(const ServeRequest& req, Status status) {
                                ? now_ns - req.enqueue_ns
                                : 0;  // all of a shed request's time is queue
   // Flight-recorder completion: expired/drained/displaced requests are
-  // exactly the tail evidence retroactive retention exists for. Probes are
-  // excluded — their caller's completion is the shard router's merge.
-  if (req.probe_edges.empty()) {
+  // exactly the tail evidence retroactive retention exists for. Probes and
+  // enumerations are excluded — the shard router completes their caller.
+  if (req.kind == RequestKind::kRoute) {
     FlightRecorder::MaybeComplete(req.trace.request_id, req.shard, answer);
   }
   if (req.on_done) req.on_done(answer);

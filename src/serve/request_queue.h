@@ -68,12 +68,22 @@ struct RouteAnswer {
   /// shed — so a caller multiplexing tenants (and every shed counter) can
   /// attribute the outcome without a side table.
   std::string tenant_id;
-  /// Scatter-probe reply (shard tier): the requested segment's cost
+  /// Probe reply (RequestKind::kProbe only): the segment's cost
   /// distribution and whether the serving shard answered it from cache.
-  /// Meaningful only when the request was a probe (ServeRequest::
-  /// probe_edges non-empty); plain route answers leave them defaulted.
   Histogram probe_cost;
   bool probe_from_cache = false;
+  /// Enumeration reply (RequestKind::kEnumerate): the query's candidate
+  /// routes, in the order the serving shard's RouteCache returned them.
+  std::vector<Path> candidates;
+};
+
+/// What a queued request asks its worker for. Probes and enumerations are
+/// a shard-router scatter's sub-operations; only the scatter itself
+/// completes in the flight recorder.
+enum class RequestKind {
+  kRoute,      ///< a route decision: enumerate, cost and score candidates
+  kProbe,      ///< one segment's cost distribution (probe_edges, probe_bucket)
+  kEnumerate,  ///< the candidate routes of `query` (RouteAnswer::candidates)
 };
 
 /// A queued request: the query plus its admission timestamp, queueing
@@ -96,12 +106,11 @@ struct ServeRequest {
   /// Request-tree linkage: request_id identifies this request in the trace,
   /// parent_span_id is the submit (root) span every later span attaches to.
   TraceContext trace;
-  /// Non-empty marks this request as a shard-router scatter probe: instead
-  /// of enumerating routes, the worker answers the cost distribution of
-  /// exactly this edge sub-path at `probe_bucket`, through the same cache +
-  /// base-model path a local query would take. Probes ride the ordinary
-  /// queue/batch/worker pipeline so admission control, the exactly-once
-  /// callback contract, and stage accounting all apply unchanged.
+  /// Every kind rides the same pipeline: admission control, exactly-once
+  /// callbacks and stage accounting apply to all three unchanged.
+  RequestKind kind = RequestKind::kRoute;
+  /// kProbe only: the edge sub-path whose cost distribution the worker
+  /// answers at `probe_bucket`, as a local query's segment would.
   std::vector<int> probe_edges;
   int probe_bucket = 0;  ///< departure-time bucket of the probe
   std::function<void(const RouteAnswer&)> on_done;

@@ -17,11 +17,10 @@ namespace tsdm {
 
 /// Bounded LRU of candidate-route enumerations per (source, target, k) —
 /// the K-shortest computation is departure-time independent, so one Yen
-/// run is shareable across every query of an OD pair. Extracted from
-/// QueryServer so the shard router enumerates candidates through the
-/// *identical* code path (same KShortestPaths call, same free-flow edge
-/// cost, same trace span) — a precondition for sharded answers being
-/// bitwise-equal to single-node ones.
+/// run is shareable across every query of an OD pair. Each QueryServer owns
+/// one, and a scattered query enumerates on its source owner's, so every
+/// enumeration takes one code path (same KShortestPaths call, free-flow
+/// edge cost and trace span): sharded answers are bitwise single-node ones.
 ///
 /// Thread-safe: one mutex guards the LRU; the enumeration itself runs
 /// unlocked, and a racing duplicate insert refreshes instead of doubling.

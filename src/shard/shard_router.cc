@@ -55,7 +55,9 @@ struct ShardRouter::ScatterState {
   std::vector<Status> seg_transport;
   std::atomic<size_t> remaining{0};
 
-  SubmitOptions caller;
+  /// The caller's options under the scatter span: what the enumeration
+  /// and every probe are submitted with (each probe re-pins `shard`).
+  SubmitOptions sub_options;
   std::function<void(const RouteAnswer&)> on_done;
   uint64_t submit_ns = 0;
   TraceContext scatter_ctx;
@@ -69,8 +71,7 @@ ShardRouter::ShardRouter(const RoadNetwork* network, PathCostModel base_model,
                          Options options)
     : network_(network),
       options_(options),
-      map_(options.map),
-      routes_(network, options.server.route_cache_entries) {
+      map_(options.map) {
   const int n = map_.num_shards();
   shard_stopped_.reset(new std::atomic<bool>[static_cast<size_t>(n)]);
   shards_.reserve(static_cast<size_t>(n));
@@ -175,8 +176,9 @@ Status ShardRouter::Submit(RouteQuery query,
       query.source >= 0 &&
       query.source < static_cast<int>(network_->NumNodes()) &&
       query.target >= 0 && query.target < static_cast<int>(network_->NumNodes());
-  const int source_owner = placeable ? OwnerOfNode(query.source) : 0;
+  const int s = placeable ? OwnerOfNode(query.source) : 0;
   const int target_owner = placeable ? OwnerOfNode(query.target) : 0;
+  QueryServer& owner = *shards_[static_cast<size_t>(s)];
 
   // Rejected before any shard saw it: on_done is not retained, so the
   // synthesized answer is the request's only terminal record.
@@ -192,21 +194,18 @@ Status ShardRouter::Submit(RouteQuery query,
     return st;
   };
 
-  if (source_owner == target_owner) {
-    // Forwarded: admission is the owning shard's typed Push result alone.
-    const int s = source_owner;
-    if (shard_stopped_[s].load(std::memory_order_acquire)) {
-      return reject(Status::Unavailable("shard: shard " + std::to_string(s) +
-                                        " is stopped"),
-                    s);
-    }
+  // Admission, either kind, is the source owner's typed Push result alone.
+  if (shard_stopped_[s].load(std::memory_order_acquire)) {
+    return reject(Status::Unavailable("shard: shard " + std::to_string(s) +
+                                      " is stopped"),
+                  s);
+  }
+  SubmitOptions inner = options;
+  inner.shard = s;
+  if (s == target_owner) {
     TraceSpan forward("shard/forward", ctx, s);
-    SubmitOptions inner = options;
-    inner.shard = s;
     inner.trace_parent = forward.ChildContext();
-    Status st =
-        shards_[static_cast<size_t>(s)]->Submit(std::move(query),
-                                                std::move(on_done), inner);
+    Status st = owner.Submit(std::move(query), std::move(on_done), inner);
     if (st.ok()) {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.forwarded;
@@ -215,64 +214,49 @@ Status ShardRouter::Submit(RouteQuery query,
     return st;
   }
 
-  // A scatter may probe any shard, and which ones is known only after Yen
-  // has run: shed it up front while any shard's queue is full.
-  for (int s = 0; s < num_shards(); ++s) {
-    if (shards_[static_cast<size_t>(s)]->QueueFull()) {
-      return reject(Status::ResourceExhausted(
-                        "shard: shard " + std::to_string(s) +
-                        " queue full, scatter shed"),
-                    -1);
-    }
+  // Scatter: enumeration runs on the source owner's worker; its callback
+  // carries the scatter on from there.
+  TraceSpan scatter("shard/scatter", ctx, s);
+  auto state = std::make_shared<ScatterState>();
+  state->query = query;
+  state->source_owner = s;
+  state->target_owner = target_owner;
+  state->on_done = std::move(on_done);
+  state->submit_ns = TraceRecorder::NowNs();
+  state->scatter_ctx = scatter.ChildContext();
+  inner.trace_parent = state->scatter_ctx;
+  state->sub_options = inner;
+  outstanding_scatters_.fetch_add(1, std::memory_order_acq_rel);
+  Status st = owner.SubmitEnumerate(
+      std::move(query),
+      [this, state](const RouteAnswer& enumerated) {
+        OnEnumerated(state, enumerated);
+      },
+      state->sub_options);
+  if (!st.ok()) {
+    outstanding_scatters_.fetch_sub(1, std::memory_order_acq_rel);
+    return reject(std::move(st), -1);
   }
-  SubmitOptions caller = options;
-  caller.shard = -1;
-  Scatter(std::move(query), std::move(on_done), caller, ctx);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.scattered;
   return Status::OK();
 }
 
-void ShardRouter::Scatter(RouteQuery query,
-                          std::function<void(const RouteAnswer&)> cb,
-                          const SubmitOptions& options,
-                          const TraceContext& root_ctx) {
-  outstanding_scatters_.fetch_add(1, std::memory_order_acq_rel);
-  TraceSpan span("shard/scatter", root_ctx);
-  const uint64_t submit_ns = TraceRecorder::NowNs();
-
-  // Candidate enumeration through the same RouteCache code path a
-  // QueryServer runs — the first of the shared stages that make the
-  // scattered answer bitwise-equal to the single-node one.
-  Result<std::vector<Path>> routes =
-      routes_.Get(query.source, query.target, query.k, span.ChildContext());
-  if (!routes.ok()) {
+void ShardRouter::OnEnumerated(const std::shared_ptr<ScatterState>& state,
+                               const RouteAnswer& enumerated) {
+  if (!enumerated.status.ok()) {
+    // Enumeration failed, or its request was shed or drained unserved.
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.scattered;
       ++stats_.enumeration_failures;
     }
     RouteAnswer answer;
-    answer.status = routes.status();
-    answer.client_request_id = options.client_request_id;
-    answer.tenant_id =
-        options.tenant_id.empty() ? "default" : options.tenant_id;
-    answer.service_seconds =
-        1e-9 * static_cast<double>(TraceRecorder::NowNs() - submit_ns);
-    FlightRecorder::MaybeComplete(root_ctx.request_id, -1, answer);
-    cb(answer);
-    outstanding_scatters_.fetch_sub(1, std::memory_order_acq_rel);
+    answer.status = enumerated.status;
+    Finish(state, std::move(answer));
     return;
   }
-
-  auto state = std::make_shared<ScatterState>();
-  state->query = query;
-  state->routes = std::move(*routes);
-  state->bucket = shards_[0]->cache().BucketFor(query.depart_seconds);
-  state->source_owner = OwnerOfNode(query.source);
-  state->target_owner = OwnerOfNode(query.target);
-  state->caller = options;
-  state->on_done = std::move(cb);
-  state->submit_ns = submit_ns;
-  state->scatter_ctx = span.ChildContext();
+  state->routes = enumerated.candidates;
+  state->bucket = shards_[0]->cache().BucketFor(state->query.depart_seconds);
 
   // Unique segments in first-appearance order; every candidate keeps its
   // segment-index sequence so the merge composes in route order no matter
@@ -302,8 +286,11 @@ void ShardRouter::Scatter(RouteQuery query,
   state->remaining.store(n, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.scattered;
     stats_.probes_sent += n;
+    for (size_t i = 0; i < n; ++i) {
+      state->seg_shard[i] = map_.OwnerOfSubpath(state->segments[i]);
+      ++stats_.probes_per_shard[static_cast<size_t>(state->seg_shard[i])];
+    }
   }
   if (n == 0) {
     // Every candidate was an empty edge path; merge degenerates to the
@@ -313,35 +300,16 @@ void ShardRouter::Scatter(RouteQuery query,
   }
 
   for (size_t i = 0; i < n; ++i) {
-    const int owner = map_.OwnerOfSubpath(state->segments[i]);
-    state->seg_shard[i] = owner;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.probes_per_shard[static_cast<size_t>(owner)];
-    }
-    if (shard_stopped_[owner].load(std::memory_order_acquire)) {
-      RouteAnswer dead;
-      dead.status = Status::Unavailable("shard: shard " +
-                                        std::to_string(owner) + " is stopped");
-      OnProbeDone(state, i, dead);
-      continue;
-    }
-    SubmitOptions probe_options;
-    probe_options.queue_budget_seconds = options.queue_budget_seconds;
-    probe_options.priority = options.priority;
-    probe_options.tenant_id = options.tenant_id;
+    const int owner = state->seg_shard[i];
+    SubmitOptions probe_options = state->sub_options;
     probe_options.shard = owner;
-    probe_options.trace_parent = state->scatter_ctx;
-    auto self = this;
     Status st = shards_[static_cast<size_t>(owner)]->SubmitProbe(
         state->segments[i], state->bucket,
-        [self, state, i](const RouteAnswer& pa) {
-          self->OnProbeDone(state, i, pa);
-        },
+        [this, state, i](const RouteAnswer& pa) { OnProbeDone(state, i, pa); },
         probe_options);
     if (!st.ok()) {
-      // Shed at the shard's front door: the callback was not retained, so
-      // completing the probe here keeps the exactly-once contract.
+      // Refused by a full or stopped shard: the callback was not retained,
+      // so completing the probe here keeps the exactly-once contract.
       RouteAnswer shed;
       shed.status = st;
       OnProbeDone(state, i, shed);
@@ -398,12 +366,6 @@ void ShardRouter::Merge(const std::shared_ptr<ScatterState>& state) {
   const uint64_t merge_start = TraceRecorder::NowNs();
   const size_t n = state->segments.size();
   RouteAnswer answer;
-  answer.client_request_id = state->caller.client_request_id;
-  // Same normalization the serve tier applies, so a scatter-merged answer
-  // carries the tenant exactly like a forwarded one would.
-  answer.tenant_id = state->caller.tenant_id.empty() ? "default"
-                                                     : state->caller.tenant_id;
-
   size_t lost = 0;
   std::string first_loss;
   for (size_t i = 0; i < n; ++i) {
@@ -459,25 +421,23 @@ void ShardRouter::Merge(const std::shared_ptr<ScatterState>& state) {
     }
     ScoreCandidates(state->query, state->routes, costs, &answer);
 
+    // Boundary heat transfer: segments this scatter had to *compute* are,
+    // by construction, sub-paths of routes crossing a shard boundary. Copy
+    // them into the caches of the shards owning the query's endpoint
+    // regions so their forwarded (single-shard) traffic finds the boundary
+    // warm. Cache entries are the exact histograms those shards would
+    // compute themselves, so replication can never change an answer —
+    // only its cost.
     size_t replicated = 0;
-    if (options_.replicate_boundary) {
-      // Boundary heat transfer: segments this scatter had to *compute*
-      // are, by construction, sub-paths of routes crossing a shard
-      // boundary. Copy them into the caches of the shards owning the
-      // query's endpoint regions so their forwarded (single-shard)
-      // traffic finds the boundary warm. Cache entries are the exact
-      // histograms those shards would compute themselves, so replication
-      // can never change an answer — only its cost.
-      const int replicas[2] = {state->source_owner, state->target_owner};
-      for (size_t i = 0; i < n; ++i) {
-        if (!state->seg_costs[i].ok() || state->seg_from_cache[i]) continue;
-        for (int t : replicas) {
-          if (t == state->seg_shard[i]) continue;
-          if (shard_stopped_[t].load(std::memory_order_acquire)) continue;
-          shards_[static_cast<size_t>(t)]->cache().Insert(
-              state->segments[i], state->bucket, state->seg_costs[i].value());
-          ++replicated;
-        }
+    const int replicas[2] = {state->source_owner, state->target_owner};
+    for (size_t i = 0; i < n; ++i) {
+      if (!state->seg_costs[i].ok() || state->seg_from_cache[i]) continue;
+      for (int t : replicas) {
+        if (t == state->seg_shard[i]) continue;
+        if (shard_stopped_[t].load(std::memory_order_acquire)) continue;
+        shards_[static_cast<size_t>(t)]->cache().Insert(
+            state->segments[i], state->bucket, state->seg_costs[i].value());
+        ++replicated;
       }
     }
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -485,16 +445,25 @@ void ShardRouter::Merge(const std::shared_ptr<ScatterState>& state) {
     stats_.replicated += replicated;
   }
 
-  answer.service_seconds =
-      1e-9 * static_cast<double>(TraceRecorder::NowNs() - state->submit_ns);
   TraceRecorder::Global().RecordSpan("shard/merge", merge_start,
                                      TraceRecorder::NowNs(),
                                      state->scatter_ctx,
                                      static_cast<int64_t>(n));
-  // The scatter's canonical flight-recorder completion: sub-probe serve
-  // completions were skipped (they are sub-operations of this request), so
-  // a retained cross-shard request shows its whole tree — scatter, per-
-  // shard probes, merge — under one request id, completed exactly once.
+  Finish(state, std::move(answer));
+}
+
+void ShardRouter::Finish(const std::shared_ptr<ScatterState>& state,
+                         RouteAnswer answer) {
+  const SubmitOptions& caller = state->sub_options;
+  answer.client_request_id = caller.client_request_id;
+  // Same normalization the serve tier applies, so a scattered answer
+  // carries the tenant exactly like a forwarded one would.
+  answer.tenant_id = caller.tenant_id.empty() ? "default" : caller.tenant_id;
+  answer.service_seconds =
+      1e-9 * static_cast<double>(TraceRecorder::NowNs() - state->submit_ns);
+  // The scatter's canonical flight-recorder completion: its enumeration
+  // and probe requests complete nothing there, so a retained cross-shard
+  // request shows its whole tree under one request id, completed once.
   FlightRecorder::MaybeComplete(state->scatter_ctx.request_id, -1, answer);
   state->on_done(answer);
   outstanding_scatters_.fetch_sub(1, std::memory_order_acq_rel);

@@ -11,7 +11,6 @@
 #include "src/decision/routing/stochastic_router.h"
 #include "src/serve/query_server.h"
 #include "src/serve/query_service.h"
-#include "src/serve/route_cache.h"
 #include "src/shard/shard_map.h"
 #include "src/shard/shard_stats.h"
 #include "src/spatial/road_network.h"
@@ -21,16 +20,16 @@ namespace tsdm {
 /// Scatter-gather front door over N in-process QueryServer shards — the
 /// capacity-scaling tier of the serving stack. Implements the same
 /// QueryService surface a single QueryServer does, so the socket server
-/// (and therefore NetClient) cannot tell one node from a fleet:
+/// (and therefore NetClient) cannot tell one node from a fleet. Every query
+/// becomes one request on the queue of the shard owning its source region:
 ///
 ///   Submit --> owner(source region) == owner(target region)?
-///     yes --> forward: pinned single-shard submit (shard stamped in
-///             SubmitOptions, zero extra work on the answer path)
-///     no  --> scatter: enumerate candidates (shared RouteCache), split
-///             every candidate into PathCostCache-granularity segments,
-///             probe each unique segment's cost distribution on the shard
-///             that owns the sub-path, and merge: compose per candidate in
-///             segment order, score with the shared ScoreCandidates rule.
+///     yes --> forward: a route query pinned to that owner
+///     no  --> scatter: an enumeration request (RequestKind::kEnumerate);
+///             its callback, on the owner's worker, splits the candidates
+///             into PathCostCache-granularity segments and probes each on
+///             the shard owning the sub-path; the merge composes per
+///             candidate in segment order and scores (ScoreCandidates).
 ///
 /// Answer equivalence is structural, not coincidental: enumeration,
 /// segment split, per-segment cost, composition, and scoring are the very
@@ -42,23 +41,24 @@ namespace tsdm {
 /// segment *index*: no completion order, adversarial or otherwise, can
 /// change the answer (permutation invariance by construction).
 ///
-/// Failure semantics are typed, never silent: a probe lost to a stopped
-/// or overloaded shard (transport failure — FailedPrecondition /
-/// ResourceExhausted / Unavailable) turns the whole scatter answer into
-/// Status::Unavailable, while a *model* error for a segment flows into
-/// candidate scoring exactly as it would on a single node. A degraded
-/// fleet returns partial-result errors; it never returns a wrong route.
+/// Admission, either kind, is the source owner's typed Push result
+/// (Unavailable when it is stopped); the shards a scatter will probe are
+/// known only after enumeration and take no part in it. The probe rule: a
+/// probe a full or stopped shard refuses or drops (FailedPrecondition /
+/// ResourceExhausted / Unavailable) completes the scatter as a typed
+/// partial-result Status::Unavailable, counted in probe_transport_failures
+/// and partial_errors; a *model* error for a segment flows into candidate
+/// scoring exactly as on a single node. A degraded fleet returns typed
+/// errors, never a wrong route. However a scatter ends (enumeration error,
+/// enumeration request shed or drained, merge), one path completes it.
 ///
-/// Cache heat crosses shard boundaries on purpose: when a scatter probe
-/// *missed* on its owner shard, the freshly computed entry is replicated
-/// into the shards owning the query's source and target regions, so the
-/// forwarded (single-shard) queries of adjacent buckets find the boundary
-/// sub-paths warm.
+/// Cache heat crosses shard boundaries on purpose: a segment a probe had
+/// to compute is replicated into the shards owning the query's endpoint
+/// regions, so their forwarded queries find the boundary sub-paths warm.
 ///
 /// Thread-safety mirrors QueryServer: Submit from any thread;
 /// Start/Stop/StopShard/WaitIdle from the control thread; callbacks fire
-/// exactly once, on shard worker threads (merges run on the thread that
-/// completed the last probe).
+/// exactly once, where the last sub-request of their query completed.
 class ShardRouter : public QueryService {
  public:
   struct Options {
@@ -71,8 +71,6 @@ class ShardRouter : public QueryService {
     /// match share a bucket, and a query whose source and target buckets
     /// have the same owner is forwarded instead of scattered.
     double region_cell_meters = 2000.0;
-    /// Replicate boundary-segment cache entries (see class comment).
-    bool replicate_boundary = true;
     /// Test hook — adversarial completion reordering: when nonzero, every
     /// scatter buffers its probe results and applies them in an order
     /// shuffled by this seed before merging, proving end-to-end that the
@@ -112,9 +110,8 @@ class ShardRouter : public QueryService {
                 const SubmitOptions& options) override;
 
   /// True when no member shard can admit: every shard's queue is full.
-  /// Which shard a query needs is decided in Submit, where a forwarded
-  /// query meets its owner's typed Push result and a scatter is shed while
-  /// any shard is full.
+  /// Which shard a query needs is decided in Submit, where every query,
+  /// forwarded or scattered, meets its source owner's typed Push result.
   bool QueueFull() const override;
 
   /// Fleet aggregate (ShardStats().Aggregate()).
@@ -140,18 +137,22 @@ class ShardRouter : public QueryService {
  private:
   struct ScatterState;
 
-  void Scatter(RouteQuery query, std::function<void(const RouteAnswer&)> cb,
-               const SubmitOptions& options, const TraceContext& root_ctx);
+  /// The enumeration request's callback: fans the candidates' segments
+  /// out as probes, or ends the scatter with the enumeration's status.
+  void OnEnumerated(const std::shared_ptr<ScatterState>& state,
+                    const RouteAnswer& enumerated);
   void OnProbeDone(const std::shared_ptr<ScatterState>& state, size_t index,
                    const RouteAnswer& probe_answer);
   void ApplyProbe(const std::shared_ptr<ScatterState>& state, size_t index,
                   const RouteAnswer& probe_answer);
   void Merge(const std::shared_ptr<ScatterState>& state);
+  /// The scatter's one terminal path: stamps `answer`, writes the flight
+  /// record, calls on_done and releases outstanding_scatters_.
+  void Finish(const std::shared_ptr<ScatterState>& state, RouteAnswer answer);
 
   const RoadNetwork* network_;
   Options options_;
   ShardMap map_;
-  RouteCache routes_;
   std::vector<std::unique_ptr<QueryServer>> shards_;
   std::unique_ptr<std::atomic<bool>[]> shard_stopped_;
 

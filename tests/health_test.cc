@@ -150,7 +150,7 @@ TEST(HealthMonitorTest, CacheHitRateCollapseIsFlagged) {
 
 // Pins the exact state each incident shape lands in after a steady run:
 // one anomalous metric degrades, two at once are unhealthy, and an SLO
-// burn of at least 1 but under burn_unhealthy (2) degrades.
+// burn of at least 1 but under kBurnUnhealthy (2) degrades.
 TEST(HealthMonitorTest, IncidentShapesLandInExactStates) {
   auto judge = [](uint64_t seed, const std::function<void(SyntheticServer*)>&
                                      incident) {
@@ -206,7 +206,7 @@ TEST(HealthMonitorTest, SloBurnDrivesUnhealthy) {
   HealthSnapshot snap = monitor.Snapshot();
   EXPECT_EQ(snap.state, HealthState::kUnhealthy);
   EXPECT_NEAR(snap.violation_fraction, 1.0, 1e-9);
-  EXPECT_GE(snap.burn_rate, opts.burn_unhealthy);
+  EXPECT_GE(snap.burn_rate, HealthMonitor::kBurnUnhealthy);
   // Latency mean jumped 50x too — the detector sees it.
   for (const MetricVerdict& v : snap.metrics) {
     if (v.name == "latency_mean") EXPECT_TRUE(v.anomalous);
@@ -221,10 +221,10 @@ TEST(HealthMonitorTest, SloBurnDrivesUnhealthy) {
   EXPECT_EQ(t.to, HealthState::kUnhealthy);
   EXPECT_EQ(t.sample, 41u);
   EXPECT_GT(t.at_ns, 0u);
-  EXPECT_GE(t.burn_rate, opts.burn_unhealthy);
+  EXPECT_GE(t.burn_rate, HealthMonitor::kBurnUnhealthy);
 
   // Recovery lands in the same ring; the ring is bounded by
-  // transition_history while the total keeps counting.
+  // kTransitionHistory while the total keeps counting.
   for (int round = 0; round < 40; ++round) {
     SteadyRound(&server, &rng, round);
     monitor.SampleOnce();
@@ -232,7 +232,7 @@ TEST(HealthMonitorTest, SloBurnDrivesUnhealthy) {
   HealthSnapshot after = monitor.Snapshot();
   EXPECT_EQ(after.state, HealthState::kHealthy);
   EXPECT_GE(after.transitions_total, 2u);
-  EXPECT_LE(after.transitions.size(), monitor.options().transition_history);
+  EXPECT_LE(after.transitions.size(), HealthMonitor::kTransitionHistory);
   EXPECT_EQ(after.transitions.back().to, HealthState::kHealthy);
 }
 

@@ -938,8 +938,9 @@ TEST(MetricsExporterTest, GoldenFlightPrometheus) {
       "ring by the per-tenant reservoir policy.\n"
       "# TYPE tsdm_flight_evicted_total counter\n"
       "tsdm_flight_evicted_total 6\n"
-      "# HELP tsdm_flight_spans_total Spans offered to open records, by fate "
-      "(over-cap spans are counted per record too).\n"
+      "# HELP tsdm_flight_spans_total Spans swept into retained records at "
+      "retention or landed in a late-span slot, by fate (over-cap spans are "
+      "counted per record too).\n"
       "# TYPE tsdm_flight_spans_total counter\n"
       "tsdm_flight_spans_total{fate=\"captured\"} 800\n"
       "tsdm_flight_spans_total{fate=\"dropped\"} 9\n"

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -8,12 +9,14 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/governance/uncertainty/travel_cost_models.h"
 #include "src/net/net_client.h"
 #include "src/net/socket_server.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics_export.h"
 #include "src/obs/trace.h"
 #include "src/shard/shard_map.h"
@@ -323,7 +326,6 @@ TEST(ShardRouterTest, ForwardsSameOwnerAndScattersCrossOwner) {
 TEST(ShardRouterTest, ScatterReplicatesBoundaryCacheEntries) {
   ShardFixture fx;
   ShardRouter::Options opts = fx.RouterOptions(4);
-  opts.replicate_boundary = true;
   ShardRouter router(&fx.net, fx.BaseModel(), opts);
   ASSERT_TRUE(router.Start().ok());
   auto cross = fx.CrossShardPair(router);
@@ -414,6 +416,7 @@ TEST(ShardRouterTest, ScatterSpansLinkUnderSubmitRoot) {
   ShardFixture fx;
   TraceRecorder::Global().Clear();
   TraceRecorder::Global().Enable();
+  int source_owner = -1;
   {
     // Scoped: worker-side spans (the merge runs on the last-completing
     // probe's worker thread) flush when the shards' pools wind down at
@@ -421,6 +424,7 @@ TEST(ShardRouterTest, ScatterSpansLinkUnderSubmitRoot) {
     ShardRouter router(&fx.net, fx.BaseModel(), fx.RouterOptions(4));
     ASSERT_TRUE(router.Start().ok());
     auto cross = fx.CrossShardPair(router);
+    source_owner = router.OwnerOfNode(cross.first);
 
     std::atomic<int> done{0};
     ASSERT_TRUE(
@@ -456,6 +460,34 @@ TEST(ShardRouterTest, ScatterSpansLinkUnderSubmitRoot) {
   EXPECT_TRUE(saw_scatter);
   EXPECT_TRUE(saw_merge);
   EXPECT_TRUE(saw_serve_submit);
+
+  // Enumeration ran on a serve worker of the source owner, in the same
+  // tree: serve/enumerate_routes -> serve/exec -> serve/submit ->
+  // shard/scatter, whose arg is the shard the scatter was sent to.
+  std::map<uint64_t, const TraceEvent*> by_span;
+  for (const TraceEvent& e : events) {
+    if (e.request_id == request_id) by_span[e.span_id] = &e;
+  }
+  auto parent = [&](const TraceEvent* e) -> const TraceEvent* {
+    auto it = by_span.find(e->parent_span_id);
+    return it == by_span.end() ? nullptr : it->second;
+  };
+  int enumerations = 0;
+  for (const auto& [id, e] : by_span) {
+    if (e->name != "serve/enumerate_routes") continue;
+    ++enumerations;
+    const TraceEvent* exec = parent(e);
+    ASSERT_NE(exec, nullptr);
+    EXPECT_EQ(exec->name, "serve/exec");
+    const TraceEvent* submit = parent(exec);
+    ASSERT_NE(submit, nullptr);
+    EXPECT_EQ(submit->name, "serve/submit");
+    const TraceEvent* scatter = parent(submit);
+    ASSERT_NE(scatter, nullptr);
+    EXPECT_EQ(scatter->name, "shard/scatter");
+    EXPECT_EQ(scatter->arg, source_owner);
+  }
+  EXPECT_EQ(enumerations, 1);
 }
 
 TEST(ShardRouterTest, SocketServerFrontsRouterUnchanged) {
@@ -525,51 +557,76 @@ std::pair<int, int> PairOwnedBy(const ShardRouter& router, int shard,
   return {0, 1};
 }
 
-// One full shard sheds only what needs it. Shard 0's single worker is held
-// inside the base model and its one queue slot is taken: a wire query
-// owned by shard 1 is still answered, while a scatter (which may probe any
-// shard) is shed ResourceExhausted before Yen runs.
-TEST(ShardRouterTest, FullShardShedsOnlyItsOwnAndScatteredQueries) {
-  ShardFixture fx;
+/// A (source, target) pair that scatters with its source owned by `shard`.
+std::pair<int, int> ScatterSourcedOn(const ShardRouter& router, int shard,
+                                     int num_nodes) {
+  for (int a = 0; a < num_nodes; ++a) {
+    for (int b = 0; b < num_nodes; ++b) {
+      if (router.OwnerOfNode(a) == shard && router.OwnerOfNode(b) != shard) {
+        return {a, b};
+      }
+    }
+  }
+  ADD_FAILURE() << "no scatter sourced on shard " << shard;
+  return {0, 1};
+}
+
+/// Wraps a base model so that its first call after Arm() blocks until
+/// Release(): holds one shard worker inside a request on demand.
+struct ModelGate {
   std::mutex mu;
   std::condition_variable cv;
   bool entered = false;
   bool released = false;
   std::atomic<bool> armed{false};
-  const PathCostModel base = fx.BaseModel();
-  PathCostModel gated = [&, base](const std::vector<int>& edges,
-                                  double depart) {
-    if (armed.exchange(false)) {  // the first call once armed blocks
-      std::unique_lock<std::mutex> lock(mu);
-      entered = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return released; });
-    }
-    return base(edges, depart);
-  };
-  ShardRouter::Options opts = fx.RouterOptions(2);
-  opts.server.queue.capacity = 1;
-  ShardRouter router(&fx.net, gated, opts);
-  ASSERT_TRUE(router.Start().ok());
-  auto release = [&] {
+
+  PathCostModel Wrap(PathCostModel base) {
+    return [this, base](const std::vector<int>& edges, double depart) {
+      if (armed.exchange(false)) {
+        std::unique_lock<std::mutex> lock(mu);
+        entered = true;
+        cv.notify_all();
+        cv.wait(lock, [this] { return released; });
+      }
+      return base(edges, depart);
+    };
+  }
+  /// Submits `pair` (owned by one shard) and waits until its worker blocks.
+  void Block(ShardRouter* router, std::pair<int, int> pair) {
+    armed.store(true);
+    ASSERT_TRUE(router->Submit(MakeQuery(pair.first, pair.second),
+                               [](const RouteAnswer&) {})
+                    .ok());
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return entered; });
+  }
+  void Release() {
     std::lock_guard<std::mutex> lock(mu);
     released = true;
     cv.notify_all();
-  };
+  }
+};
+
+// One full shard sheds only what its Push refuses. Shard 0's single worker
+// is held inside the base model and its one queue slot is taken: a wire
+// query owned by shard 1 is still answered, a scatter sourced on shard 0
+// is shed ResourceExhausted, and a scatter sourced on shard 1 is admitted
+// — its probes that shard 0 refuses make it a typed partial Unavailable.
+TEST(ShardRouterTest, FullShardShedsOnlyItsOwnAndScatteredQueries) {
+  ShardFixture fx;
+  ModelGate gate;
+  ShardRouter::Options opts = fx.RouterOptions(2);
+  opts.server.queue.capacity = 1;
+  ShardRouter router(&fx.net, gate.Wrap(fx.BaseModel()), opts);
+  ASSERT_TRUE(router.Start().ok());
   // Destroyed before the router, so its workers never stay blocked.
-  std::shared_ptr<void> release_on_exit(nullptr, [&](void*) { release(); });
+  std::shared_ptr<void> release_on_exit(nullptr,
+                                        [&](void*) { gate.Release(); });
 
   const int nodes = static_cast<int>(fx.net.NumNodes());
   const auto own0 = PairOwnedBy(router, 0, nodes);
   const auto own1 = PairOwnedBy(router, 1, nodes);
-  armed.store(true);
-  ASSERT_TRUE(router.Submit(MakeQuery(own0.first, own0.second),
-                            [](const RouteAnswer&) {})
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
-  }
+  gate.Block(&router, own0);
   ASSERT_TRUE(router.Submit(MakeQuery(own0.first, own0.second, 9 * 3600.0),
                             [](const RouteAnswer&) {})
                   .ok());
@@ -584,18 +641,154 @@ TEST(ShardRouterTest, FullShardShedsOnlyItsOwnAndScatteredQueries) {
   ASSERT_TRUE(
       client.Query(MakeQuery(own1.first, own1.second), &answer).ok());
   EXPECT_EQ(answer.status_code, StatusCode::kOk);
-  const auto cross = fx.CrossShardPair(router);
+  const auto from0 = ScatterSourcedOn(router, 0, nodes);
   ASSERT_TRUE(
-      client.Query(MakeQuery(cross.first, cross.second), &answer).ok());
+      client.Query(MakeQuery(from0.first, from0.second), &answer).ok());
   EXPECT_EQ(answer.status_code, StatusCode::kResourceExhausted);
   EXPECT_EQ(server.Stats().shed_queue_full, 1u);
   EXPECT_EQ(router.ShardStats().router.scattered, 0u);
 
-  release();
+  const auto from1 = ScatterSourcedOn(router, 1, nodes);
+  ASSERT_TRUE(
+      client.Query(MakeQuery(from1.first, from1.second), &answer).ok());
+  EXPECT_TRUE(answer.status_code == StatusCode::kOk ||
+              answer.status_code == StatusCode::kUnavailable)
+      << static_cast<int>(answer.status_code);
+  EXPECT_EQ(server.Stats().shed_queue_full, 1u);
+  const ShardRouterStats stats = router.ShardStats().router;
+  EXPECT_EQ(stats.scattered, 1u);
+  EXPECT_EQ(stats.partial_errors,
+            answer.status_code == StatusCode::kUnavailable ? 1u : 0u);
+
+  gate.Release();
   router.WaitIdle();
   client.Close();
   server.Stop();
   router.Stop();
+}
+
+// A cross-owner Submit only queues the scatter on its source owner: with
+// that shard's worker held, Submit returns at once, nothing has been
+// enumerated or probed, and the request waits in the owner's queue. Once
+// released, the answer is bitwise the single-node one.
+TEST(ShardRouterTest, ScatterEnumeratesOnTheSourceOwnersWorker) {
+  ShardFixture fx;
+  ModelGate gate;
+  ShardRouter::Options opts = fx.RouterOptions(2);
+  ShardRouter router(&fx.net, gate.Wrap(fx.BaseModel()), opts);
+  ASSERT_TRUE(router.Start().ok());
+  std::shared_ptr<void> release_on_exit(nullptr,
+                                        [&](void*) { gate.Release(); });
+  const int nodes = static_cast<int>(fx.net.NumNodes());
+  const int source = 0;
+  const auto cross = ScatterSourcedOn(router, source, nodes);
+  const RouteQuery query = MakeQuery(cross.first, cross.second);
+
+  TraceRecorder::Global().Clear();
+  TraceRecorder::Global().Enable();
+  gate.Block(&router, PairOwnedBy(router, source, nodes));
+  constexpr uint64_t kRequest = 0x5ca77e5;
+  SubmitOptions submit;
+  submit.trace_parent = TraceContext{kRequest, 0};
+  RouteAnswer got;
+  std::atomic<int> done{0};
+  ASSERT_TRUE(router
+                  .Submit(query,
+                          [&](const RouteAnswer& answer) {
+                            got = answer;
+                            done.fetch_add(1);
+                          },
+                          submit)
+                  .ok());
+  EXPECT_EQ(router.ShardStats().router.probes_sent, 0u);
+  EXPECT_EQ(router.shard(source).Stats().queue_depth, 1u);
+  for (const TraceEvent& e : TraceRecorder::Global().Snapshot()) {
+    EXPECT_FALSE(e.request_id == kRequest &&
+                 e.name == "serve/enumerate_routes");
+  }
+  EXPECT_EQ(done.load(), 0);
+
+  gate.Release();
+  router.WaitIdle();
+  TraceRecorder::Global().Disable();
+  ASSERT_EQ(done.load(), 1);
+  EXPECT_GT(router.ShardStats().router.probes_sent, 0u);
+  router.Stop();
+
+  QueryServer single(&fx.net, fx.BaseModel(), opts.server);
+  ASSERT_TRUE(single.Start().ok());
+  RouteAnswer want;
+  ASSERT_TRUE(
+      single.Submit(query, [&](const RouteAnswer& answer) { want = answer; })
+          .ok());
+  single.WaitIdle();
+  single.Stop();
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  EXPECT_EQ(got.status.code(), want.status.code()) << got.status.ToString();
+  EXPECT_EQ(got.route.nodes, want.route.nodes);
+  EXPECT_EQ(got.route.edges, want.route.edges);
+  EXPECT_EQ(got.cost_mean_seconds, want.cost_mean_seconds);
+  EXPECT_EQ(got.on_time_probability, want.on_time_probability);
+  EXPECT_EQ(got.num_candidates, want.num_candidates);
+}
+
+// A scatter queued on its source owner when that shard stops is drained:
+// the caller gets exactly one callback (the typed drain status) and the
+// flight recorder exactly one completion for it.
+TEST(ShardRouterTest, ScatterDrainedBySourceOwnerCompletesOnce) {
+  ShardFixture fx;
+  ModelGate gate;
+  ShardRouter router(&fx.net, gate.Wrap(fx.BaseModel()),
+                     fx.RouterOptions(2));
+  ASSERT_TRUE(router.Start().ok());
+  std::shared_ptr<void> release_on_exit(nullptr,
+                                        [&](void*) { gate.Release(); });
+  const int nodes = static_cast<int>(fx.net.NumNodes());
+  const int source = 1;
+  const auto cross = ScatterSourcedOn(router, source, nodes);
+  FlightRecorder& fr = FlightRecorder::Global();
+  fr.Configure(FlightRecorder::Options{});
+  fr.Enable();
+
+  gate.Block(&router, PairOwnedBy(router, source, nodes));
+  constexpr uint64_t kClientId = 4242;
+  SubmitOptions submit;
+  submit.client_request_id = kClientId;
+  std::atomic<int> callbacks{0};
+  StatusCode code = StatusCode::kOk;
+  ASSERT_TRUE(router
+                  .Submit(MakeQuery(cross.first, cross.second),
+                          [&](const RouteAnswer& answer) {
+                            code = answer.status.code();
+                            callbacks.fetch_add(1);
+                          },
+                          submit)
+                  .ok());
+  // StopShard closes the queue (draining the scatter), then waits for the
+  // held worker, so it runs beside the release.
+  std::thread stopper([&] { EXPECT_TRUE(router.StopShard(source).ok()); });
+  for (int i = 0; i < 5000 && callbacks.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Release();
+  stopper.join();
+  router.WaitIdle();
+  router.Stop();
+
+  EXPECT_EQ(callbacks.load(), 1);
+  EXPECT_EQ(code, StatusCode::kFailedPrecondition);
+  const FlightStatsSnapshot stats = fr.Stats();
+  int scatter_records = 0;
+  for (const FlightRecord& rec : fr.Retained(stats.retained_records)) {
+    if (rec.client_request_id == kClientId) ++scatter_records;
+  }
+  fr.Disable();
+  fr.Configure(FlightRecorder::Options{});
+  EXPECT_EQ(scatter_records, 1);
+  // The held forwarded query plus the scatter; the drained enumeration
+  // request is a sub-operation and completes nothing itself.
+  EXPECT_EQ(stats.observed, 2u);
+  EXPECT_EQ(router.ShardStats().router.enumeration_failures, 1u);
 }
 
 }  // namespace
