@@ -142,7 +142,6 @@ class HealthMonitor {
   /// Copies the latest health picture; safe from any thread.
   HealthSnapshot Snapshot() const;
 
-
   /// The watched metrics, in verdict order.
   static constexpr size_t kNumMetrics = 5;
 

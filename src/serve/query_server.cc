@@ -26,8 +26,7 @@ std::unique_ptr<AutoscalePolicy> MakeAutoscalePolicy(
 
 QueryServer::QueryServer(const RoadNetwork* network, PathCostModel base_model,
                          Options options)
-    : network_(network),
-      options_(options),
+    : options_(options),
       cache_(options.cache),
       cost_model_(std::move(base_model), &cache_, options.cost),
       routes_(network, options.route_cache_entries),
@@ -229,6 +228,15 @@ ServeStatsSnapshot QueryServer::Stats() const {
         t.e2e_latency = tm.e2e_latency;
         worker_side.push_back(std::move(t));
       }
+      snap.batches = batches_;
+      snap.batched_requests = batched_requests_;
+      snap.max_batch = max_batch_seen_;
+      snap.queue_latency = queue_latency_;
+      snap.e2e_latency = e2e_latency_;
+      snap.stage_queue = stage_queue_;
+      snap.stage_batch = stage_batch_;
+      snap.stage_cache = stage_cache_;
+      snap.stage_exec = stage_exec_;
     }
     MergeTenantStats(&snap.tenants, worker_side);
   }
@@ -244,18 +252,6 @@ ServeStatsSnapshot QueryServer::Stats() const {
   snap.completed = completed_.load(std::memory_order_acquire);
   snap.failed = failed_.load(std::memory_order_acquire);
   snap.workers = pool_.NumThreads();
-  {
-    std::unique_lock<std::mutex> lock(metrics_mu_);
-    snap.batches = batches_;
-    snap.batched_requests = batched_requests_;
-    snap.max_batch = max_batch_seen_;
-    snap.queue_latency = queue_latency_;
-    snap.e2e_latency = e2e_latency_;
-    snap.stage_queue = stage_queue_;
-    snap.stage_batch = stage_batch_;
-    snap.stage_cache = stage_cache_;
-    snap.stage_exec = stage_exec_;
-  }
   return snap;
 }
 

@@ -185,7 +185,6 @@ class QueryServer : public QueryService {
   /// Pushes `req` and wakes a worker when it was admitted.
   Status Push(ServeRequest req);
 
-  const RoadNetwork* network_;
   Options options_;
 
   PathCostCache cache_;

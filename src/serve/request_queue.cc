@@ -77,7 +77,6 @@ ServeRequest RequestQueue::PopHighest(Tenant* t) {
     if (t->buckets[c].empty()) continue;
     ServeRequest req = std::move(t->buckets[c].front());
     t->buckets[c].pop_front();
-    --t->depth;
     --t->stats.depth;
     --class_depth_[c];
     --total_depth_;
@@ -105,7 +104,7 @@ Status RequestQueue::Push(ServeRequest req) {
       ++tenant->stats.shed_closed;
       return Status::FailedPrecondition("serve: queue closed");
     }
-    if (tenant->cls.quota > 0 && tenant->depth >= tenant->cls.quota) {
+    if (tenant->cls.quota > 0 && tenant->stats.depth >= tenant->cls.quota) {
       ++stats_.shed_capacity;
       ++tenant->stats.shed_capacity;
       return Status::ResourceExhausted("serve: tenant '" + req.tenant +
@@ -131,11 +130,12 @@ Status RequestQueue::Push(ServeRequest req) {
       Tenant* deepest = nullptr;
       for (auto& t : tenants_) {
         if (t->buckets[victim_class].empty()) continue;
-        if (deepest == nullptr || t->depth > deepest->depth) deepest = t.get();
+        if (deepest == nullptr || t->stats.depth > deepest->stats.depth) {
+          deepest = t.get();
+        }
       }
       victim = std::move(deepest->buckets[victim_class].back());
       deepest->buckets[victim_class].pop_back();
-      --deepest->depth;
       --deepest->stats.depth;
       --class_depth_[victim_class];
       --total_depth_;
@@ -145,11 +145,9 @@ Status RequestQueue::Push(ServeRequest req) {
     }
     const int cls = req.priority;
     tenant->buckets[cls].push_back(std::move(req));
-    ++tenant->depth;
     ++tenant->stats.depth;
     ++class_depth_[cls];
     ++total_depth_;
-    stats_.depth = total_depth_;
     ++stats_.admitted;
     ++tenant->stats.admitted;
   }
@@ -179,14 +177,14 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
       for (size_t i = 0; i < n && delivered < max_n && total_depth_ > 0;
            ++i) {
         Tenant& t = *tenants_[(rr_start_ + i) % n];
-        if (t.depth == 0) {
+        if (t.stats.depth == 0) {
           t.deficit = 0.0;
           continue;
         }
         t.deficit = std::min(t.deficit + options_.drr_quantum * t.cls.weight,
                              options_.drr_quantum * t.cls.weight +
-                                 static_cast<double>(t.depth));
-        while (t.deficit >= 1.0 && t.depth > 0 && delivered < max_n) {
+                                 static_cast<double>(t.stats.depth));
+        while (t.deficit >= 1.0 && t.stats.depth > 0 && delivered < max_n) {
           ServeRequest req = PopHighest(&t);
           // `now_ns` is sampled before the lock is taken, so a request
           // admitted in between carries a later enqueue stamp. Clamp to it
@@ -209,7 +207,6 @@ size_t RequestQueue::PopBatch(uint64_t now_ns, size_t max_n,
       }
       if (n > 0) rr_start_ = (rr_start_ + 1) % n;
     }
-    stats_.depth = total_depth_;
   }
   // Each delivered request's queue wait is over: record it retrospectively
   // as a child of the request's submit span (outside the lock — span
@@ -250,13 +247,11 @@ void RequestQueue::Close() {
         }
         t->buckets[c].clear();
       }
-      t->depth = 0;
       t->stats.depth = 0;
       t->deficit = 0.0;
     }
     class_depth_.fill(0);
     total_depth_ = 0;
-    stats_.depth = 0;
   }
   available_.notify_all();
   for (const auto& req : drained) {

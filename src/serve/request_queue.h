@@ -237,14 +237,13 @@ class RequestQueue {
     TenantClass cls;
     std::array<std::deque<ServeRequest>, kPriorityClasses> buckets;
     double deficit = 0.0;
-    size_t depth = 0;
-    TenantStats stats;
+    TenantStats stats;  ///< stats.depth is the tenant's queued count
   };
 
   /// Finds or lazily creates the tenant record (lock held).
   Tenant* TenantFor(const std::string& name);
   /// Pops the front of `t`'s highest-priority non-empty bucket (lock held;
-  /// depth bookkeeping included). Requires t->depth > 0.
+  /// depth bookkeeping included). Requires t->stats.depth > 0.
   ServeRequest PopHighest(Tenant* t);
 
   Options options_;
@@ -256,7 +255,7 @@ class RequestQueue {
   std::array<size_t, kPriorityClasses> class_depth_{};  ///< global per class
   size_t total_depth_ = 0;
   size_t rr_start_ = 0;  ///< rotating round-robin start position
-  Stats stats_;          ///< global counters only; tenants assembled on read
+  Stats stats_;  ///< global counters only; depth and tenants filled on read
   bool closed_ = false;
 };
 

@@ -73,12 +73,18 @@ ShardRouter::ShardRouter(const RoadNetwork* network, PathCostModel base_model,
       options_(options),
       map_(options.map) {
   const int n = map_.num_shards();
+  // Scatters enumerate in their source owners' route LRUs, so the budget
+  // of the router's former LRU is split across them: the fleet keeps
+  // (N+1) x route_cache_entries. A one-shard fleet never scatters.
+  const size_t entries = options_.server.route_cache_entries;
+  QueryServer::Options shard_options = options_.server;
+  if (n > 1) shard_options.route_cache_entries += (entries + n - 1) / n;
   shard_stopped_.reset(new std::atomic<bool>[static_cast<size_t>(n)]);
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     shard_stopped_[i].store(false, std::memory_order_relaxed);
     shards_.push_back(
-        std::make_unique<QueryServer>(network, base_model, options_.server));
+        std::make_unique<QueryServer>(network, base_model, shard_options));
   }
   stats_.num_shards = n;
   stats_.generation = map_.generation();
@@ -124,9 +130,7 @@ void ShardRouter::Stop() {
   // Scatters whose last probe was answered by a draining shard may still
   // be merging on that shard's worker; their callbacks must finish before
   // Stop returns (the exactly-once contract outlives member shutdown).
-  while (outstanding_scatters_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  WaitIdle();
 }
 
 Status ShardRouter::StopShard(int shard) {
@@ -237,8 +241,6 @@ Status ShardRouter::Submit(RouteQuery query,
     outstanding_scatters_.fetch_sub(1, std::memory_order_acq_rel);
     return reject(std::move(st), -1);
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.scattered;
   return Status::OK();
 }
 
@@ -248,6 +250,7 @@ void ShardRouter::OnEnumerated(const std::shared_ptr<ScatterState>& state,
     // Enumeration failed, or its request was shed or drained unserved.
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.scattered;
       ++stats_.enumeration_failures;
     }
     RouteAnswer answer;
@@ -286,6 +289,7 @@ void ShardRouter::OnEnumerated(const std::shared_ptr<ScatterState>& state,
   state->remaining.store(n, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.scattered;
     stats_.probes_sent += n;
     for (size_t i = 0; i < n; ++i) {
       state->seg_shard[i] = map_.OwnerOfSubpath(state->segments[i]);
@@ -299,9 +303,15 @@ void ShardRouter::OnEnumerated(const std::shared_ptr<ScatterState>& state,
     return;
   }
 
+  // One queue budget per scatter: probes get what the enumeration's queue
+  // wait left of the caller's (a budget <= 0 means none).
+  SubmitOptions probe_options = state->sub_options;
+  double& budget = probe_options.queue_budget_seconds;
+  if (budget > 0.0) {
+    budget = std::max(1e-9, budget - 1e-9 * enumerated.stages.queue_ns);
+  }
   for (size_t i = 0; i < n; ++i) {
     const int owner = state->seg_shard[i];
-    SubmitOptions probe_options = state->sub_options;
     probe_options.shard = owner;
     Status st = shards_[static_cast<size_t>(owner)]->SubmitProbe(
         state->segments[i], state->bucket,

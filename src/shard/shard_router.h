@@ -43,7 +43,9 @@ namespace tsdm {
 ///
 /// Admission, either kind, is the source owner's typed Push result
 /// (Unavailable when it is stopped); the shards a scatter will probe are
-/// known only after enumeration and take no part in it. The probe rule: a
+/// known only after enumeration and take no part in it. Probes get what
+/// the enumeration's queue wait left of the caller's queue budget, so a
+/// scatter queues within one budget, as a forward does. The probe rule: a
 /// probe a full or stopped shard refuses or drops (FailedPrecondition /
 /// ResourceExhausted / Unavailable) completes the scatter as a typed
 /// partial-result Status::Unavailable, counted in probe_transport_failures
@@ -64,8 +66,9 @@ class ShardRouter : public QueryService {
   struct Options {
     /// Ring shape. map.num_shards is the fleet size.
     ShardMap::Options map;
-    /// Per-shard QueryServer configuration (every shard gets a copy, so
-    /// cache capacity etc. are per shard — fleet capacity scales with N).
+    /// Per-shard QueryServer configuration: every shard gets a copy, and
+    /// with N > 1 its route LRU gets ceil(route_cache_entries / N) more
+    /// entries for the scatter enumerations it runs.
     QueryServer::Options server;
     /// Region grid cell size (meters) for RegionBucket: nodes whose cells
     /// match share a bucket, and a query whose source and target buckets

@@ -732,6 +732,47 @@ TEST(ShardRouterTest, ScatterEnumeratesOnTheSourceOwnersWorker) {
   EXPECT_EQ(got.num_candidates, want.num_candidates);
 }
 
+// Scatters enumerate in their source owner's route LRU, and the router's
+// former LRU budget is split across the shards: with route_cache_entries 2
+// on 2 shards each holds 3 route keys, so two cyclic passes over 3
+// scatters sourced on one shard run Yen 3 times (2 entries: 6 times).
+TEST(ShardRouterTest, FleetKeepsTheRoutersFormerRouteCapacity) {
+  ShardFixture fx;
+  ShardRouter::Options opts = fx.RouterOptions(2);
+  opts.server.route_cache_entries = 2;
+  TraceRecorder::Global().Clear();
+  TraceRecorder::Global().Enable();
+  {
+    // Scoped: worker-side spans flush when the shards' pools wind down.
+    ShardRouter router(&fx.net, fx.BaseModel(), opts);
+    ASSERT_TRUE(router.Start().ok());
+    const int nodes = static_cast<int>(fx.net.NumNodes());
+    std::vector<RouteQuery> scan;
+    for (int a = 0; a < nodes && scan.size() < 3; ++a) {
+      for (int b = 0; b < nodes && scan.size() < 3; ++b) {
+        if (router.OwnerOfNode(a) == 0 && router.OwnerOfNode(b) != 0) {
+          scan.push_back(MakeQuery(a, b));
+        }
+      }
+    }
+    ASSERT_EQ(scan.size(), 3u);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const RouteQuery& q : scan) {
+        ASSERT_TRUE(router.Submit(q, [](const RouteAnswer&) {}).ok());
+        router.WaitIdle();
+      }
+    }
+    EXPECT_EQ(router.ShardStats().router.scattered, 6u);
+    router.Stop();
+  }
+  TraceRecorder::Global().Disable();
+  size_t enumerations = 0;
+  for (const TraceEvent& e : TraceRecorder::Global().Snapshot()) {
+    if (e.name == "serve/enumerate_routes") ++enumerations;
+  }
+  EXPECT_EQ(enumerations, 3u);
+}
+
 // A scatter queued on its source owner when that shard stops is drained:
 // the caller gets exactly one callback (the typed drain status) and the
 // flight recorder exactly one completion for it.
