@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -19,11 +20,21 @@ namespace tsdm {
 /// the K-shortest computation is departure-time independent, so one Yen
 /// run is shareable across every query of an OD pair. Each QueryServer owns
 /// one, and a scattered query enumerates on its source owner's, so every
-/// enumeration takes one code path (same KShortestPaths call, free-flow
+/// enumeration takes one code path (same KShortestPaths search, free-flow
 /// edge cost and trace span): sharded answers are bitwise single-node ones.
 ///
-/// Thread-safe: one mutex guards the LRU; the enumeration itself runs
-/// unlocked, and a racing duplicate insert refreshes instead of doubling.
+/// What a miss's Yen run needs besides the OD pair depends only on the
+/// network and the target, so the cache keeps it too: the free-flow
+/// EdgeCostTable, built once at construction, and the ReverseCostTree of
+/// each target it has enumerated for, in a second LRU of at most `entries`
+/// trees. A miss's answer is therefore exactly the per-call
+/// KShortestPaths(network, source, target, k, FreeFlowTimeCost(network))
+/// answer. The network must not change while the cache lives: the table
+/// and the trees are never rebuilt.
+///
+/// Thread-safe: one mutex guards both LRUs; enumerations and tree builds
+/// run unlocked, and a racing duplicate insert keeps the first entry
+/// instead of doubling.
 class RouteCache {
  public:
   /// The network must outlive the cache. `entries` is clamped to >= 1.
@@ -37,6 +48,10 @@ class RouteCache {
   /// warm requests skip enumeration entirely and emit nothing.
   Result<std::vector<Path>> Get(int source, int target, int k,
                                 const TraceContext& ctx);
+
+  /// Reverse trees built so far: one per tree-LRU miss (racing misses on
+  /// one target may each build one).
+  uint64_t TreesBuilt() const;
 
  private:
   struct Key {
@@ -57,14 +72,24 @@ class RouteCache {
       return static_cast<size_t>(h);
     }
   };
+  using Tree = std::shared_ptr<const std::vector<double>>;
+
+  /// The reverse tree of `target` (a node id): from the tree LRU, or
+  /// built unlocked and inserted.
+  Tree TreeFor(int target);
 
   const RoadNetwork* network_;
   size_t entries_;
+  const std::vector<double> edge_costs_;  ///< free-flow EdgeCostTable
   mutable std::mutex mu_;
   std::list<std::pair<Key, std::vector<Path>>> lru_;
   std::unordered_map<Key, std::list<std::pair<Key, std::vector<Path>>>::iterator,
                      KeyHash>
       index_;
+  std::list<std::pair<int, Tree>> tree_lru_;
+  std::unordered_map<int, std::list<std::pair<int, Tree>>::iterator>
+      tree_index_;
+  uint64_t trees_built_ = 0;
 };
 
 }  // namespace tsdm

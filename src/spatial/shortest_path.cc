@@ -47,6 +47,12 @@ Status NoPath(int source, int target) {
                           std::to_string(target));
 }
 
+/// The edge's cost under `cost`, with negative costs read as zero.
+double ClampedCost(const EdgeCostFn& cost, int eid) {
+  const double c = cost(eid);
+  return c < 0.0 ? 0.0 : c;
+}
+
 Result<Path> ReconstructPath(const RoadNetwork& network, int source,
                              int target, const std::vector<int>& parent_edge,
                              const std::vector<double>& dist) {
@@ -69,61 +75,34 @@ Result<Path> ReconstructPath(const RoadNetwork& network, int source,
 /// The scratch of one call's Dijkstra searches, reused by every search of
 /// the call (Yen runs one per spur node). Per-node state and the ban marks
 /// are epoch-stamped, so starting a search or a ban set is O(1) rather than
-/// a clear of per-node arrays.
+/// a clear of per-node arrays. The workspace reads its edge costs and
+/// bounds through pointers and owns neither: `edge_costs` (an
+/// EdgeCostTable) or, when null, `cost` evaluated per relaxation, and
+/// `to_target` (a ReverseCostTree of the searches' target) or null for
+/// unbounded searches.
 class DijkstraWorkspace {
  public:
-  DijkstraWorkspace(const RoadNetwork& network, const EdgeCostFn& cost)
+  DijkstraWorkspace(const RoadNetwork& network, const EdgeCostFn* cost,
+                    const std::vector<double>* edge_costs = nullptr,
+                    const std::vector<double>* to_target = nullptr)
       : network_(network),
         cost_(cost),
+        edge_costs_(edge_costs),
+        to_target_(to_target),
         dist_(network.NumNodes()),
         parent_edge_(network.NumNodes()),
         mark_(network.NumNodes(), 0),
         banned_node_(network.NumNodes(), 0),
         banned_edge_(network.NumEdges(), 0) {}
 
-  /// Evaluates every edge's cost once, for a call that runs many searches;
-  /// without it each search evaluates the edges it relaxes.
-  void TabulateCosts() {
-    edge_cost_.resize(network_.NumEdges());
-    for (size_t e = 0; e < edge_cost_.size(); ++e) {
-      edge_cost_[e] = ClampedCost(static_cast<int>(e));
-    }
-  }
-
   /// The edge's cost, with negative costs read as zero.
   double EdgeCost(int eid) const {
-    return edge_cost_.empty() ? ClampedCost(eid) : edge_cost_[eid];
+    return edge_costs_ != nullptr ? (*edge_costs_)[eid]
+                                  : ClampedCost(*cost_, eid);
   }
 
-  /// Reverse Dijkstra from `target` over the tabulated costs: each node's
-  /// cheapest cost to `target` with nothing banned (infinity when it cannot
-  /// reach `target`). Bans only remove paths, so this is a lower bound on
-  /// a node's remaining cost under any ban set, and Run prunes with it.
-  void BoundToTarget(int target) {
-    to_target_.assign(network_.NumNodes(), kInf);
-    to_target_[target] = 0.0;
-    heap_.clear();
-    heap_.push_back({0.0, target});
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>());
-      const QueueEntry top = heap_.back();
-      heap_.pop_back();
-      if (top.priority > to_target_[top.node]) continue;  // stale entry
-      for (int eid : network_.InEdges(top.node)) {
-        const int from = network_.edge(eid).from;
-        const double candidate = top.priority + edge_cost_[eid];
-        if (candidate < to_target_[from]) {
-          to_target_[from] = candidate;
-          heap_.push_back({candidate, from});
-          std::push_heap(heap_.begin(), heap_.end(),
-                         std::greater<QueueEntry>());
-        }
-      }
-    }
-  }
-
-  /// The BoundToTarget lower bound for `node`.
-  double ToTarget(int node) const { return to_target_[node]; }
+  /// The ReverseCostTree bound for `node`.
+  double ToTarget(int node) const { return (*to_target_)[node]; }
 
   /// Clears the ban set: every node and edge is usable again.
   void NewBans() { ++ban_epoch_; }
@@ -134,7 +113,7 @@ class DijkstraWorkspace {
   /// settled (target -1 settles everything reachable). Nodes pop in
   /// (distance, node) order. Gives up once `offset` plus a popped priority
   /// exceeds `stop_above`: every path still to be found costs at least
-  /// that much. After BoundToTarget(target) it also drops each relaxation
+  /// that much. With a reverse tree of `target` it also drops each relaxation
   /// whose `offset` + distance + lower bound exceeds `stop_above`: no path
   /// through it can come in under the bound, and under the total pop order
   /// the entries that remain pop exactly as they would have. Returns
@@ -143,7 +122,7 @@ class DijkstraWorkspace {
            double stop_above = kInf) {
     reached_ += 2;
     const uint32_t settled = reached_ + 1;
-    const bool bounded = !to_target_.empty() && stop_above < kInf;
+    const bool bounded = to_target_ != nullptr && stop_above < kInf;
     heap_.clear();
     Reach(source, 0.0, -1);
     heap_.push_back({0.0, source});
@@ -162,7 +141,7 @@ class DijkstraWorkspace {
         if (banned_node_[to] == ban_epoch_ || mark_[to] == settled) continue;
         const double candidate = dist_[node] + EdgeCost(eid);
         if (candidate < Dist(to)) {
-          if (bounded && offset + candidate + to_target_[to] > stop_above) {
+          if (bounded && offset + candidate + (*to_target_)[to] > stop_above) {
             continue;
           }
           Reach(to, candidate, eid);
@@ -212,11 +191,6 @@ class DijkstraWorkspace {
   }
 
  private:
-  double ClampedCost(int eid) const {
-    const double c = cost_(eid);
-    return c < 0.0 ? 0.0 : c;
-  }
-
   void Reach(int node, double dist, int parent_edge) {
     mark_[node] = reached_;
     dist_[node] = dist;
@@ -224,9 +198,9 @@ class DijkstraWorkspace {
   }
 
   const RoadNetwork& network_;
-  const EdgeCostFn& cost_;
-  std::vector<double> edge_cost_;  ///< empty until TabulateCosts
-  std::vector<double> to_target_;  ///< empty until BoundToTarget
+  const EdgeCostFn* cost_;                 ///< read when edge_costs_ is null
+  const std::vector<double>* edge_costs_;  ///< null: cost_ per relaxation
+  const std::vector<double>* to_target_;   ///< null: no bound
   std::vector<double> dist_;
   std::vector<int> parent_edge_;
   /// Per-node search state: `reached_` when reached by the current search,
@@ -253,12 +227,12 @@ Result<Path> ShortestPath(const RoadNetwork& network, int source, int target,
                           const EdgeCostFn& cost) {
   Status endpoints = CheckEndpoints(network, source, target);
   if (!endpoints.ok()) return endpoints;
-  return DijkstraWorkspace(network, cost).ShortestPath(source, target);
+  return DijkstraWorkspace(network, &cost).ShortestPath(source, target);
 }
 
 std::vector<double> ShortestPathTree(const RoadNetwork& network, int source,
                                      const EdgeCostFn& cost) {
-  DijkstraWorkspace workspace(network, cost);
+  DijkstraWorkspace workspace(network, &cost);
   workspace.Run(source, /*target=*/-1);
   std::vector<double> dist(network.NumNodes());
   for (size_t v = 0; v < dist.size(); ++v) {
@@ -302,21 +276,50 @@ Result<Path> AStarPath(const RoadNetwork& network, int source, int target,
   return ReconstructPath(network, source, target, parent_edge, dist);
 }
 
-Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
-                                         int source, int target, int k,
-                                         const EdgeCostFn& cost) {
-  if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
-  Status endpoints = CheckEndpoints(network, source, target);
-  if (!endpoints.ok()) return endpoints;
-  DijkstraWorkspace workspace(network, cost);
-  // With k > 1 the reverse tree is built first: its cost at the source is
-  // the first path's cost, which then bounds the first search as well.
-  double first_bound = kInf;
-  if (k > 1) {
-    workspace.TabulateCosts();
-    workspace.BoundToTarget(target);
-    first_bound = WithMargin(workspace.ToTarget(source));
+std::vector<double> EdgeCostTable(const RoadNetwork& network,
+                                  const EdgeCostFn& cost) {
+  std::vector<double> table(network.NumEdges());
+  for (size_t e = 0; e < table.size(); ++e) {
+    table[e] = ClampedCost(cost, static_cast<int>(e));
   }
+  return table;
+}
+
+std::vector<double> ReverseCostTree(const RoadNetwork& network, int target,
+                                    const std::vector<double>& edge_costs) {
+  std::vector<double> to_target(network.NumNodes(), kInf);
+  to_target[target] = 0.0;
+  std::vector<QueueEntry> heap = {{0.0, target}};
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<QueueEntry>());
+    const QueueEntry top = heap.back();
+    heap.pop_back();
+    if (top.priority > to_target[top.node]) continue;  // stale entry
+    for (int eid : network.InEdges(top.node)) {
+      const int from = network.edge(eid).from;
+      const double candidate = top.priority + edge_costs[eid];
+      if (candidate < to_target[from]) {
+        to_target[from] = candidate;
+        heap.push_back({candidate, from});
+        std::push_heap(heap.begin(), heap.end(), std::greater<QueueEntry>());
+      }
+    }
+  }
+  return to_target;
+}
+
+namespace {
+
+/// Yen's algorithm over a cost table, for valid endpoints and k > 0. With a
+/// reverse tree (`to_target`, required for k > 1) its cost at the source is
+/// the first path's cost, which bounds the first search as well.
+Result<std::vector<Path>> Yen(const RoadNetwork& network, int source,
+                              int target, int k,
+                              const std::vector<double>& edge_costs,
+                              const std::vector<double>* to_target) {
+  DijkstraWorkspace workspace(network, nullptr, &edge_costs, to_target);
+  const double first_bound =
+      to_target != nullptr ? WithMargin(workspace.ToTarget(source)) : kInf;
   Result<Path> first = workspace.ShortestPath(source, target, first_bound);
   if (!first.ok()) return first.status();
 
@@ -396,6 +399,41 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
     candidates.erase(best);
   }
   return result;
+}
+
+Status CheckKShortestArgs(const RoadNetwork& network, int source, int target,
+                          int k) {
+  if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
+  return CheckEndpoints(network, source, target);
+}
+
+}  // namespace
+
+Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
+                                         int source, int target, int k,
+                                         const EdgeCostFn& cost) {
+  Status args = CheckKShortestArgs(network, source, target, k);
+  if (!args.ok()) return args;
+  const std::vector<double> edge_costs = EdgeCostTable(network, cost);
+  if (k == 1) return Yen(network, source, target, k, edge_costs, nullptr);
+  const std::vector<double> to_target =
+      ReverseCostTree(network, target, edge_costs);
+  return Yen(network, source, target, k, edge_costs, &to_target);
+}
+
+Result<std::vector<Path>> KShortestPaths(
+    const RoadNetwork& network, int source, int target, int k,
+    const std::vector<double>& edge_costs,
+    const std::vector<double>& to_target) {
+  Status args = CheckKShortestArgs(network, source, target, k);
+  if (!args.ok()) return args;
+  if (edge_costs.size() != network.NumEdges() ||
+      to_target.size() != network.NumNodes() || to_target[target] != 0.0) {
+    return Status::InvalidArgument(
+        "KShortestPaths: cost table or reverse tree does not fit the network "
+        "and target");
+  }
+  return Yen(network, source, target, k, edge_costs, &to_target);
 }
 
 }  // namespace tsdm
