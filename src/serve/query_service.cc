@@ -5,14 +5,17 @@ namespace tsdm {
 void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
                      const std::vector<Result<Histogram>>& costs,
                      RouteAnswer* answer) {
+  // The deadline is a time of day and the cost histograms are over travel
+  // time, so a route is on time when its travel time fits the budget.
+  const bool has_deadline = query.arrival_deadline_seconds > 0.0;
+  const double budget = query.arrival_deadline_seconds - query.depart_seconds;
   int best = -1;
   double best_score = 0.0;
   for (size_t i = 0; i < costs.size(); ++i) {
     if (!costs[i].ok()) continue;  // model has no coverage for this path
     ++answer->num_candidates;
-    double score = query.arrival_deadline_seconds > 0.0
-                       ? costs[i].value().Cdf(query.arrival_deadline_seconds)
-                       : -costs[i].value().Mean();
+    double score = has_deadline ? costs[i].value().Cdf(budget)
+                                : -costs[i].value().Mean();
     if (best < 0 || score > best_score) {
       best = static_cast<int>(i);
       best_score = score;
@@ -26,10 +29,7 @@ void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
   const Histogram& best_cost = costs[static_cast<size_t>(best)].value();
   answer->route = routes[static_cast<size_t>(best)];
   answer->cost_mean_seconds = best_cost.Mean();
-  answer->on_time_probability =
-      query.arrival_deadline_seconds > 0.0
-          ? best_cost.Cdf(query.arrival_deadline_seconds)
-          : 0.0;
+  answer->on_time_probability = has_deadline ? best_cost.Cdf(budget) : 0.0;
 }
 
 }  // namespace tsdm

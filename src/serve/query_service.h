@@ -86,8 +86,9 @@ class QueryService {
 /// produce bitwise-identical decisions. Fills the decision fields of
 /// *answer (status, route, cost_mean_seconds, on_time_probability,
 /// num_candidates) from candidate routes and their cost results:
-/// score = P(arrival <= deadline) when a deadline is set, -mean cost
-/// otherwise; candidates without a cost distribution are skipped;
+/// score = P(travel time <= arrival_deadline_seconds - depart_seconds)
+/// when a deadline is set (the deadline is a time of day, the cost
+/// histograms are over travel time), -mean cost otherwise; candidates without a cost distribution are skipped;
 /// NotFound when none scored. Tie-break is stable — strict `>` scanning
 /// in candidate order, so the lowest-indexed best candidate wins and
 /// no completion/merge order can change the answer.

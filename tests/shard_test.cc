@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -726,6 +727,80 @@ TEST(ShardRouterTest, ScatterEnumeratesOnTheSourceOwnersWorker) {
   EXPECT_EQ(got.cost_mean_seconds, want.cost_mean_seconds);
   EXPECT_EQ(got.on_time_probability, want.on_time_probability);
   EXPECT_EQ(got.num_candidates, want.num_candidates);
+}
+
+// The deadline is a time of day and a route's cost histogram is over
+// travel time, so the on-time score is P(travel <= deadline - depart).
+// Candidate 0 (fastest at free flow) is late 10% of the time; candidate 1
+// is slower but always inside the budget, so it wins, on a single node and
+// on a scatter alike. Scoring the absolute deadline read P = 1 for both
+// and kept candidate 0.
+TEST(ShardRouterTest, OnTimeScoreUsesTheTravelBudget) {
+  ShardFixture fx;
+  ShardRouter::Options opts = fx.RouterOptions(2);
+  ShardRouter layout(&fx.net, fx.BaseModel(), opts);  // region owners only
+  const auto cross = fx.CrossShardPair(layout);
+  RouteQuery query = MakeQuery(cross.first, cross.second);
+  query.k = 2;
+  Result<std::vector<Path>> routes = KShortestPaths(
+      fx.net, query.source, query.target, 2, FreeFlowTimeCost(fx.net));
+  ASSERT_TRUE(routes.ok());
+  ASSERT_EQ(routes->size(), 2u);
+  const std::vector<int>& fast = (*routes)[0].edges;
+  const std::vector<int>& safe = (*routes)[1].edges;
+  int risky = -1;
+  for (int e : fast) {
+    if (std::find(safe.begin(), safe.end(), e) == safe.end()) risky = e;
+  }
+  ASSERT_GE(risky, 0);
+
+  // Every segment costs its free-flow time; one holding `risky` is 3000 s
+  // later with probability 0.1.
+  const RoadNetwork* net = &fx.net;
+  PathCostModel model = [net, risky](const std::vector<int>& edges,
+                                     double) -> Result<Histogram> {
+    double free_flow = 0.0;
+    for (int e : edges) free_flow += net->FreeFlowTime(e);
+    const bool late =
+        std::find(edges.begin(), edges.end(), risky) != edges.end();
+    Result<Histogram> h =
+        Histogram::Create(free_flow - 1.0, free_flow + (late ? 3000.0 : 1.0),
+                          late ? 32 : 2);
+    if (!h.ok()) return h;
+    h->Add(free_flow, late ? 0.9 : 1.0);
+    if (late) h->Add(free_flow + 3000.0, 0.1);
+    return h;
+  };
+  double budget = 0.0;
+  for (int e : safe) budget += fx.net.FreeFlowTime(e);
+  budget += 60.0;
+  query.arrival_deadline_seconds = query.depart_seconds + budget;
+
+  auto answer_of = [&query](QueryService* service) {
+    RouteAnswer got;
+    EXPECT_TRUE(
+        service->Submit(query, [&](const RouteAnswer& a) { got = a; }).ok());
+    service->WaitIdle();
+    return got;
+  };
+  QueryServer single(&fx.net, model, opts.server);
+  ASSERT_TRUE(single.Start().ok());
+  const RouteAnswer want = answer_of(&single);
+  single.Stop();
+  ShardRouter router(&fx.net, model, opts);
+  ASSERT_TRUE(router.Start().ok());
+  const RouteAnswer got = answer_of(&router);
+  EXPECT_EQ(router.ShardStats().router.scattered, 1u);
+  router.Stop();
+
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  EXPECT_EQ(want.num_candidates, 2);
+  EXPECT_EQ(want.route.edges, safe);
+  EXPECT_EQ(want.on_time_probability, 1.0);
+  EXPECT_EQ(got.status.code(), want.status.code());
+  EXPECT_EQ(got.route.edges, want.route.edges);
+  EXPECT_EQ(got.cost_mean_seconds, want.cost_mean_seconds);
+  EXPECT_EQ(got.on_time_probability, want.on_time_probability);
 }
 
 // Scatters enumerate in their source owner's route LRU, and the router's
