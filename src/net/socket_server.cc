@@ -30,6 +30,14 @@ constexpr size_t kReadChunk = 64 * 1024;
 /// never collide with in-process serve request ids in one trace.
 constexpr uint64_t kNetRequestBit = 1ull << 63;
 
+/// The next wire request id. Process-wide, so two servers in one process
+/// never hand out the same id: the flight recorder keeps only the first
+/// record of an id.
+uint64_t NextNetRequestId() {
+  static std::atomic<uint64_t> next{1};
+  return kNetRequestBit | next.fetch_add(1, std::memory_order_relaxed);
+}
+
 // GET /debug/traces: default and maximum trace count, and the bound on the
 // query string an introspection endpoint will even look at — anything
 // longer is hostile and answered with a typed 400 before parsing.
@@ -527,23 +535,45 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
                                std::memory_order_relaxed);
   };
 
+  // A query shed before Submit never reaches the serve or shard tier, so
+  // its flight record is completed here, at shard -1. With tracing on it
+  // gets a request id and its net/read span; otherwise request id 0.
+  auto shed = [&](Status status, std::atomic<uint64_t>* counter) {
+    if (FlightRecorder::Enabled()) {
+      uint64_t request_id = 0;
+      if (TraceRecorder::Enabled()) {
+        request_id = NextNetRequestId();
+        TraceRecorder::Global().RecordSpan(
+            "net/read", start_ns, now_ns,
+            TraceContext{request_id, TraceRecorder::Global().NextSpanId()},
+            static_cast<int64_t>(submit.client_request_id));
+      }
+      RouteAnswer answer;
+      answer.status = status;
+      answer.client_request_id = submit.client_request_id;
+      answer.tenant_id = submit.tenant_id;
+      FlightRecorder::MaybeComplete(request_id, -1, answer);
+    }
+    reject(std::move(status), counter);
+  };
+
   // These three run BEFORE the query is decoded, so a shed costs framing
   // (or HTTP parsing) only.
   if (serve_ == nullptr) {
-    reject(Status::FailedPrecondition("net: no serve backend"), nullptr);
+    shed(Status::FailedPrecondition("net: no serve backend"), nullptr);
     return;
   }
   if (options_.admission_deadline_seconds > 0.0 &&
       static_cast<double>(now_ns - start_ns) * 1e-9 >
           options_.admission_deadline_seconds) {
-    reject(Status::ResourceExhausted(
-               "net: admission deadline exceeded before parse"),
-           &shed_deadline_);
+    shed(Status::ResourceExhausted(
+             "net: admission deadline exceeded before parse"),
+         &shed_deadline_);
     return;
   }
   if (serve_->QueueFull()) {
-    reject(Status::ResourceExhausted("net: serve queue full"),
-           &shed_queue_full_);
+    shed(Status::ResourceExhausted("net: serve queue full"),
+         &shed_queue_full_);
     return;
   }
 
@@ -556,7 +586,7 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
                                  &submit.tenant_id, &submit.client_request_id);
   if (decoded.ok()) decoded = CheckRouteQueryBounds(query);
   if (!decoded.ok()) {
-    reject(std::move(decoded), nullptr);
+    shed(std::move(decoded), nullptr);
     return;
   }
 
@@ -567,9 +597,7 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
   uint64_t net_request_id = 0;
   uint64_t root_span_id = 0;
   if (TraceRecorder::Enabled()) {
-    net_request_id =
-        kNetRequestBit |
-        next_net_request_.fetch_add(1, std::memory_order_relaxed);
+    net_request_id = NextNetRequestId();
     root_span_id = TraceRecorder::Global().NextSpanId();
     TraceRecorder::Global().RecordSpan(
         "net/read", start_ns, now_ns,
@@ -606,8 +634,9 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
       submit);
   if (admitted.ok()) return;
 
-  // Shed by the service itself: the callback was not retained. The reason
-  // comes from the status code, never from its message.
+  // Shed by the service itself: the callback was not retained, and the
+  // serve or shard tier has completed its flight record. The reason comes
+  // from the status code, never from its message.
   router->in_flight.fetch_sub(1, std::memory_order_acq_rel);
   --conn->in_flight;
   const StatusCode code = admitted.code();

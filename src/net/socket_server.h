@@ -184,7 +184,6 @@ class SocketServer {
   std::atomic<bool> running_{false};
   bool started_ = false;
   std::atomic<uint64_t> next_conn_id_{1};
-  std::atomic<uint64_t> next_net_request_{1};
   std::atomic<int> next_loop_{0};
 
   // Counters (written by loop threads, read by Stats()).

@@ -17,6 +17,7 @@
 #include "src/governance/uncertainty/travel_cost_models.h"
 #include "src/net/net_client.h"
 #include "src/net/socket_server.h"
+#include "src/net/wire.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/health.h"
 #include "src/obs/trace.h"
@@ -389,6 +390,137 @@ TEST_F(DebugEndpointTest, ForcedDegradationFreezesExactlyOneDump) {
   EXPECT_GE(recovered.transitions_total, 2u);
   EXPECT_EQ(recovered.transitions.back().to, HealthState::kHealthy);
   EXPECT_EQ(fr.Stats().dumps, 1u);
+}
+
+/// One query per socket-layer shed that happens before Submit, answered
+/// on the loop thread: no backend, the admission deadline, the QueueFull
+/// probe, and a decode or bounds error. Returns each one's typed status.
+std::vector<Status> ShedOnePerReason(const DebugFixture& fx) {
+  std::vector<Status> sheds;
+  auto query_once = [&fx](SocketServer* server, const RouteQuery& q) {
+    NetClient client;
+    WireRouteAnswer answer;
+    EXPECT_TRUE(client.Connect(kLoopback, server->port()).ok());
+    EXPECT_TRUE(client.Query(q, &answer).ok());
+    return answer.status_code;
+  };
+  {
+    SocketServer server(nullptr);
+    EXPECT_TRUE(server.Start().ok());
+    EXPECT_EQ(query_once(&server, fx.Query()),
+              StatusCode::kFailedPrecondition);
+    server.Stop();
+    sheds.push_back(Status::FailedPrecondition("net: no serve backend"));
+  }
+  {
+    QueryServer::Options sopts;
+    sopts.autoscale_enabled = false;
+    QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+    EXPECT_TRUE(serve.Start().ok());
+    SocketServer::Options nopts;
+    nopts.admission_deadline_seconds = 0.05;
+    SocketServer server(&serve, nopts);
+    EXPECT_TRUE(server.Start().ok());
+    // A frame whose last byte lands after the admission deadline.
+    NetClient client;
+    EXPECT_TRUE(client.Connect(kLoopback, server.port()).ok());
+    std::vector<uint8_t> payload;
+    EncodeRouteQueryPayload(fx.Query(), &payload);
+    std::vector<uint8_t> frame;
+    EncodeNetFrame(1, NetOpcode::kRouteQuery, payload.data(), payload.size(),
+                   &frame);
+    EXPECT_TRUE(client.SendRaw(frame.data(), 10).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_TRUE(client.SendRaw(frame.data() + 10, frame.size() - 10).ok());
+    uint64_t id = 0;
+    WireRouteAnswer answer;
+    EXPECT_TRUE(client.ReceiveAnswer(&id, &answer).ok());
+    EXPECT_EQ(answer.status_code, StatusCode::kResourceExhausted);
+    sheds.push_back(Status::ResourceExhausted(
+        "net: admission deadline exceeded before parse"));
+    // A prompt query that fails the bounds check after decode.
+    RouteQuery bad = fx.Query();
+    bad.k = 0;
+    EXPECT_EQ(query_once(&server, bad), StatusCode::kInvalidArgument);
+    sheds.push_back(Status::InvalidArgument(
+        "net: k is 0, want [1, " + std::to_string(kMaxQueryK) + "]"));
+    client.Close();
+    server.Stop();
+    serve.Stop();
+  }
+  {
+    // An unstarted server with one queued request of capacity 1: the
+    // QueueFull probe sheds before decode.
+    QueryServer::Options sopts;
+    sopts.autoscale_enabled = false;
+    sopts.queue.capacity = 1;
+    QueryServer serve(&fx.net, fx.BaseModel(), sopts);
+    EXPECT_TRUE(serve.Submit(fx.Query(), [](const RouteAnswer&) {}).ok());
+    SocketServer server(&serve);
+    EXPECT_TRUE(server.Start().ok());
+    EXPECT_EQ(query_once(&server, fx.Query()), StatusCode::kResourceExhausted);
+    server.Stop();
+    serve.Stop();
+    sheds.push_back(Status::ResourceExhausted("net: serve queue full"));
+  }
+  return sheds;
+}
+
+// The socket layer's own sheds complete in the flight recorder: each one
+// is in the dump GET /debug/flight serves, at shard -1 with its typed
+// status, carrying its net/read span when tracing is on and request id 0
+// when it is off.
+TEST_F(DebugEndpointTest, SocketShedsBeforeSubmitAreInTheFlightDump) {
+  const DebugFixture fx;
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    FlightRecorder& fr = FlightRecorder::Global();
+    fr.Disable();
+    fr.Configure(FlightRecorder::Options{});  // retains every shed and error
+    fr.Enable();
+    if (traced) {
+      TraceRecorder::Global().Enable();
+    } else {
+      TraceRecorder::Global().Disable();
+    }
+    const std::vector<Status> sheds = ShedOnePerReason(fx);
+
+    HealthTransition worse;
+    worse.from = HealthState::kHealthy;
+    worse.to = HealthState::kUnhealthy;
+    fr.OnHealthTransition(worse, HealthSnapshot(), ServeStatsSnapshot(),
+                          ServeStatsSnapshot());
+    SocketServer server(nullptr);
+    ASSERT_TRUE(server.Start().ok());
+    NetClient::HttpResponse res;
+    ASSERT_TRUE(
+        NetClient::HttpGet(kLoopback, server.port(), "/debug/flight", &res)
+            .ok());
+    server.Stop();
+    ASSERT_EQ(res.status_code, 200);
+    for (const Status& want : sheds) {
+      const size_t at = res.body.find("\"status_message\":\"" +
+                                      want.message() + "\"");
+      ASSERT_NE(at, std::string::npos) << want.ToString();
+      const size_t begin = res.body.rfind("{\"request_id\":", at);
+      const size_t end = res.body.find("\"spans\":[", at);
+      ASSERT_NE(begin, std::string::npos);
+      const std::string record = res.body.substr(begin, end - begin);
+      const std::string code =
+          std::to_string(static_cast<int>(want.code()));
+      EXPECT_NE(record.find("\"shard\":-1,"), std::string::npos) << record;
+      EXPECT_NE(record.find("\"status_code\":" + code + ","),
+                std::string::npos)
+          << record;
+      EXPECT_EQ(record.rfind("{\"request_id\":0,", 0) == 0, !traced)
+          << record;
+      const size_t spans_end = res.body.find("]}", end);
+      EXPECT_EQ(res.body.substr(end, spans_end - end)
+                        .find("\"name\":\"net/read\"") != std::string::npos,
+                traced)
+          << record;
+    }
+  }
 }
 
 }  // namespace
