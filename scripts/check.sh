@@ -4,12 +4,13 @@
 # and trace tests under ThreadSanitizer and AddressSanitizer and fail on any
 # report
 # (multi-producer StreamBuffer ingestion and the trace ring are exactly
-# where TSan earns its keep). Run from anywhere; builds land in build-tsan/
-# and build-asan/ next to the normal build/.
+# where TSan earns its keep). Run from anywhere; builds land in build-tsan/,
+# build-asan/ and build-ubsan/ next to the normal build/.
 #
-#   scripts/check.sh              # both sanitizers
+#   scripts/check.sh              # TSan and ASan
 #   scripts/check.sh thread       # TSan only
 #   scripts/check.sh address      # ASan only
+#   scripts/check.sh undefined    # UBSan + _GLIBCXX_ASSERTIONS only
 #   scripts/check.sh bench-smoke  # BENCH_*.json schema + >20% throughput
 #                                 # regression gate vs bench/baselines/
 #   scripts/check.sh unreached    # report functions no executable reaches
@@ -38,11 +39,12 @@ GATED_TESTS=(executor_test inject_recovery_test pipeline_report_test
              framed_parser_test net_wire_test net_test shard_test
              shard_equivalence_test load_test flight_recorder_test
              debug_endpoint_test k_shortest_equivalence_test
-             metrics_export_test histogram_test)
+             metrics_export_test histogram_test route_tree_reuse_test)
 
 for SAN in "${SANITIZERS[@]}"; do
   BUILD="$ROOT/build-${SAN/thread/tsan}"
   BUILD="${BUILD/address/asan}"
+  BUILD="${BUILD/undefined/ubsan}"
   echo "==== TSDM_SANITIZE=$SAN -> $BUILD ===="
   cmake -B "$BUILD" -S "$ROOT" -DTSDM_SANITIZE="$SAN" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
