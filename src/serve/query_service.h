@@ -88,10 +88,11 @@ class QueryService {
 /// num_candidates) from candidate routes and their cost results:
 /// score = P(travel time <= arrival_deadline_seconds - depart_seconds)
 /// when a deadline is set (the deadline is a time of day, the cost
-/// histograms are over travel time), -mean cost otherwise; candidates without a cost distribution are skipped;
-/// NotFound when none scored. Tie-break is stable — strict `>` scanning
-/// in candidate order, so the lowest-indexed best candidate wins and
-/// no completion/merge order can change the answer.
+/// histograms are over travel time), -mean cost otherwise; candidates
+/// without a cost distribution are skipped; NotFound when none scored.
+/// Tie-break is stable — strict `>` scanning in candidate order, so the
+/// lowest-indexed best candidate wins and no completion/merge order can
+/// change the answer.
 void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
                      const std::vector<Result<Histogram>>& costs,
                      RouteAnswer* answer);

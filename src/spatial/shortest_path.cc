@@ -42,6 +42,12 @@ Status CheckEndpoints(const RoadNetwork& network, int source, int target) {
   return Status::OutOfRange("ShortestPath: node id out of range");
 }
 
+Status CheckKShortestArgs(const RoadNetwork& network, int source, int target,
+                          int k) {
+  if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
+  return CheckEndpoints(network, source, target);
+}
+
 Status NoPath(int source, int target) {
   return Status::NotFound("no path from " + std::to_string(source) + " to " +
                           std::to_string(target));
@@ -101,9 +107,6 @@ class DijkstraWorkspace {
                                   : ClampedCost(*cost_, eid);
   }
 
-  /// The ReverseCostTree bound for `node`.
-  double ToTarget(int node) const { return (*to_target_)[node]; }
-
   /// Clears the ban set: every node and edge is usable again.
   void NewBans() { ++ban_epoch_; }
   void BanNode(int node) { banned_node_[node] = ban_epoch_; }
@@ -113,11 +116,11 @@ class DijkstraWorkspace {
   /// settled (target -1 settles everything reachable). Nodes pop in
   /// (distance, node) order. Gives up once `offset` plus a popped priority
   /// exceeds `stop_above`: every path still to be found costs at least
-  /// that much. With a reverse tree of `target` it also drops each relaxation
-  /// whose `offset` + distance + lower bound exceeds `stop_above`: no path
-  /// through it can come in under the bound, and under the total pop order
-  /// the entries that remain pop exactly as they would have. Returns
-  /// whether `target` was settled.
+  /// that much. With a reverse tree of `target` it also drops each
+  /// relaxation whose `offset` + distance + lower bound exceeds
+  /// `stop_above`: no path through it can come in under the bound, and
+  /// under the total pop order the entries that remain pop exactly as they
+  /// would have. Returns whether `target` was settled.
   bool Run(int source, int target, double offset = 0.0,
            double stop_above = kInf) {
     reached_ += 2;
@@ -308,19 +311,33 @@ std::vector<double> ReverseCostTree(const RoadNetwork& network, int target,
   return to_target;
 }
 
-namespace {
+Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
+                                         int source, int target, int k,
+                                         const EdgeCostFn& cost) {
+  Status args = CheckKShortestArgs(network, source, target, k);
+  if (!args.ok()) return args;
+  const std::vector<double> edge_costs = EdgeCostTable(network, cost);
+  return KShortestPaths(network, source, target, k, edge_costs,
+                        ReverseCostTree(network, target, edge_costs));
+}
 
-/// Yen's algorithm over a cost table, for valid endpoints and k > 0. With a
-/// reverse tree (`to_target`, required for k > 1) its cost at the source is
-/// the first path's cost, which bounds the first search as well.
-Result<std::vector<Path>> Yen(const RoadNetwork& network, int source,
-                              int target, int k,
-                              const std::vector<double>& edge_costs,
-                              const std::vector<double>* to_target) {
-  DijkstraWorkspace workspace(network, nullptr, &edge_costs, to_target);
-  const double first_bound =
-      to_target != nullptr ? WithMargin(workspace.ToTarget(source)) : kInf;
-  Result<Path> first = workspace.ShortestPath(source, target, first_bound);
+Result<std::vector<Path>> KShortestPaths(
+    const RoadNetwork& network, int source, int target, int k,
+    const std::vector<double>& edge_costs,
+    const std::vector<double>& to_target) {
+  Status args = CheckKShortestArgs(network, source, target, k);
+  if (!args.ok()) return args;
+  if (edge_costs.size() != network.NumEdges() ||
+      to_target.size() != network.NumNodes() || to_target[target] != 0.0) {
+    return Status::InvalidArgument(
+        "KShortestPaths: cost table or reverse tree does not fit the network "
+        "and target");
+  }
+  DijkstraWorkspace workspace(network, nullptr, &edge_costs, &to_target);
+  // The tree's cost at the source is the first path's cost, so it bounds
+  // the first search as well.
+  Result<Path> first =
+      workspace.ShortestPath(source, target, WithMargin(to_target[source]));
   if (!first.ok()) return first.status();
 
   std::vector<Path> result = {*std::move(first)};
@@ -399,41 +416,6 @@ Result<std::vector<Path>> Yen(const RoadNetwork& network, int source,
     candidates.erase(best);
   }
   return result;
-}
-
-Status CheckKShortestArgs(const RoadNetwork& network, int source, int target,
-                          int k) {
-  if (k <= 0) return Status::InvalidArgument("KShortestPaths: k must be > 0");
-  return CheckEndpoints(network, source, target);
-}
-
-}  // namespace
-
-Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
-                                         int source, int target, int k,
-                                         const EdgeCostFn& cost) {
-  Status args = CheckKShortestArgs(network, source, target, k);
-  if (!args.ok()) return args;
-  const std::vector<double> edge_costs = EdgeCostTable(network, cost);
-  if (k == 1) return Yen(network, source, target, k, edge_costs, nullptr);
-  const std::vector<double> to_target =
-      ReverseCostTree(network, target, edge_costs);
-  return Yen(network, source, target, k, edge_costs, &to_target);
-}
-
-Result<std::vector<Path>> KShortestPaths(
-    const RoadNetwork& network, int source, int target, int k,
-    const std::vector<double>& edge_costs,
-    const std::vector<double>& to_target) {
-  Status args = CheckKShortestArgs(network, source, target, k);
-  if (!args.ok()) return args;
-  if (edge_costs.size() != network.NumEdges() ||
-      to_target.size() != network.NumNodes() || to_target[target] != 0.0) {
-    return Status::InvalidArgument(
-        "KShortestPaths: cost table or reverse tree does not fit the network "
-        "and target");
-  }
-  return Yen(network, source, target, k, edge_costs, &to_target);
 }
 
 }  // namespace tsdm

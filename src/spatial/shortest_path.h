@@ -62,17 +62,17 @@ std::vector<double> ReverseCostTree(const RoadNetwork& network, int target,
 ///   the cheapest candidate, with equal costs broken by lexicographic node
 ///   sequence (`path_less`). tests/k_shortest_equivalence_test.cc pins both
 ///   against the original set-based implementation.
-/// - With k > 1 the reverse tree of `target` (ReverseCostTree) gives every
-///   node a lower bound on its remaining cost. The first search and each
-///   spur search drop relaxations that the bound proves cannot come in
-///   under the cost they need (the first path's cost, or the cheapest
+/// - The reverse tree of `target` (ReverseCostTree) gives every node a
+///   lower bound on its remaining cost. The first search and each spur
+///   search drop relaxations that the bound proves cannot come in under
+///   the cost they need (the first path's cost, or the cheapest
 ///   candidates still to be picked), with a 1e-9 relative margin for
 ///   rounding. Under the total pop order this changes no answer, only the
 ///   work.
 /// - With k == 1 the single path is exactly ShortestPath's path, and
 ///   errors carry ShortestPath's codes and messages.
-/// This overload builds the table and (for k > 1) the tree, then runs the
-/// same search as the overload below.
+/// This overload checks k and the endpoints, builds the table and the
+/// tree, and runs the overload below: one search code path.
 Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
                                          int source, int target, int k,
                                          const EdgeCostFn& cost);
@@ -83,10 +83,9 @@ Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
 /// that keeps them across calls (RouteCache) gets exactly the paths, cost
 /// bits and errors of the per-call overload: the stored arrays are the
 /// doubles that call would have built, so every search and every pruning
-/// decision is the same. The tree also bounds the search at k == 1, which
-/// leaves its path ShortestPath's. Errors for k and the endpoints come
-/// first, as above; a table or tree whose size does not fit the network,
-/// or a tree that is not 0 at `target`, is InvalidArgument.
+/// decision is the same. Errors for k and the endpoints come first, as
+/// above; a table or tree whose size does not fit the network, or a tree
+/// that is not 0 at `target`, is InvalidArgument.
 Result<std::vector<Path>> KShortestPaths(const RoadNetwork& network,
                                          int source, int target, int k,
                                          const std::vector<double>& edge_costs,

@@ -125,10 +125,13 @@ int CountReuseMismatches(const RoadNetwork& net) {
           const std::string diff =
               Diff(KShortestPaths(net, s, t, k, cost.fn),
                    KShortestPaths(net, s, t, k, table, tree));
-          if (!diff.empty()) report(where + " k=" + std::to_string(k) + ": " + diff);
+          if (!diff.empty()) {
+            report(where + " k=" + std::to_string(k) + ": " + diff);
+          }
         }
         Result<Path> shortest = ShortestPath(net, s, t, cost.fn);
-        Result<std::vector<Path>> one = KShortestPaths(net, s, t, 1, table, tree);
+        Result<std::vector<Path>> one =
+            KShortestPaths(net, s, t, 1, table, tree);
         const std::string diff =
             shortest.ok() ? Diff(std::vector<Path>{*shortest}, one)
                           : Diff(shortest.status(), one);
