@@ -29,9 +29,12 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
-  /// Gaussian sample.
+  /// Gaussian sample; `stddev` 0 gives `mean`. A standard normal draw is
+  /// scaled here, as std::normal_distribution(mean, stddev) scales it, so
+  /// the samples and the engine draws are the same, but stddev 0 does not
+  /// break that class's precondition (stddev > 0).
   double Normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   /// Bernoulli trial with success probability p.
