@@ -42,6 +42,12 @@ inline void PutF64(std::vector<uint8_t>* out, double v) {
   PutU64(out, bits);
 }
 
+/// In-place forms of PutU32/PutU64, for writers that frame straight into a
+/// fixed buffer or a mapped file; the caller owns the bounds.
+inline void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
+
+inline void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
+
 inline uint8_t GetU8(const uint8_t* p) { return *p; }
 
 inline uint32_t GetU32(const uint8_t* p) {

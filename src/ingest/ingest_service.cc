@@ -82,21 +82,21 @@ Result<size_t> IngestService::IngestBytes(const uint8_t* data, size_t size) {
   size_t applied = 0;
   for (const TickMsg& msg : parsed_) {
     if (wal_ != nullptr) {
-      payload_scratch_.clear();
-      EncodeTickPayload(msg, &payload_scratch_);
-      Status status = wal_->Append(payload_scratch_.data(),
-                                   static_cast<uint32_t>(
-                                       payload_scratch_.size()));
-      if (!status.ok()) {
-        // A failed append is a failed disk: the tick was acknowledged to
-        // nobody, processing it would fork the state from the log. Die.
-        dead_ = true;
-        return status;
-      }
-      if (options_.sync_every_ticks != 0 &&
+      uint8_t payload[kTickPayloadSize];
+      EncodeTickPayload(msg, payload);
+      Status status = wal_->Append(payload, kTickPayloadSize);
+      if (status.ok() && options_.sync_every_ticks != 0 &&
           ++ticks_since_sync_ >= options_.sync_every_ticks) {
         ticks_since_sync_ = 0;
-        TSDM_RETURN_IF_ERROR(wal_->Sync());
+        status = wal_->Sync();
+      }
+      if (!status.ok()) {
+        // A failed append or sync is a failed disk: the tick was
+        // acknowledged to nobody, and the log may already hold it, so
+        // processing it or anything after it would fork the state from
+        // the log. Die.
+        dead_ = true;
+        return status;
       }
     }
     TSDM_RETURN_IF_ERROR(ApplyTick(msg.ToTick()));

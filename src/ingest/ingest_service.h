@@ -95,10 +95,10 @@ class IngestService {
   Status Start();
 
   /// Parses `size` bytes and applies every accepted tick (log → buffer →
-  /// pipeline). Returns the number of ticks applied. Fails on WAL errors
-  /// (including armed crash points) — after such a failure the service is
-  /// dead and every later call returns FailedPrecondition, mirroring a
-  /// crashed process.
+  /// pipeline). Returns the number of ticks applied. Fails on WAL errors —
+  /// a failed append or group-commit sync, including armed crash points —
+  /// after such a failure the service is dead and every later call returns
+  /// FailedPrecondition, mirroring a crashed process.
   Result<size_t> IngestBytes(const uint8_t* data, size_t size);
 
   /// Forces an msync of the WAL.
@@ -144,7 +144,6 @@ class IngestService {
   RecoveryReport recovery_;
   TickRecord scratch_;
   std::vector<TickMsg> parsed_;  // reused per IngestBytes call
-  std::vector<uint8_t> payload_scratch_;
   uint64_t ticks_since_sync_ = 0;
 };
 

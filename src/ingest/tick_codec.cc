@@ -1,14 +1,22 @@
 #include "src/ingest/tick_codec.h"
 
+#include <bit>
+
 #include "src/common/bytes.h"
 
 namespace tsdm {
 
+void EncodeTickPayload(const TickMsg& msg, uint8_t* out) {
+  StoreU32(out, msg.seq);
+  StoreU32(out + 4, msg.sensor);
+  StoreU64(out + 8, static_cast<uint64_t>(msg.timestamp));
+  StoreU64(out + 16, std::bit_cast<uint64_t>(msg.value));
+}
+
 void EncodeTickPayload(const TickMsg& msg, std::vector<uint8_t>* out) {
-  PutU32(out, msg.seq);
-  PutU32(out, msg.sensor);
-  PutI64(out, msg.timestamp);
-  PutF64(out, msg.value);
+  const size_t start = out->size();
+  out->resize(start + kTickPayloadSize);
+  EncodeTickPayload(msg, out->data() + start);
 }
 
 void EncodeTickFrame(const TickMsg& msg, std::vector<uint8_t>* out) {

@@ -49,7 +49,11 @@ using TickFrameFormat = FrameFormat<kTickFrameMagic, uint8_t, 0, 255>;
 void EncodeTickFrame(const TickMsg& msg, std::vector<uint8_t>* out);
 
 /// Encodes only the 24-byte payload (the WAL stores payloads, not frames —
-/// the record framing already carries its own length and CRC).
+/// the record framing already carries its own length and CRC) into the
+/// kTickPayloadSize bytes at `out`.
+void EncodeTickPayload(const TickMsg& msg, uint8_t* out);
+
+/// Appends the 24-byte payload of `msg` to *out.
 void EncodeTickPayload(const TickMsg& msg, std::vector<uint8_t>* out);
 
 /// Decodes a 24-byte payload. Fails with InvalidArgument on a size mismatch.

@@ -36,6 +36,62 @@ size_t RecordExtent(uint32_t payload_size) {
   return kRecordHeaderSize + payload_size + kRecordTrailerSize;
 }
 
+/// Bytes of a record frame with `size` payload bytes that the kill site
+/// `point` leaves in the segment.
+size_t PersistedPrefix(CrashPoint point, uint32_t size) {
+  switch (point) {
+    case CrashPoint::kBeforeRecord:
+      return 0;
+    case CrashPoint::kMidHeader:
+      return 6;
+    case CrashPoint::kAfterHeader:
+      return kRecordHeaderSize;
+    case CrashPoint::kMidPayload:
+      return kRecordHeaderSize + size / 2;
+    case CrashPoint::kBeforeCrc:
+      return kRecordHeaderSize + size;
+    case CrashPoint::kMidCrc:
+      return RecordExtent(size) - 2;
+    case CrashPoint::kBeforeSync:
+    case CrashPoint::kAfterRotate:
+    case CrashPoint::kFailedSync:
+    case CrashPoint::kNone:
+      break;  // the full frame lands
+  }
+  return RecordExtent(size);
+}
+
+Status CrashHit(CrashPoint point) {
+  return Status::Internal(std::string("wal: crash point hit: ") +
+                          CrashPointName(point));
+}
+
+/// Reads the whole segment file at `path`. An entry that is not a regular
+/// file, a failed stat and a short read are errors, never a torn tail.
+Status ReadSegment(const std::string& path, std::vector<uint8_t>* bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::Internal("wal: cannot open segment " + path);
+  }
+  Status status = Status::OK();
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) != 0) {
+    status = Status::Internal("wal: cannot stat segment " + path + ": " +
+                              std::strerror(errno));
+  } else if (!S_ISREG(st.st_mode)) {
+    status = Status::FailedPrecondition(
+        "wal: segment is not a regular file: " + path);
+  } else {
+    bytes->resize(static_cast<size_t>(st.st_size));
+    if (!bytes->empty() &&
+        std::fread(bytes->data(), 1, bytes->size(), f) != bytes->size()) {
+      status = Status::Internal("wal: short read of segment " + path);
+    }
+  }
+  std::fclose(f);
+  return status;
+}
+
 /// Segment files found in `dir`, sorted by index.
 std::vector<std::pair<uint64_t, std::string>> ListSegments(
     const std::string& dir) {
@@ -74,6 +130,8 @@ const char* CrashPointName(CrashPoint point) {
       return "before-sync";
     case CrashPoint::kAfterRotate:
       return "after-rotate";
+    case CrashPoint::kFailedSync:
+      return "failed-sync";
   }
   return "unknown";
 }
@@ -128,13 +186,10 @@ Status WalWriter::OpenSegment(uint64_t segment_index) {
   offset_ = 0;
 
   // Segment header: magic, version, index, base LSN.
-  std::vector<uint8_t> header;
-  header.reserve(kSegmentHeaderSize);
-  PutU32(&header, kSegmentMagic);
-  PutU32(&header, kSegmentVersion);
-  PutU64(&header, segment_index);
-  PutU64(&header, next_lsn_);
-  std::memcpy(map_, header.data(), header.size());
+  StoreU32(map_, kSegmentMagic);
+  StoreU32(map_ + 4, kSegmentVersion);
+  StoreU64(map_ + 8, segment_index);
+  StoreU64(map_ + 16, next_lsn_);
   offset_ = kSegmentHeaderSize;
   ++stats_.segments_created;
   return Status::OK();
@@ -175,57 +230,31 @@ Status WalWriter::Append(const uint8_t* payload, uint32_t size,
   }
   if (crash_here && armed_point_ == CrashPoint::kAfterRotate) {
     crashed_ = true;
-    return Status::Internal(std::string("wal: crash point hit: ") +
-                            CrashPointName(armed_point_));
+    return CrashHit(armed_point_);
   }
 
-  // Frame the record in a scratch buffer so partial-write crash points can
-  // persist an exact byte prefix of it.
-  std::vector<uint8_t> frame;
-  frame.reserve(extent);
-  PutU32(&frame, kRecordMagic);
-  PutU32(&frame, size);
-  PutU64(&frame, next_lsn_);
-  frame.insert(frame.end(), payload, payload + size);
-  uint32_t crc = Crc32(frame.data() + 4, kRecordHeaderSize - 4 + size);
-  PutU32(&frame, crc);
+  // Frame the record in place in the mapped segment. A kill site persists
+  // an exact byte prefix of this one frame: the writer zeroes the suffix
+  // the site does not persist, which restores what a segment's tail holds
+  // before any record lands there.
+  uint8_t* frame = map_ + offset_;
+  StoreU32(frame, kRecordMagic);
+  StoreU32(frame + 4, size);
+  StoreU64(frame + 8, next_lsn_);
+  if (size != 0) std::memcpy(frame + kRecordHeaderSize, payload, size);
+  StoreU32(frame + kRecordHeaderSize + size,
+           Crc32(frame + 4, kRecordHeaderSize - 4 + size));
 
-  size_t persist = frame.size();
-  if (crash_here) {
-    switch (armed_point_) {
-      case CrashPoint::kBeforeRecord:
-        persist = 0;
-        break;
-      case CrashPoint::kMidHeader:
-        persist = 6;
-        break;
-      case CrashPoint::kAfterHeader:
-        persist = kRecordHeaderSize;
-        break;
-      case CrashPoint::kMidPayload:
-        persist = kRecordHeaderSize + size / 2;
-        break;
-      case CrashPoint::kBeforeCrc:
-        persist = kRecordHeaderSize + size;
-        break;
-      case CrashPoint::kMidCrc:
-        persist = frame.size() - 2;
-        break;
-      case CrashPoint::kBeforeSync:
-      case CrashPoint::kAfterRotate:
-      case CrashPoint::kNone:
-        break;  // full frame lands
-    }
-  }
-  std::memcpy(map_ + offset_, frame.data(), persist);
-
-  if (crash_here) {
+  if (crash_here && armed_point_ == CrashPoint::kFailedSync) {
+    fail_next_sync_ = true;
+  } else if (crash_here) {
     // kBeforeSync persists the whole frame: on a process crash the dirty
     // pages of a MAP_SHARED mapping survive in the page cache, so recovery
     // must (and does) see this record even though Sync never ran.
+    const size_t persist = PersistedPrefix(armed_point_, size);
+    std::memset(frame + persist, 0, extent - persist);
     crashed_ = true;
-    return Status::Internal(std::string("wal: crash point hit: ") +
-                            CrashPointName(armed_point_));
+    return CrashHit(armed_point_);
   }
 
   offset_ += extent;
@@ -243,6 +272,10 @@ Status WalWriter::Sync() {
 
 Status WalWriter::DoSync(int flags) {
   if (!open_) return Status::FailedPrecondition("wal: not open");
+  if (fail_next_sync_) {
+    crashed_ = true;
+    return CrashHit(CrashPoint::kFailedSync);
+  }
   if (map_ != nullptr && ::msync(map_, offset_, flags) != 0) {
     return Status::Internal("wal: msync failed");
   }
@@ -277,18 +310,8 @@ Status WalReader::Scan(const std::string& dir, const RecordFn& fn,
   }
 
   for (const auto& [index, path] : segments) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      return Status::Internal("wal: cannot open segment " + path);
-    }
-    std::fseek(f, 0, SEEK_END);
-    long fsize = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<uint8_t> bytes(fsize > 0 ? static_cast<size_t>(fsize) : 0);
-    size_t got = bytes.empty() ? 0 : std::fread(bytes.data(), 1,
-                                                bytes.size(), f);
-    std::fclose(f);
-    bytes.resize(got);
+    std::vector<uint8_t> bytes;
+    TSDM_RETURN_IF_ERROR(ReadSegment(path, &bytes));
     ++report->segments;
     report->bytes_scanned += bytes.size();
 

@@ -28,9 +28,11 @@ struct WalOptions {
 /// Deterministic kill sites compiled into WalWriter::Append — the crash-point
 /// harness the recovery tests drive. When the armed record ordinal is
 /// reached, the writer persists exactly the bytes the point dictates, marks
-/// itself dead (every later call fails FailedPrecondition), and returns
+/// itself dead (every later Append fails FailedPrecondition), and returns
 /// Internal. Recovery must then prove the log's valid prefix replays to the
-/// same state an uninterrupted run reaches.
+/// same state an uninterrupted run reaches. kFailedSync is the one fault
+/// outside Append: the armed record lands and Append succeeds, and the next
+/// Sync fails the same way instead.
 enum class CrashPoint {
   kNone = 0,
   kBeforeRecord,  ///< die before any byte of the record lands
@@ -42,11 +44,13 @@ enum class CrashPoint {
   kBeforeSync,    ///< record fully framed, Sync skipped (durable on a
                   ///< process crash: the page cache survives the process)
   kAfterRotate,   ///< rotation to a fresh segment completes, then death
+  kFailedSync,    ///< record fully framed, then the next Sync fails (as a
+                  ///< failed msync would) and the writer is dead
 };
 
 const char* CrashPointName(CrashPoint point);
 
-/// Every kill site, for matrix tests.
+/// Every kill site inside Append, for matrix tests.
 inline constexpr std::array<CrashPoint, 8> kAllCrashPoints = {
     CrashPoint::kBeforeRecord, CrashPoint::kMidHeader,
     CrashPoint::kAfterHeader,  CrashPoint::kMidPayload,
@@ -106,7 +110,9 @@ class WalWriter {
   Status Append(const uint8_t* payload, uint32_t size,
                 uint64_t* lsn = nullptr);
 
-  /// msyncs the written prefix of the current segment.
+  /// msyncs the written prefix of the current segment. A failure leaves the
+  /// writer's log ahead of what the caller may assume durable: treat it
+  /// like a failed Append.
   Status Sync();
 
   /// Syncs and unmaps. The writer cannot be reopened.
@@ -138,6 +144,7 @@ class WalWriter {
   uint64_t appends_seen_ = 0;
   CrashPoint armed_point_ = CrashPoint::kNone;
   uint64_t armed_ordinal_ = 0;
+  bool fail_next_sync_ = false;  // armed kFailedSync record has landed
   WalWriterStats stats_;
 };
 
@@ -169,6 +176,9 @@ class WalReader {
 
   /// A missing directory is an empty log (OK, zero records), so first boot
   /// and restart share one code path. `fn` may be null to only take stock.
+  /// A segment name that is not a regular file fails FailedPrecondition, and
+  /// a segment that cannot be opened, stat'ed or read in full fails
+  /// Internal: an unreadable segment is an error, never a torn tail.
   static Status Scan(const std::string& dir, const RecordFn& fn,
                      WalScanReport* report);
 };

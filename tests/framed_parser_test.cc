@@ -5,7 +5,8 @@
 // hostile length claims, out-of-window lengths, and a CRC-valid frame that
 // hides an intact frame in its body. The parser must never crash, must
 // lose exactly the damaged frame, and must never rescan a CRC-verified
-// frame. Also the CRC-32 known answers the framing relies on.
+// frame. Also the CRC-32 known answers the framing relies on, and the
+// table kernel against a bitwise reference at every length and alignment.
 
 #include <algorithm>
 #include <cstring>
@@ -35,6 +36,44 @@ TEST(Crc32Test, MatchesZlibKnownAnswers) {
                           check.size() - split),
               0xCBF43926u)
         << "split=" << split;
+  }
+}
+
+/// The textbook bitwise CRC-32 (reflected 0xEDB88320), one bit per step:
+/// the reference the table kernel must equal.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KernelEqualsBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..300 at every start offset 0..7 covers each word-loop
+  // trip count with each tail length, from every alignment of the loads.
+  constexpr size_t kMaxLength = 300;
+  constexpr size_t kOffsets = 8;
+  Rng rng(20260);
+  std::vector<uint8_t> buffer(kMaxLength + kOffsets);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Int(0, 255));
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      const uint8_t* data = buffer.data() + offset;
+      const uint32_t want = ReferenceCrc32(data, length);
+      ASSERT_EQ(Crc32(data, length), want)
+          << "offset=" << offset << " length=" << length;
+      for (size_t split = 0; split <= length; ++split) {
+        ASSERT_EQ(Crc32Extend(Crc32(data, split), data + split,
+                              length - split),
+                  want)
+            << "offset=" << offset << " length=" << length
+            << " split=" << split;
+      }
+    }
   }
 }
 

@@ -6,12 +6,15 @@
 // state, via StreamPipeline::SaveState blobs and bit-pattern forecast
 // comparison.
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/bytes.h"
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/ingest/ingest_service.h"
 #include "src/ingest/tick_codec.h"
@@ -208,6 +211,214 @@ TEST(WalReaderTest, CorruptedTailRecordIsDetectedBySkippedCrc) {
   EXPECT_EQ(report.last_lsn, 4u);
 }
 
+TEST(WalReaderTest, DirectoryNamedLikeASegmentIsAnErrorNotAThrow) {
+  const std::string dir = FreshDir("segment_dir");
+  {
+    IngestService writer(Options(dir));
+    ASSERT_TRUE(writer.Start().ok());
+    const std::vector<uint8_t> feed = BuildFeed(3, 3);
+    ASSERT_TRUE(writer.IngestBytes(feed.data(), feed.size()).ok());
+    ASSERT_TRUE(writer.Stop().ok());
+  }
+  ASSERT_TRUE(std::filesystem::create_directory(dir + "/wal-00000002.seg"));
+
+  WalScanReport report;
+  Status status = Status::OK();
+  EXPECT_NO_THROW(status = WalReader::Scan(dir, nullptr, &report));
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.message();
+
+  // The service refuses to start over the log rather than replay past it.
+  IngestService service(Options(dir));
+  Status start = Status::OK();
+  EXPECT_NO_THROW(start = service.Start());
+  EXPECT_EQ(start.code(), StatusCode::kFailedPrecondition) << start.message();
+}
+
+// ---------------------------------------------------------------------------
+// On-disk bytes, built independently from the README layout
+// ---------------------------------------------------------------------------
+
+/// Record payload sizes the golden tests write: empty, one byte, a tick
+/// payload, and the largest size a u8 length prefix would carry.
+const std::vector<uint32_t> kGoldenSizes = {0, 1, 24, 255, 0, 1, 24, 255};
+/// Segment size that makes those records rotate three times: four
+/// segments, with rotations before a 255-, a 1- and a 255-byte record.
+constexpr size_t kGoldenSegmentBytes = 320;
+
+std::vector<uint8_t> GoldenPayload(size_t ordinal, uint32_t size) {
+  std::vector<uint8_t> payload(size);
+  for (uint32_t j = 0; j < size; ++j) {
+    payload[j] = static_cast<uint8_t>(ordinal * 31 + j);
+  }
+  return payload;
+}
+
+/// The segment files a log must hold, built from the layout alone:
+/// segment header (magic "TSWL", version 1, index, base LSN) at offset 0,
+/// records (magic "RCRD", length, LSN, payload, CRC-32 over [+4, +16+L))
+/// from offset 24, zeros to the segment end, and a fresh segment whenever
+/// a frame would cross the end.
+class GoldenLog {
+ public:
+  explicit GoldenLog(size_t segment_bytes) : segment_bytes_(segment_bytes) {
+    NewSegment();
+  }
+
+  void NewSegment() {
+    std::vector<uint8_t> header;
+    PutU32(&header, 0x4C575354);
+    PutU32(&header, 1);
+    PutU64(&header, segments_.size() + 1);
+    PutU64(&header, next_lsn_);
+    segments_.emplace_back(segment_bytes_, 0);
+    std::copy(header.begin(), header.end(), segments_.back().begin());
+    offset_ = header.size();
+  }
+
+  /// Lands the first `keep` bytes of the next record's frame.
+  void Add(const std::vector<uint8_t>& payload, size_t keep = SIZE_MAX) {
+    std::vector<uint8_t> frame;
+    PutU32(&frame, 0x44524352);
+    PutU32(&frame, static_cast<uint32_t>(payload.size()));
+    PutU64(&frame, next_lsn_);
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    PutU32(&frame, Crc32(frame.data() + 4, frame.size() - 4));
+    if (offset_ + frame.size() > segment_bytes_) NewSegment();
+    std::copy_n(frame.begin(), std::min(keep, frame.size()),
+                segments_.back().begin() + offset_);
+    offset_ += frame.size();
+    ++next_lsn_;
+  }
+
+  const std::vector<std::vector<uint8_t>>& segments() const {
+    return segments_;
+  }
+
+ private:
+  size_t segment_bytes_;
+  size_t offset_ = 0;
+  uint64_t next_lsn_ = 1;
+  std::vector<std::vector<uint8_t>> segments_;
+};
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  int c;
+  while ((c = std::fgetc(f)) != EOF) bytes.push_back(static_cast<uint8_t>(c));
+  std::fclose(f);
+  return bytes;
+}
+
+void ExpectSegmentsEqual(const std::string& dir, const GoldenLog& golden,
+                         const std::string& label) {
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, golden.segments().size()) << label;
+  for (size_t i = 0; i < golden.segments().size(); ++i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/wal-%08zu.seg", i + 1);
+    EXPECT_TRUE(ReadFile(dir + name) == golden.segments()[i])
+        << label << ": segment " << i + 1 << " differs from the layout";
+  }
+}
+
+TEST(WalGoldenTest, SegmentFilesMatchTheLayoutByteForByte) {
+  const std::string dir = FreshDir("golden");
+  WalOptions options;
+  options.segment_bytes = kGoldenSegmentBytes;
+  GoldenLog golden(kGoldenSegmentBytes);
+  {
+    WalWriter writer(dir, options);
+    ASSERT_TRUE(writer.Open().ok());
+    for (size_t i = 0; i < kGoldenSizes.size(); ++i) {
+      const std::vector<uint8_t> payload = GoldenPayload(i, kGoldenSizes[i]);
+      ASSERT_TRUE(writer.Append(payload.data(), kGoldenSizes[i]).ok());
+      golden.Add(payload);
+    }
+    EXPECT_EQ(writer.stats().rotations, 3u);
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  ASSERT_EQ(golden.segments().size(), 4u);
+  ExpectSegmentsEqual(dir, golden, "golden");
+}
+
+/// Bytes of the armed record's frame each kill site leaves on disk, as the
+/// CrashPoint documentation states them.
+size_t DocumentedPrefix(CrashPoint point, uint32_t size) {
+  const size_t extent = 16 + size + 4;
+  switch (point) {
+    case CrashPoint::kBeforeRecord:
+      return 0;
+    case CrashPoint::kMidHeader:
+      return 6;
+    case CrashPoint::kAfterHeader:
+      return 16;
+    case CrashPoint::kMidPayload:
+      return 16 + size / 2;
+    case CrashPoint::kBeforeCrc:
+      return 16 + size;
+    case CrashPoint::kMidCrc:
+      return extent - 2;
+    default:
+      return extent;
+  }
+}
+
+TEST(WalGoldenTest, EachCrashPointPersistsItsExactPrefix) {
+  std::vector<CrashPoint> points(kAllCrashPoints.begin(),
+                                 kAllCrashPoints.end());
+  points.push_back(CrashPoint::kFailedSync);
+  WalOptions options;
+  options.segment_bytes = kGoldenSegmentBytes;
+  // Ordinals 0-3 arm one record of each size; ordinal 3 rotates first.
+  for (CrashPoint point : points) {
+    for (size_t ordinal = 0; ordinal < 4; ++ordinal) {
+      const std::string label = std::string(CrashPointName(point)) + "@ord" +
+                                std::to_string(ordinal);
+      const std::string dir = FreshDir("golden_" + label);
+      GoldenLog golden(kGoldenSegmentBytes);
+      {
+        WalWriter writer(dir, options);
+        ASSERT_TRUE(writer.Open().ok()) << label;
+        writer.ArmCrash(point, ordinal);
+        for (size_t i = 0; i < ordinal; ++i) {
+          const std::vector<uint8_t> payload =
+              GoldenPayload(i, kGoldenSizes[i]);
+          ASSERT_TRUE(writer.Append(payload.data(), kGoldenSizes[i]).ok())
+              << label;
+          golden.Add(payload);
+        }
+        const uint32_t size = kGoldenSizes[ordinal];
+        const std::vector<uint8_t> payload = GoldenPayload(ordinal, size);
+        Status status = writer.Append(payload.data(), size);
+        if (point == CrashPoint::kFailedSync) {
+          // The record lands and the append succeeds; the sync fails.
+          ASSERT_TRUE(status.ok()) << label;
+          EXPECT_EQ(writer.Sync().code(), StatusCode::kInternal) << label;
+        } else {
+          EXPECT_EQ(status.code(), StatusCode::kInternal) << label;
+        }
+        EXPECT_TRUE(writer.crashed()) << label;
+        EXPECT_EQ(writer.Append(payload.data(), size).code(),
+                  StatusCode::kFailedPrecondition)
+            << label;
+        if (point == CrashPoint::kAfterRotate) {
+          golden.NewSegment();
+        } else {
+          golden.Add(payload, DocumentedPrefix(point, size));
+        }
+      }
+      ExpectSegmentsEqual(dir, golden, label);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Crash-point matrix
 // ---------------------------------------------------------------------------
@@ -272,6 +483,7 @@ void RunCrashCase(const CrashCase& c, const std::vector<uint8_t>& feed,
     case CrashPoint::kAfterRotate:
       EXPECT_EQ(recovery.torn_records_skipped, 0u) << label;
       break;
+    case CrashPoint::kFailedSync:
     case CrashPoint::kNone:
       break;
   }
@@ -410,6 +622,42 @@ TEST(IngestRecoveryTest, CleanRestartReplaysEverythingAndContinues) {
   auto applied = s.IngestBytes(feed.data() + half, feed.size() - half);
   ASSERT_TRUE(applied.ok());
   ExpectSameState(Fingerprint(&s), reference, "clean-restart");
+}
+
+TEST(IngestServiceTest, FailedGroupCommitSyncKillsTheService) {
+  const size_t kTicks = 40;
+  const size_t kSensors = 3;
+  std::vector<uint8_t> feed = BuildFeed(kTicks, kSensors);
+  StateFingerprint reference = ReferenceRun(feed, kSensors);
+  const std::string dir = FreshDir("failed_sync");
+  IngestOptions options = Options(dir, kSensors);
+  ASSERT_EQ(options.sync_every_ticks, 8u);
+
+  // The 8th tick (ordinal 7) lands in the log, then its group-commit sync
+  // fails: the service must die before applying it, like a failed append.
+  {
+    IngestService victim(options);
+    ASSERT_TRUE(victim.Start().ok());
+    victim.ArmCrash(CrashPoint::kFailedSync, 7);
+    auto applied = victim.IngestBytes(feed.data(), feed.size());
+    ASSERT_FALSE(applied.ok());
+    EXPECT_EQ(applied.status().code(), StatusCode::kInternal);
+    EXPECT_TRUE(victim.dead());
+    EXPECT_EQ(victim.pipeline().ticks_processed(), 7u);
+    EXPECT_EQ(victim.IngestBytes(feed.data(), feed.size()).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+
+  // The logged tick is replayed, and resuming after it lands on the
+  // uninterrupted state.
+  IngestService revived(options);
+  ASSERT_TRUE(revived.Start().ok());
+  EXPECT_EQ(revived.recovery().ticks_replayed, 8u);
+  const size_t resume = revived.recovery().ticks_replayed * kTickFrameSize;
+  auto resumed =
+      revived.IngestBytes(feed.data() + resume, feed.size() - resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  ExpectSameState(Fingerprint(&revived), reference, "failed-sync");
 }
 
 TEST(IngestServiceTest, WalOffAndWalOnProduceIdenticalAnalytics) {
