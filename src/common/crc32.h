@@ -15,11 +15,11 @@ uint32_t Crc32(const uint8_t* data, size_t size);
 
 /// Incremental form: feed `crc` the result of a previous call to extend the
 /// checksum over discontiguous spans, so Crc32Extend(Crc32(a), b) equals
-/// the Crc32 of a followed by b. The framed formats all checksum one
+/// the Crc32 of a followed by b. Every framed format checksums one
 /// contiguous span (the WAL frames each record in place in its mapped
-/// segment), so they call Crc32; this form serves callers that cannot.
-/// Both run a portable slicing-by-8 table kernel: eight bytes per step
-/// through little-endian word loads, the tail bytewise.
+/// segment), so the library itself calls Crc32. Both run a portable
+/// slicing-by-8 table kernel: eight bytes per step through little-endian
+/// word loads, the tail bytewise.
 uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size);
 
 }  // namespace tsdm

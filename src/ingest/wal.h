@@ -110,9 +110,9 @@ class WalWriter {
   Status Append(const uint8_t* payload, uint32_t size,
                 uint64_t* lsn = nullptr);
 
-  /// msyncs the written prefix of the current segment. A failure leaves the
-  /// writer's log ahead of what the caller may assume durable: treat it
-  /// like a failed Append.
+  /// msyncs the written prefix of the current segment. After a failure the
+  /// log may hold records the caller has not acted on yet: treat it like a
+  /// failed Append.
   Status Sync();
 
   /// Syncs and unmaps. The writer cannot be reopened.
