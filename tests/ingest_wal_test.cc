@@ -4,7 +4,8 @@
 // and resuming the feed must land bitwise on the state an uninterrupted run
 // reaches — including the EW-MAD anomaly internals and the Holt forecast
 // state, via StreamPipeline::SaveState blobs and bit-pattern forecast
-// comparison.
+// comparison. The segment bytes, and each kill site's persisted prefix, are
+// also pinned against frames built independently from the README layout.
 
 #include <cstdio>
 #include <cstring>
