@@ -139,7 +139,7 @@ int main() {
               snap.scale_events);
 
   // --- The per-tenant families a scraper would collect ------------------
-  std::istringstream prom(MetricsExporter::ServeToPrometheus(snap));
+  std::istringstream prom(MetricsExporter::Describe(snap).ToPrometheus());
   std::printf("\nper-tenant Prometheus excerpt:\n");
   for (std::string line; std::getline(prom, line);) {
     if (line.find("tsdm_serve_tenant_") == 0 &&

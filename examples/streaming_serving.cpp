@@ -106,7 +106,7 @@ int main() {
   // Everything the stages recorded above is exportable without extra
   // bookkeeping; a serving process would return this from /metrics.
   std::printf("\nPrometheus exposition (excerpt):\n");
-  std::string prom = MetricsExporter::StreamToPrometheus(pipeline);
+  std::string prom = MetricsExporter::Describe(pipeline).ToPrometheus();
   std::printf("%s", prom.substr(0, prom.find("# HELP tsdm_stage")).c_str());
 
   bool ok = report.ok() && anomaly.alarms() >= 1 &&

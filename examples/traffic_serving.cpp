@@ -176,7 +176,7 @@ int main() {
   // was flagged by the anomaly pipeline while the storm was running.
   PrintHealth("storm", storm_health);
   std::printf("health JSON (what /healthz would serve):\n  %s\n",
-              MetricsExporter::HealthToJson(storm_health).c_str());
+              MetricsExporter::Describe(storm_health).ToJson().c_str());
 
   // Recovery: back to calm traffic on the autoscaled pool — the health
   // state returns to healthy (the anomaly counters keep the incident's
@@ -217,8 +217,8 @@ int main() {
               answered.load());
 
   // --- Prometheus excerpt ----------------------------------------------
-  std::string prom = MetricsExporter::ServeToPrometheus(stats);
-  prom += MetricsExporter::HealthToPrometheus(final_health);
+  std::string prom = MetricsExporter::Describe(stats).ToPrometheus();
+  prom += MetricsExporter::Describe(final_health).ToPrometheus();
   std::printf("\nPrometheus exposition (excerpt):\n");
   std::istringstream lines(prom);
   std::string line;

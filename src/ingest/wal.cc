@@ -92,15 +92,18 @@ Status ReadSegment(const std::string& path, std::vector<uint8_t>* bytes) {
   return status;
 }
 
-/// Segment files found in `dir`, sorted by index.
+/// Segment files found in `dir`, sorted by index. A name counts only when
+/// SegmentPath rebuilds it exactly, so a copy such as wal-00000001.seg.bak
+/// is not a segment.
 std::vector<std::pair<uint64_t, std::string>> ListSegments(
     const std::string& dir) {
   std::vector<std::pair<uint64_t, std::string>> segments;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
+    const std::filesystem::path name = entry.path().filename();
     unsigned long long index = 0;
-    if (std::sscanf(name.c_str(), "wal-%08llu.seg", &index) == 1) {
+    if (std::sscanf(name.c_str(), "wal-%llu", &index) == 1 &&
+        std::filesystem::path(SegmentPath(dir, index)).filename() == name) {
       segments.emplace_back(index, entry.path().string());
     }
   }

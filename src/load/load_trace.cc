@@ -22,12 +22,7 @@ void EncodeLoadTraceRecord(const TimedQuery& q, std::vector<uint8_t>* out) {
   PutU8(out, static_cast<uint8_t>(tenant_len));
   out->insert(out->end(), q.tenant.begin(),
               q.tenant.begin() + static_cast<long>(tenant_len));
-  PutU32(out, static_cast<uint32_t>(q.query.source));
-  PutU32(out, static_cast<uint32_t>(q.query.target));
-  PutU32(out, static_cast<uint32_t>(q.query.k));
-  PutU32(out, static_cast<uint32_t>(q.query.snapshot_id));
-  PutF64(out, q.query.depart_seconds);
-  PutF64(out, q.query.arrival_deadline_seconds);
+  PutRouteQueryFields(q.query, out);
   LoadTraceFormat::End(start, out);
 }
 
@@ -45,13 +40,7 @@ FrameVerdict<LoadTraceParserStats> LoadTraceSpec::Decode(
   q.at_seconds = GetF64(p);
   q.priority = p[8];
   q.tenant.assign(reinterpret_cast<const char*>(p + 10), tenant_len);
-  const uint8_t* f = p + 10 + tenant_len;
-  q.query.source = static_cast<int>(GetU32(f));
-  q.query.target = static_cast<int>(GetU32(f + 4));
-  q.query.k = static_cast<int>(GetU32(f + 8));
-  q.query.snapshot_id = static_cast<int>(GetU32(f + 12));
-  q.query.depart_seconds = GetF64(f + 16);
-  q.query.arrival_deadline_seconds = GetF64(f + 24);
+  GetRouteQueryFields(p + 10 + tenant_len, &q.query);
   return {};
 }
 

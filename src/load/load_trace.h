@@ -42,12 +42,13 @@ namespace tsdm {
 ///     8       1     u8 priority
 ///     9       1     u8 tenant_len T
 ///     10      T     tenant id bytes (UTF-8)
-///     10+T    4     i32 source
-///     14+T    4     i32 target
-///     18+T    4     i32 k
-///     22+T    4     i32 snapshot_id
-///     26+T    8     f64 depart_seconds
-///     34+T    8     f64 arrival_deadline_seconds
+///     10+T    32    RouteQuery fields block (PutRouteQueryFields):
+///     10+T    4       i32 source
+///     14+T    4       i32 target
+///     18+T    4       i32 k
+///     22+T    4       reserved (written 0, ignored on read)
+///     26+T    8       f64 depart_seconds
+///     34+T    8       f64 arrival_deadline_seconds
 ///
 /// Doubles are IEEE-754 bit patterns, so a record round-trips bitwise —
 /// the property the replay-determinism suite relies on.
@@ -56,7 +57,7 @@ inline constexpr uint32_t kLoadTraceVersion = 1;
 inline constexpr size_t kLoadTraceHeaderSize = 8;
 inline constexpr uint8_t kLoadTraceRecordMagic = 0xD6;
 /// Fixed payload bytes around the variable-length tenant id.
-inline constexpr size_t kLoadTraceFixedPayload = 42;
+inline constexpr size_t kLoadTraceFixedPayload = 10 + kRouteQueryFieldsSize;
 inline constexpr size_t kLoadTraceMinPayload = kLoadTraceFixedPayload;
 inline constexpr size_t kLoadTraceMaxPayload = 1 << 16;
 using LoadTraceFormat = FrameFormat<kLoadTraceRecordMagic, uint32_t,

@@ -246,8 +246,6 @@ Status DecodeHttpRouteQuery(const std::string& body, RouteQuery* out,
   TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "source", &out->source));
   TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "target", &out->target));
   TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "k", &out->k));
-  TSDM_RETURN_IF_ERROR(
-      ExtractJsonInteger(body, "snapshot_id", &out->snapshot_id));
   TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "priority", priority));
   TSDM_RETURN_IF_ERROR(ExtractJsonInteger(body, "request_id", request_id));
   ExtractJsonNumber(body, "depart_seconds", &out->depart_seconds);

@@ -98,8 +98,8 @@ bool ExtractJsonString(const std::string& json, const std::string& key,
 
 /// Decodes a POST /query body, the HTTP sibling of DecodeRouteQueryPayload:
 /// numeric "source" and "target" are required; "k", "depart_seconds",
-/// "arrival_deadline_seconds", "snapshot_id", "priority", "tenant" and
-/// "request_id" are optional and keep their defaults when absent.
+/// "arrival_deadline_seconds", "priority", "tenant" and "request_id" are
+/// optional and keep their defaults when absent; other keys are ignored.
 /// InvalidArgument when a required field is missing, or when an integer
 /// field holds a number that is not integral or out of range for its type.
 Status DecodeHttpRouteQuery(const std::string& body, RouteQuery* out,

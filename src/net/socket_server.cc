@@ -76,11 +76,11 @@ struct SocketServer::Connection {
   uint64_t request_start_ns = 0;
   /// Wire queries submitted to the serve layer, not yet answered.
   int in_flight = 0;
-  /// Peer half-closed (or error): close once writes drain and in_flight
-  /// reaches zero.
-  bool want_close = false;
-  /// Parser hit a terminal condition: close after the out buffer drains.
-  bool close_after_write = false;
+  /// Peer half-closed (or read error), the HTTP parser hit a terminal
+  /// condition, or a request asked for Connection: close. Close once writes
+  /// drain and in_flight reaches zero; bytes read meanwhile are dropped
+  /// unparsed.
+  bool closing = false;
 };
 
 /// One epoll thread: its fd set, its wake channel, and its connections.
@@ -396,15 +396,10 @@ bool SocketServer::TryWrite(Connection* conn) {
 }
 
 void SocketServer::MaybeClose(EventLoop* loop, Connection* conn) {
-  const bool drained = conn->out_off >= conn->out.size();
-  // close_after_write still waits for in-flight async answers (a POST
-  // /query under Connection: close) — "after write" means after every
-  // pending response is out, not just the synchronous ones.
-  if (conn->close_after_write && drained && conn->in_flight == 0) {
-    CloseConnection(loop, conn);
-    return;
-  }
-  if (conn->want_close && drained && conn->in_flight == 0) {
+  // Waits for in-flight async answers too (a POST /query under
+  // Connection: close): every pending response goes out before the close.
+  if (conn->closing && conn->out_off >= conn->out.size() &&
+      conn->in_flight == 0) {
     CloseConnection(loop, conn);
   }
 }
@@ -428,6 +423,11 @@ void SocketServer::HandleReadable(EventLoop* loop, Connection* conn) {
     if (n > 0) {
       bytes_read_.fetch_add(static_cast<uint64_t>(n),
                             std::memory_order_relaxed);
+      // A closing connection serves nothing more: later bytes (a request
+      // pipelined after Connection: close, more garbage after a 400) are
+      // drained, so the close is a FIN rather than a reset that could
+      // destroy the last response (RFC 7230 6.6), but never parsed.
+      if (conn->closing) continue;
       if (conn->request_start_ns == 0) {
         conn->request_start_ns = TraceRecorder::NowNs();
       }
@@ -470,7 +470,7 @@ void SocketServer::HandleReadable(EventLoop* loop, Connection* conn) {
     CloseConnection(loop, conn);
     return;
   }
-  if (saw_eof) conn->want_close = true;
+  if (saw_eof) conn->closing = true;
   MaybeClose(loop, conn);
 }
 
@@ -745,18 +745,18 @@ void SocketServer::ProcessHttp(EventLoop* loop, Connection* conn) {
     if (r == HttpParser::Result::kNeedMore) return;
     if (r == HttpParser::Result::kBadRequest) {
       Respond(conn, &http_bad_request_, 400, "text/plain", "bad request\n");
-      conn->close_after_write = true;
+      conn->closing = true;
       break;
     }
     if (r == HttpParser::Result::kTooLarge) {
       Respond(conn, &http_too_large_, 431, "text/plain",
               "request too large\n");
-      conn->close_after_write = true;
+      conn->closing = true;
       break;
     }
     ServeHttpRequest(conn, req);
     if (req.Header("connection") == "close") {
-      conn->close_after_write = true;
+      conn->closing = true;
       break;
     }
   }
@@ -802,10 +802,10 @@ void SocketServer::ServeHttpRequest(Connection* conn, const HttpRequest& req) {
     Respond(conn, nullptr, 200, "text/plain; version=0.0.4",
             MetricsExporter::ExportPrometheus());
   } else if (path == "/health") {
+    const HealthSnapshot health =
+        options_.health_source ? options_.health_source() : HealthSnapshot();
     Respond(conn, &http_health_, 200, "application/json",
-            MetricsExporter::HealthToJson(options_.health_source
-                                              ? options_.health_source()
-                                              : HealthSnapshot()));
+            MetricsExporter::Describe(health).ToJson());
   } else if (path == "/debug/flight") {
     const std::string dump = FlightRecorder::Global().LatestDumpJson();
     if (dump.empty()) {

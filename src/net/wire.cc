@@ -30,12 +30,7 @@ void EncodeNetFrame(uint64_t request_id, NetOpcode opcode,
 
 void EncodeRouteQueryPayload(const RouteQuery& query,
                              std::vector<uint8_t>* out) {
-  PutU32(out, static_cast<uint32_t>(query.source));
-  PutU32(out, static_cast<uint32_t>(query.target));
-  PutU32(out, static_cast<uint32_t>(query.k));
-  PutU32(out, static_cast<uint32_t>(query.snapshot_id));
-  PutF64(out, query.depart_seconds);
-  PutF64(out, query.arrival_deadline_seconds);
+  PutRouteQueryFields(query, out);
 }
 
 void EncodeRouteQueryPayloadEx(const RouteQuery& query, int priority,
@@ -60,12 +55,7 @@ Status DecodeRouteQueryPayload(const uint8_t* payload, size_t size,
                                    std::to_string(size) + " bytes, want >= " +
                                    std::to_string(kRouteQueryPayloadSize));
   }
-  out->source = static_cast<int>(GetU32(payload));
-  out->target = static_cast<int>(GetU32(payload + 4));
-  out->k = static_cast<int>(GetU32(payload + 8));
-  out->snapshot_id = static_cast<int>(GetU32(payload + 12));
-  out->depart_seconds = GetF64(payload + 16);
-  out->arrival_deadline_seconds = GetF64(payload + 24);
+  GetRouteQueryFields(payload, out);
   if (size == kRouteQueryPayloadSize) return Status::OK();  // legacy form
   // Extended form: u8 priority | u8 tenant_len | tenant bytes, nothing
   // after — a trailing-length mismatch is a framing error, not padding.

@@ -86,15 +86,16 @@ void EncodeNetFrame(uint64_t request_id, NetOpcode opcode,
 
 // --- Opcode payloads ------------------------------------------------------
 
-/// kRouteQuery payload. Legacy form (32 bytes):
-///   i32 source | i32 target | i32 k | i32 snapshot_id |
+/// kRouteQuery payload. Legacy form (32 bytes): the RouteQuery fields
+/// block of PutRouteQueryFields,
+///   i32 source | i32 target | i32 k | 4 reserved bytes (0) |
 ///   f64 depart_seconds | f64 arrival_deadline_seconds
 /// Extended form (34 + tenant_len bytes) appends the scheduling fields:
 ///   ... | u8 priority | u8 tenant_len | tenant_len bytes of tenant id
 /// Decoders accept both — a legacy frame means priority 0 and an empty
 /// tenant (the reserved "default"), so old clients keep working against a
 /// tenant-aware server and vice versa.
-inline constexpr size_t kRouteQueryPayloadSize = 32;
+inline constexpr size_t kRouteQueryPayloadSize = kRouteQueryFieldsSize;
 inline constexpr size_t kRouteQueryMaxTenantLen = 255;
 void EncodeRouteQueryPayload(const RouteQuery& query,
                              std::vector<uint8_t>* out);

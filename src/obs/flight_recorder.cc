@@ -412,8 +412,8 @@ void FlightRecorder::BuildDump(const HealthTransition& transition,
   out += HealthStateName(transition.to);
   out += "\",\"top_offender\":\"" + JsonEscape(transition.top_offender) + "\"";
   out += ",\"burn_rate\":" + JsonNumber(transition.burn_rate) + "}";
-  out += ",\"health\":" + MetricsExporter::HealthToJson(health);
-  out += ",\"serve\":" + MetricsExporter::ServeToJson(stats);
+  out += ",\"health\":" + MetricsExporter::Describe(health).ToJson();
+  out += ",\"serve\":" + MetricsExporter::Describe(stats).ToJson();
 
   auto delta = [](uint64_t now, uint64_t then) {
     return now >= then ? now - then : 0;

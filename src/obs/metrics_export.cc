@@ -660,7 +660,7 @@ MetricSet MetricsExporter::Describe(const ShardStatsSnapshot& s) {
   // The fleet-aggregate serve view, JSON only: on /metrics the serve
   // families come from the "serve" source, whose Stats() is this same
   // aggregate when a SocketServer fronts the router.
-  m.Add("aggregate", {ServeToJson(s.Aggregate()), ""});
+  m.Add("aggregate", {Describe(s.Aggregate()).ToJson(), ""});
   m.Close();
   return m;
 }

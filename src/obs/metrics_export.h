@@ -132,7 +132,8 @@ class MetricSet {
 /// without touching the hot paths that produce them.
 ///
 /// Each snapshot type has one Describe overload declaring its exported
-/// values; XToJson and XToPrometheus render that one declaration.
+/// values; Describe(x).ToJson() and Describe(x).ToPrometheus() render that
+/// one declaration.
 class MetricsExporter {
  public:
   static constexpr int kSchemaVersion = 1;
@@ -151,68 +152,6 @@ class MetricsExporter {
   static MetricSet Describe(const FlightStatsSnapshot& snapshot);
   static MetricSet Describe(const NetStatsSnapshot& snapshot);
   static MetricSet Describe(const ShardStatsSnapshot& snapshot);
-
-  static std::string RegistryToJson(const StageMetricsRegistry& registry) {
-    return Describe(registry).ToJson();
-  }
-  static std::string RegistryToPrometheus(
-      const StageMetricsRegistry& registry) {
-    return Describe(registry).ToPrometheus();
-  }
-  static std::string BatchToJson(const BatchReport& report) {
-    return Describe(report).ToJson();
-  }
-  static std::string BatchToPrometheus(const BatchReport& report) {
-    return Describe(report).ToPrometheus();
-  }
-  static std::string StreamToJson(const StreamPipeline& pipeline) {
-    return Describe(pipeline).ToJson();
-  }
-  static std::string StreamToPrometheus(const StreamPipeline& pipeline) {
-    return Describe(pipeline).ToPrometheus();
-  }
-  static std::string ServeToJson(const ServeStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToJson();
-  }
-  static std::string ServeToPrometheus(const ServeStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToPrometheus();
-  }
-  static std::string HealthToJson(const HealthSnapshot& snapshot) {
-    return Describe(snapshot).ToJson();
-  }
-  static std::string HealthToPrometheus(const HealthSnapshot& snapshot) {
-    return Describe(snapshot).ToPrometheus();
-  }
-  static std::string IngestToJson(const IngestStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToJson();
-  }
-  static std::string IngestToPrometheus(const IngestStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToPrometheus();
-  }
-  static std::string TraceToJson(const TraceRecorder& recorder) {
-    return Describe(recorder).ToJson();
-  }
-  static std::string TraceToPrometheus(const TraceRecorder& recorder) {
-    return Describe(recorder).ToPrometheus();
-  }
-  static std::string FlightToJson(const FlightStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToJson();
-  }
-  static std::string FlightToPrometheus(const FlightStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToPrometheus();
-  }
-  static std::string NetToJson(const NetStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToJson();
-  }
-  static std::string NetToPrometheus(const NetStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToPrometheus();
-  }
-  static std::string ShardToJson(const ShardStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToJson();
-  }
-  static std::string ShardToPrometheus(const ShardStatsSnapshot& snapshot) {
-    return Describe(snapshot).ToPrometheus();
-  }
 
   /// {"count":..,"mean_s":..,"p50_s":..,"p95_s":..,"p99_s":..,"min_s":..,
   ///  "max_s":..} — NaN-free for any histogram state, including empty.

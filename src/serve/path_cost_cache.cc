@@ -6,12 +6,11 @@
 
 namespace tsdm {
 
-PathCostCache::PathCostCache(Options options)
-    : options_(options),
-      shards_(static_cast<size_t>(std::max(1, options.shards))) {
-  options_.shards = static_cast<int>(shards_.size());
-  per_shard_capacity_ =
-      std::max<size_t>(1, options_.capacity / shards_.size());
+PathCostCache::PathCostCache(Options options) : options_(options) {
+  const size_t shards = static_cast<size_t>(std::max(1, options.shards));
+  options_.shards = static_cast<int>(shards);
+  const size_t per_shard = std::max<size_t>(1, options_.capacity / shards);
+  for (size_t i = 0; i < shards; ++i) shards_.emplace_back(per_shard);
 }
 
 bool PathCostCache::Lookup(const std::vector<int>& subpath, int bucket,
@@ -19,14 +18,13 @@ bool PathCostCache::Lookup(const std::vector<int>& subpath, int bucket,
   Key key{subpath, bucket};
   Shard& shard = shards_[ShardIndex(key)];
   std::unique_lock<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  const Histogram* hit = shard.lru.Get(key);
+  if (hit == nullptr) {
     ++shard.misses;
     return false;
   }
   ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *out = it->second->second;
+  *out = *hit;
   return true;
 }
 
@@ -35,26 +33,13 @@ void PathCostCache::Insert(const std::vector<int>& subpath, int bucket,
   Key key{subpath, bucket};
   Shard& shard = shards_[ShardIndex(key)];
   std::unique_lock<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->second = std::move(dist);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.emplace_front(key, std::move(dist));
-  shard.index.emplace(std::move(key), shard.lru.begin());
-  while (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  shard.evictions += shard.lru.Put(std::move(key), std::move(dist));
 }
 
 void PathCostCache::Clear() {
   for (Shard& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard.mu);
     shard.lru.clear();
-    shard.index.clear();
   }
 }
 
@@ -90,43 +75,28 @@ CachedPathCostModel::CachedPathCostModel(PathCostModel base,
 Result<Histogram> CachedPathCostModel::Query(const std::vector<int>& edge_path,
                                              double depart_seconds,
                                              const TraceContext& ctx) const {
-  if (edge_path.empty()) {
-    return Status::InvalidArgument("CachedPathCostModel: empty path");
-  }
   // Recorded retrospectively at the end so the span's arg can carry the
   // miss count this query actually saw (a TraceSpan's arg is fixed at
-  // construction).
+  // construction). An empty path records none.
   const uint64_t start_ns =
       TraceRecorder::Enabled() ? TraceRecorder::NowNs() : 0;
-  int64_t misses = 0;
-  auto record = [&] {
-    if (start_ns != 0) {
-      TraceRecorder::Global().RecordSpan(
-          "serve/path_cost", start_ns, TraceRecorder::NowNs(), ctx, misses);
-    }
-  };
+  const std::vector<std::vector<int>> segments =
+      SplitSegments(edge_path, options_.segment_edges);
   const int bucket = cache_->BucketFor(depart_seconds);
-  const size_t seg = static_cast<size_t>(options_.segment_edges);
-
-  std::vector<Histogram> parts;
-  parts.reserve((edge_path.size() + seg - 1) / seg);
-  std::vector<int> piece;
-  piece.reserve(seg);
-  for (size_t start = 0; start < edge_path.size(); start += seg) {
-    const size_t end = std::min(edge_path.size(), start + seg);
-    piece.assign(edge_path.begin() + static_cast<long>(start),
-                 edge_path.begin() + static_cast<long>(end));
-    bool from_cache = false;
-    Result<Histogram> piece_dist = SegmentCost(piece, bucket, &from_cache);
-    if (!from_cache) ++misses;
-    if (!piece_dist.ok()) {
-      record();
-      return piece_dist.status();
-    }
-    parts.push_back(std::move(piece_dist).value());
+  int64_t misses = 0;
+  Result<Histogram> total = FoldSegments(
+      segments.size(),
+      [&](size_t i) {
+        bool from_cache = false;
+        Result<Histogram> dist = SegmentCost(segments[i], bucket, &from_cache);
+        if (!from_cache) ++misses;
+        return dist;
+      },
+      options_.result_bins);
+  if (start_ns != 0 && !segments.empty()) {
+    TraceRecorder::Global().RecordSpan("serve/path_cost", start_ns,
+                                       TraceRecorder::NowNs(), ctx, misses);
   }
-  Histogram total = ComposeSegments(std::move(parts), options_.result_bins);
-  record();
   return total;
 }
 

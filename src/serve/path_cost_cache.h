@@ -2,12 +2,12 @@
 #define TSDM_SERVE_PATH_COST_CACHE_H_
 
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/lru_map.h"
 #include "src/decision/routing/stochastic_router.h"
 #include "src/governance/uncertainty/histogram.h"
 #include "src/obs/trace.h"
@@ -96,13 +96,9 @@ class PathCostCache {
   };
 
   struct Shard {
+    explicit Shard(size_t capacity) : lru(capacity) {}
     mutable std::mutex mu;
-    /// Front = most recently used. The list owns the entries; the map
-    /// indexes them.
-    std::list<std::pair<Key, Histogram>> lru;
-    std::unordered_map<Key, std::list<std::pair<Key, Histogram>>::iterator,
-                       KeyHash>
-        index;
+    LruMap<Key, Histogram, KeyHash> lru;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
@@ -113,8 +109,7 @@ class PathCostCache {
   }
 
   Options options_;
-  size_t per_shard_capacity_;
-  std::vector<Shard> shards_;
+  std::deque<Shard> shards_;  ///< a deque: a Shard's mutex cannot move
 };
 
 /// Wraps any PathCostModel with sub-path memoization through a
@@ -148,10 +143,10 @@ class CachedPathCostModel {
   /// whose arg is the number of segment *misses* (0 = answered entirely
   /// from cache), so cache effectiveness is visible per request.
   ///
-  /// Query is exactly SplitSegments -> SegmentCost per segment ->
-  /// ComposeSegments. The three steps are public so a distributed caller
-  /// (the shard router) can run them with the segment costs computed on
-  /// different shards and still produce a bitwise-identical answer — the
+  /// Query is exactly SplitSegments, then FoldSegments over SegmentCost.
+  /// The steps are public so a distributed caller (the shard router) can
+  /// fold segment costs computed on different shards through the same
+  /// FoldSegments and still produce a bitwise-identical answer — the
   /// equivalence suite leans on this decomposition.
   Result<Histogram> Query(const std::vector<int>& edge_path,
                           double depart_seconds,
@@ -179,6 +174,28 @@ class CachedPathCostModel {
   /// permutation-invariant. Precondition: `segments` non-empty.
   static Histogram ComposeSegments(std::vector<Histogram> segments,
                                    int result_bins);
+
+  /// A path's answer from its `num_segments` segment costs, the one rule
+  /// both Query and the shard router's merge apply: no segments is the
+  /// empty-path InvalidArgument; otherwise `segment_cost(i)` is asked in
+  /// route order and the first failing segment's status is the answer
+  /// (later segments are not asked); else ComposeSegments of the costs.
+  template <typename SegmentCostFn>
+  static Result<Histogram> FoldSegments(size_t num_segments,
+                                        SegmentCostFn&& segment_cost,
+                                        int result_bins) {
+    if (num_segments == 0) {
+      return Status::InvalidArgument("CachedPathCostModel: empty path");
+    }
+    std::vector<Histogram> parts;
+    parts.reserve(num_segments);
+    for (size_t i = 0; i < num_segments; ++i) {
+      auto&& cost = segment_cost(i);
+      if (!cost.ok()) return cost.status();
+      parts.push_back(std::forward<decltype(cost)>(cost).value());
+    }
+    return ComposeSegments(std::move(parts), result_bins);
+  }
 
   /// Adapter so a StochasticRouter can use this as its PathCostModel.
   PathCostModel AsModel() const {

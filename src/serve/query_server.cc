@@ -189,12 +189,7 @@ void QueryServer::WaitIdle() const {
 ServeStatsSnapshot QueryServer::Stats() const {
   ServeStatsSnapshot snap;
   RequestQueue::Stats qs = queue_.GetStats();
-  snap.submitted = qs.submitted;
-  snap.admitted = qs.admitted;
-  snap.shed_capacity = qs.shed_capacity;
-  snap.shed_expired = qs.shed_expired;
-  snap.shed_closed = qs.shed_closed;
-  snap.shed_evicted = qs.shed_evicted;
+  static_cast<AdmissionCounters&>(snap) = qs;
   snap.queue_depth = qs.depth;
   // Per-tenant view: admission/shed accounting from the queue, completion
   // counts and latency from the worker side, matched by tenant name. The
@@ -205,13 +200,8 @@ ServeStatsSnapshot QueryServer::Stats() const {
     queue_side.reserve(qs.tenants.size());
     for (const auto& [name, ts] : qs.tenants) {
       TenantServeStats t;
+      static_cast<AdmissionCounters&>(t) = ts;
       t.tenant = name;
-      t.submitted = ts.submitted;
-      t.admitted = ts.admitted;
-      t.shed_capacity = ts.shed_capacity;
-      t.shed_expired = ts.shed_expired;
-      t.shed_closed = ts.shed_closed;
-      t.shed_evicted = ts.shed_evicted;
       t.queue_depth = ts.depth;
       queue_side.push_back(std::move(t));
     }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/bytes.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 
@@ -50,6 +51,23 @@ int ClampPriority(int priority) {
 }
 
 }  // namespace
+
+void PutRouteQueryFields(const RouteQuery& query, std::vector<uint8_t>* out) {
+  PutU32(out, static_cast<uint32_t>(query.source));
+  PutU32(out, static_cast<uint32_t>(query.target));
+  PutU32(out, static_cast<uint32_t>(query.k));
+  PutU32(out, 0);  // reserved
+  PutF64(out, query.depart_seconds);
+  PutF64(out, query.arrival_deadline_seconds);
+}
+
+void GetRouteQueryFields(const uint8_t* p, RouteQuery* out) {
+  out->source = static_cast<int>(GetU32(p));
+  out->target = static_cast<int>(GetU32(p + 4));
+  out->k = static_cast<int>(GetU32(p + 8));
+  out->depart_seconds = GetF64(p + 16);
+  out->arrival_deadline_seconds = GetF64(p + 24);
+}
 
 RequestQueue::RequestQueue(Options options) : options_(std::move(options)) {
   options_.capacity = std::max<size_t>(1, options_.capacity);

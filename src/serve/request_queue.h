@@ -15,6 +15,7 @@
 #include "src/common/status.h"
 #include "src/governance/uncertainty/histogram.h"
 #include "src/obs/trace.h"
+#include "src/serve/serve_stats.h"
 #include "src/spatial/shortest_path.h"
 
 namespace tsdm {
@@ -28,10 +29,18 @@ struct RouteQuery {
   int k = 4;                            ///< candidate routes to enumerate
   double depart_seconds = 0.0;          ///< time of day, seconds
   double arrival_deadline_seconds = 0;  ///< absolute arrival deadline
-  /// Model/network snapshot generation the query was issued against.
-  /// Carried on the wire and in load traces; serving does not read it.
-  int snapshot_id = 0;
 };
+
+/// The fixed 32-byte block a RouteQuery travels in, both in the wire
+/// payload and in a load-trace record, little-endian:
+///   i32 source | i32 target | i32 k | 4 reserved bytes |
+///   f64 depart_seconds | f64 arrival_deadline_seconds
+/// The reserved bytes are written 0 and ignored on read.
+inline constexpr size_t kRouteQueryFieldsSize = 32;
+/// Appends the block to *out.
+void PutRouteQueryFields(const RouteQuery& query, std::vector<uint8_t>* out);
+/// Reads the block from `p`, which must hold kRouteQueryFieldsSize bytes.
+void GetRouteQueryFields(const uint8_t* p, RouteQuery* out);
 
 /// Critical-path latency attribution of one answered request. The four
 /// components partition the admission-to-answer interval exactly (they are
@@ -169,27 +178,15 @@ class RequestQueue {
   /// Per-tenant view of the admission counters. depth is current resident
   /// requests; popped counts requests actually handed to a worker —
   /// the number weighted-fairness tests assert ratios on.
-  struct TenantStats {
-    uint64_t submitted = 0;
-    uint64_t admitted = 0;
-    uint64_t shed_capacity = 0;  ///< rejected at Push: queue/quota full
-    uint64_t shed_expired = 0;   ///< dropped at pop: queue budget exceeded
-    uint64_t shed_closed = 0;    ///< rejected at Push or drained: closed
-    uint64_t shed_evicted = 0;   ///< displaced by a higher-priority arrival
-    uint64_t popped = 0;         ///< delivered to a worker
+  struct TenantStats : AdmissionCounters {
+    uint64_t popped = 0;  ///< delivered to a worker
     size_t depth = 0;
   };
 
-  struct Stats {
-    uint64_t submitted = 0;      ///< Push calls
-    uint64_t admitted = 0;       ///< accepted into the queue
-    uint64_t shed_capacity = 0;  ///< rejected at Push: queue or quota full
-    uint64_t shed_expired = 0;   ///< dropped at pop: queue budget exceeded
-    uint64_t shed_closed = 0;    ///< rejected at Push or drained: closed
-    uint64_t shed_evicted = 0;   ///< displaced by higher-priority arrivals
-    size_t depth = 0;            ///< current queue length (all tenants)
-    /// Per-tenant breakdown, sorted by tenant name. Each global counter
-    /// above equals the sum of the matching per-tenant counters.
+  struct Stats : AdmissionCounters {
+    size_t depth = 0;  ///< current queue length (all tenants)
+    /// Per-tenant breakdown, sorted by tenant name. Each global admission
+    /// counter equals the sum of the matching per-tenant counters.
     std::vector<std::pair<std::string, TenantStats>> tenants;
   };
 

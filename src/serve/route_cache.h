@@ -2,13 +2,11 @@
 #define TSDM_SERVE_ROUTE_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "src/common/lru_map.h"
 #include "src/common/status.h"
 #include "src/obs/trace.h"
 #include "src/spatial/road_network.h"
@@ -79,16 +77,10 @@ class RouteCache {
   Tree TreeFor(int target);
 
   const RoadNetwork* network_;
-  size_t entries_;
   const std::vector<double> edge_costs_;  ///< free-flow EdgeCostTable
   mutable std::mutex mu_;
-  std::list<std::pair<Key, std::vector<Path>>> lru_;
-  std::unordered_map<Key, std::list<std::pair<Key, std::vector<Path>>>::iterator,
-                     KeyHash>
-      index_;
-  std::list<std::pair<int, Tree>> tree_lru_;
-  std::unordered_map<int, std::list<std::pair<int, Tree>>::iterator>
-      tree_index_;
+  LruMap<Key, std::vector<Path>, KeyHash> routes_;
+  LruMap<int, Tree> trees_;  ///< reverse trees by target node
   uint64_t trees_built_ = 0;
 };
 

@@ -10,28 +10,43 @@
 
 namespace tsdm {
 
+/// The admission and shed counters of the weighted-fair RequestQueue,
+/// declared once: the queue keeps one block globally and one per tenant,
+/// and every serving stats view below carries them by deriving from it.
+struct AdmissionCounters {
+  uint64_t submitted = 0;      ///< Push calls
+  uint64_t admitted = 0;       ///< accepted into the queue
+  uint64_t shed_capacity = 0;  ///< rejected at Push: queue or quota full
+  uint64_t shed_expired = 0;   ///< dropped at pop: queue budget exceeded
+  uint64_t shed_closed = 0;    ///< rejected at Push or drained: closed
+  uint64_t shed_evicted = 0;   ///< displaced by a higher-priority arrival
+
+  uint64_t TotalShed() const {
+    return shed_capacity + shed_expired + shed_closed + shed_evicted;
+  }
+  AdmissionCounters& operator+=(const AdmissionCounters& o) {
+    submitted += o.submitted;
+    admitted += o.admitted;
+    shed_capacity += o.shed_capacity;
+    shed_expired += o.shed_expired;
+    shed_closed += o.shed_closed;
+    shed_evicted += o.shed_evicted;
+    return *this;
+  }
+};
+
 /// One tenant's slice of the serving counters: admission and shed
 /// accounting from the weighted-fair queue plus worker-side completion
 /// counts and the tenant's own end-to-end latency distribution — the
 /// numbers per-tenant SLOs (premium p95) are checked against. Each global
 /// counter in ServeStatsSnapshot equals the sum of the matching field
 /// here across tenants (property-tested).
-struct TenantServeStats {
+struct TenantServeStats : AdmissionCounters {
   std::string tenant;
-  uint64_t submitted = 0;
-  uint64_t admitted = 0;
-  uint64_t shed_capacity = 0;  ///< rejected at Push: queue or quota full
-  uint64_t shed_expired = 0;   ///< dropped at pop: queue budget exceeded
-  uint64_t shed_closed = 0;    ///< rejected at Push or drained: closed
-  uint64_t shed_evicted = 0;   ///< displaced by a higher-priority arrival
   uint64_t completed = 0;      ///< answered OK
   uint64_t failed = 0;         ///< answered non-OK
   size_t queue_depth = 0;
   LatencyHistogram e2e_latency;  ///< admission -> answer, this tenant only
-
-  uint64_t TotalShed() const {
-    return shed_capacity + shed_expired + shed_closed + shed_evicted;
-  }
 };
 
 /// Accumulates `from` into the tenant list `into`, matching entries by
@@ -50,12 +65,7 @@ inline void MergeTenantStats(std::vector<TenantServeStats>* into,
       it = into->insert(it, TenantServeStats{});
       it->tenant = t.tenant;
     }
-    it->submitted += t.submitted;
-    it->admitted += t.admitted;
-    it->shed_capacity += t.shed_capacity;
-    it->shed_expired += t.shed_expired;
-    it->shed_closed += t.shed_closed;
-    it->shed_evicted += t.shed_evicted;
+    *it += t;
     it->completed += t.completed;
     it->failed += t.failed;
     it->queue_depth += t.queue_depth;
@@ -66,15 +76,8 @@ inline void MergeTenantStats(std::vector<TenantServeStats>* into,
 /// One coherent snapshot of the serving layer's counters — the shape the
 /// MetricsExporter serializes to JSON / Prometheus and the benches report.
 /// Plain data so obs can depend on it without pulling in the server.
-struct ServeStatsSnapshot {
-  // Admission (RequestQueue).
-  uint64_t submitted = 0;
-  uint64_t admitted = 0;
-  uint64_t shed_capacity = 0;  ///< rejected at the front door: queue full
-  uint64_t shed_expired = 0;   ///< dropped after admission: waited too long
-  uint64_t shed_closed = 0;    ///< rejected/drained at shutdown
-  uint64_t shed_evicted = 0;   ///< displaced by higher-priority arrivals
-  size_t queue_depth = 0;
+struct ServeStatsSnapshot : AdmissionCounters {
+  size_t queue_depth = 0;  ///< current queue length (all tenants)
 
   // Batching: the runs workers pop and serve.
   uint64_t batches = 0;
@@ -111,9 +114,6 @@ struct ServeStatsSnapshot {
   /// per-tenant counters always sum to the globals.
   std::vector<TenantServeStats> tenants;
 
-  uint64_t TotalShed() const {
-    return shed_capacity + shed_expired + shed_closed + shed_evicted;
-  }
   /// Shed fraction over everything submitted (0 when idle).
   double ShedRate() const {
     return submitted == 0

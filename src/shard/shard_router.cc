@@ -400,34 +400,13 @@ void ShardRouter::Merge(const std::shared_ptr<ScatterState>& state) {
     const int result_bins = options_.server.cost.result_bins;
     std::vector<Result<Histogram>> costs;
     costs.reserve(state->routes.size());
-    for (size_t r = 0; r < state->routes.size(); ++r) {
-      const std::vector<size_t>& idxs = state->route_segs[r];
-      if (idxs.empty()) {
-        // The exact status a single node's CachedPathCostModel::Query
-        // returns for an empty edge path.
-        costs.emplace_back(
-            Status::InvalidArgument("CachedPathCostModel: empty path"));
-        continue;
-      }
-      Status bad = Status::OK();
-      std::vector<Histogram> parts;
-      parts.reserve(idxs.size());
-      for (size_t idx : idxs) {
-        const Result<Histogram>& rc = state->seg_costs[idx];
-        if (!rc.ok()) {
-          // First failing segment in route order — the status a lazy
-          // single-node evaluation would have stopped at.
-          bad = rc.status();
-          break;
-        }
-        parts.push_back(rc.value());
-      }
-      if (!bad.ok()) {
-        costs.emplace_back(bad);
-      } else {
-        costs.emplace_back(CachedPathCostModel::ComposeSegments(
-            std::move(parts), result_bins));
-      }
+    for (const std::vector<size_t>& idxs : state->route_segs) {
+      costs.push_back(CachedPathCostModel::FoldSegments(
+          idxs.size(),
+          [&](size_t j) -> const Result<Histogram>& {
+            return state->seg_costs[idxs[j]];
+          },
+          result_bins));
     }
     ScoreCandidates(state->query, state->routes, costs, &answer);
 

@@ -34,7 +34,7 @@ namespace tsdm {
 /// Answer equivalence is structural, not coincidental: enumeration,
 /// segment split, per-segment cost, composition, and scoring are the very
 /// functions the single-node path runs (RouteCache,
-/// CachedPathCostModel::{SplitSegments, SegmentCost, ComposeSegments},
+/// CachedPathCostModel::{SplitSegments, SegmentCost, FoldSegments},
 /// ScoreCandidates), so a scattered answer is bitwise-identical to the
 /// single-node answer for the same query — the property the equivalence
 /// suite locks in across 1/2/4/8 shards. The merge keys every result by

@@ -46,12 +46,7 @@ struct ShardStatsSnapshot {
   ServeStatsSnapshot Aggregate() const {
     ServeStatsSnapshot total;
     for (const ServeStatsSnapshot& s : shards) {
-      total.submitted += s.submitted;
-      total.admitted += s.admitted;
-      total.shed_capacity += s.shed_capacity;
-      total.shed_expired += s.shed_expired;
-      total.shed_closed += s.shed_closed;
-      total.shed_evicted += s.shed_evicted;
+      total += s;
       total.queue_depth += s.queue_depth;
       total.batches += s.batches;
       total.batched_requests += s.batched_requests;

@@ -356,7 +356,7 @@ TEST(BatchExecutorTest, AttemptsTotalSurfacesRetryPressure) {
   }
   EXPECT_EQ(report.AttemptsTotal(), invocations);
   // ...and it is what the Prometheus exporter surfaces.
-  EXPECT_NE(MetricsExporter::BatchToPrometheus(report)
+  EXPECT_NE(MetricsExporter::Describe(report).ToPrometheus()
                 .find("tsdm_batch_attempts_total 24\n"),
             std::string::npos);
 }

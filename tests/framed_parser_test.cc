@@ -134,7 +134,6 @@ struct NetTraits {
     q.source = 3 + static_cast<int>(i);
     q.target = 17 + 2 * static_cast<int>(i);
     q.k = 4;
-    q.snapshot_id = static_cast<int>(i);
     q.depart_seconds = 8 * 3600.0 + static_cast<double>(i);
     q.arrival_deadline_seconds = q.depart_seconds + 1500.0;
     NetFrame frame;
@@ -178,7 +177,6 @@ struct LoadTraits {
     q.query.source = static_cast<int>(i);
     q.query.target = 24 - static_cast<int>(i % 24);
     q.query.k = 3;
-    q.query.snapshot_id = static_cast<int>(i % 5);
     q.query.depart_seconds = 7 * 3600.0 + 0.1 * static_cast<double>(i);
     q.query.arrival_deadline_seconds = q.query.depart_seconds + 900.0;
     return q;
@@ -191,7 +189,6 @@ struct LoadTraits {
            a.tenant == b.tenant && a.priority == b.priority &&
            a.query.source == b.query.source &&
            a.query.target == b.query.target && a.query.k == b.query.k &&
-           a.query.snapshot_id == b.query.snapshot_id &&
            std::memcmp(&a.query.depart_seconds, &b.query.depart_seconds,
                        sizeof(double)) == 0 &&
            std::memcmp(&a.query.arrival_deadline_seconds,

@@ -258,7 +258,7 @@ TEST(HealthMonitorTest, TransitionDumpCarriesTheJudgingSample) {
   const std::string dump = fr.LatestDumpJson();
   fr.Configure(FlightRecorder::Options{});
   const std::string expected =
-      ",\"serve\":" + MetricsExporter::ServeToJson(server.snap()) +
+      ",\"serve\":" + MetricsExporter::Describe(server.snap()).ToJson() +
       ",\"serve_delta\":{\"submitted\":100,\"admitted\":100,"
       "\"completed\":100,\"failed\":0,\"shed\":0,\"queue_depth\":3,";
   EXPECT_NE(dump.find(expected), std::string::npos) << dump;
@@ -288,7 +288,7 @@ TEST(HealthMonitorTest, ExportsJsonAndPrometheus) {
   }
   HealthSnapshot snap = monitor.Snapshot();
 
-  std::string json = MetricsExporter::HealthToJson(snap);
+  std::string json = MetricsExporter::Describe(snap).ToJson();
   EXPECT_NE(json.find("\"state\":\"healthy\""), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth\""), std::string::npos);
   EXPECT_NE(json.find("\"burn_rate\""), std::string::npos);
@@ -297,7 +297,7 @@ TEST(HealthMonitorTest, ExportsJsonAndPrometheus) {
   EXPECT_NE(json.find("\"transitions_total\":0"), std::string::npos);
   EXPECT_NE(json.find("\"transitions\":[]"), std::string::npos);
 
-  std::string prom = MetricsExporter::HealthToPrometheus(snap);
+  std::string prom = MetricsExporter::Describe(snap).ToPrometheus();
   EXPECT_NE(prom.find("tsdm_health_state 0"), std::string::npos);
   EXPECT_NE(prom.find("tsdm_health_samples_total 20"), std::string::npos);
   EXPECT_NE(prom.find("tsdm_health_metric_value{metric=\"cache_hit_rate\"}"),

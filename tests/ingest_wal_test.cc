@@ -236,6 +236,33 @@ TEST(WalReaderTest, DirectoryNamedLikeASegmentIsAnErrorNotAThrow) {
   EXPECT_EQ(start.code(), StatusCode::kFailedPrecondition) << start.message();
 }
 
+TEST(WalReaderTest, BackupCopyOfASegmentIsNotASegment) {
+  const std::string dir = FreshDir("backup_copy");
+  {
+    WalWriter writer(dir, WalOptions());
+    ASSERT_TRUE(writer.Open().ok());
+    std::vector<uint8_t> payload(24, 0x22);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(writer.Append(payload.data(), 24).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  WalScanReport clean;
+  ASSERT_TRUE(WalReader::Scan(dir, nullptr, &clean).ok());
+  ASSERT_EQ(clean.segments, 1u);
+  ASSERT_EQ(clean.torn_records, 0u);
+
+  std::filesystem::copy_file(dir + "/wal-00000001.seg",
+                             dir + "/wal-00000001.seg.bak");
+  WalScanReport report;
+  ASSERT_TRUE(WalReader::Scan(dir, nullptr, &report).ok());
+  EXPECT_EQ(report.segments, 1u);
+  EXPECT_EQ(report.records, 5u);
+  EXPECT_EQ(report.torn_records, 0u);
+  EXPECT_EQ(report.last_lsn, 5u);
+  EXPECT_EQ(report.next_segment_index, clean.next_segment_index);
+}
+
 // ---------------------------------------------------------------------------
 // On-disk bytes, built independently from the README layout
 // ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ bool SameQuery(const TimedQuery& a, const TimedQuery& b) {
   return a.at_seconds == b.at_seconds && a.tenant == b.tenant &&
          a.priority == b.priority && a.query.source == b.query.source &&
          a.query.target == b.query.target && a.query.k == b.query.k &&
-         a.query.snapshot_id == b.query.snapshot_id &&
          a.query.depart_seconds == b.query.depart_seconds &&
          a.query.arrival_deadline_seconds == b.query.arrival_deadline_seconds;
 }

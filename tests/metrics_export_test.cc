@@ -48,7 +48,7 @@ StageMetricsRegistry MakeRegistry() {
 
 TEST(MetricsExporterTest, GoldenRegistryJson) {
   EXPECT_EQ(
-      MetricsExporter::RegistryToJson(MakeRegistry()),
+      MetricsExporter::Describe(MakeRegistry()).ToJson(),
       "{\"schema_version\":1,\"stages\":{"
       "\"governance/clean\":{\"invocations\":2,\"failures\":0,\"retries\":0,"
       "\"latency\":{\"count\":2,\"mean_s\":0.002,\"p50_s\":0.002,"
@@ -60,7 +60,7 @@ TEST(MetricsExporterTest, GoldenRegistryJson) {
 
 TEST(MetricsExporterTest, GoldenRegistryPrometheus) {
   EXPECT_EQ(
-      MetricsExporter::RegistryToPrometheus(MakeRegistry()),
+      MetricsExporter::Describe(MakeRegistry()).ToPrometheus(),
       "# HELP tsdm_stage_invocations_total Stage attempts including "
       "retries.\n"
       "# TYPE tsdm_stage_invocations_total counter\n"
@@ -117,7 +117,7 @@ BatchReport MakeBatch() {
 TEST(MetricsExporterTest, GoldenBatchJson) {
   // attempts_total = 1 (shard 0) + 1 + 3 (shard 1, impute retried) = 5.
   EXPECT_EQ(
-      MetricsExporter::BatchToJson(MakeBatch()),
+      MetricsExporter::Describe(MakeBatch()).ToJson(),
       "{\"schema_version\":1,\"batch\":{\"shards\":2,\"ok\":1,"
       "\"quarantined\":1,\"attempts_total\":5,\"threads\":2,"
       "\"wall_seconds\":0.5},\"stages\":{"
@@ -130,7 +130,7 @@ TEST(MetricsExporterTest, GoldenBatchJson) {
 }
 
 TEST(MetricsExporterTest, GoldenBatchPrometheusPreamble) {
-  std::string text = MetricsExporter::BatchToPrometheus(MakeBatch());
+  std::string text = MetricsExporter::Describe(MakeBatch()).ToPrometheus();
   const std::string expected_preamble =
       "# HELP tsdm_batch_shards_total Shards in the last batch run.\n"
       "# TYPE tsdm_batch_shards_total gauge\n"
@@ -153,7 +153,7 @@ TEST(MetricsExporterTest, GoldenBatchPrometheusPreamble) {
   EXPECT_EQ(text.substr(0, expected_preamble.size()), expected_preamble);
   // The per-stage families follow, pinned by GoldenRegistryPrometheus.
   EXPECT_EQ(text.substr(expected_preamble.size()),
-            MetricsExporter::RegistryToPrometheus(MakeBatch().metrics));
+            MetricsExporter::Describe(MakeBatch().metrics).ToPrometheus());
 }
 
 TEST(MetricsExporterTest, GoldenStreamJsonAndPrometheusBeforeTicks) {
@@ -161,7 +161,7 @@ TEST(MetricsExporterTest, GoldenStreamJsonAndPrometheusBeforeTicks) {
   pipeline.Emplace<WelfordStatsStage>();
   ASSERT_TRUE(pipeline.Reset(2).ok());
   EXPECT_EQ(
-      MetricsExporter::StreamToJson(pipeline),
+      MetricsExporter::Describe(pipeline).ToJson(),
       "{\"schema_version\":1,\"stream\":{\"ticks\":0,"
       "\"tick_latency\":{\"count\":0,\"mean_s\":0,\"p50_s\":0,\"p95_s\":0,"
       "\"p99_s\":0,\"min_s\":0,\"max_s\":0}},\"stages\":{"
@@ -169,7 +169,7 @@ TEST(MetricsExporterTest, GoldenStreamJsonAndPrometheusBeforeTicks) {
       "\"latency\":{\"count\":0,\"mean_s\":0,\"p50_s\":0,\"p95_s\":0,"
       "\"p99_s\":0,\"min_s\":0,\"max_s\":0}}}}");
   EXPECT_EQ(
-      MetricsExporter::StreamToPrometheus(pipeline),
+      MetricsExporter::Describe(pipeline).ToPrometheus(),
       "# HELP tsdm_stream_ticks_total Ticks fully processed by the "
       "pipeline.\n"
       "# TYPE tsdm_stream_ticks_total counter\n"
@@ -217,7 +217,7 @@ TEST(MetricsExporterTest, StreamJsonTracksProcessedTicks) {
     tick.value = 1.5 * i;
     ASSERT_TRUE(pipeline.ProcessTick(tick).ok());
   }
-  std::string json = MetricsExporter::StreamToJson(pipeline);
+  std::string json = MetricsExporter::Describe(pipeline).ToJson();
   EXPECT_NE(json.find("\"ticks\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"stream/stats\":{\"invocations\":3"),
             std::string::npos)
@@ -238,13 +238,13 @@ TEST(MetricsExporterTest, ServeExportCarriesStageAttribution) {
   snap.stage_exec.Add(0.0055);
   snap.stage_exec.Add(0.0065);
 
-  std::string json = MetricsExporter::ServeToJson(snap);
+  std::string json = MetricsExporter::Describe(snap).ToJson();
   EXPECT_NE(json.find("\"stage_latency\":{\"queue\":"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"slowest_stage\":\"exec\""), std::string::npos)
       << json;
 
-  std::string prom = MetricsExporter::ServeToPrometheus(snap);
+  std::string prom = MetricsExporter::Describe(snap).ToPrometheus();
   for (const char* stage : {"queue", "batch", "cache", "exec"}) {
     EXPECT_NE(
         prom.find("tsdm_serve_stage_latency_seconds_count{stage=\"" +
@@ -258,7 +258,7 @@ TEST(MetricsExporterTest, TracePrometheusExportsDroppedSpans) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.SetCapacity(1 << 16);
   recorder.Clear();
-  std::string prom = MetricsExporter::TraceToPrometheus(recorder);
+  std::string prom = MetricsExporter::Describe(recorder).ToPrometheus();
   EXPECT_NE(prom.find("# TYPE tsdm_trace_dropped_total counter"),
             std::string::npos)
       << prom;
@@ -274,7 +274,7 @@ TEST(MetricsExporterTest, TracePrometheusExportsDroppedSpans) {
   }
   recorder.Disable();
   recorder.FlushCurrentThread();
-  prom = MetricsExporter::TraceToPrometheus(recorder);
+  prom = MetricsExporter::Describe(recorder).ToPrometheus();
   EXPECT_NE(prom.find("tsdm_trace_dropped_total 32\n"), std::string::npos)
       << prom;
   recorder.SetCapacity(1 << 16);
@@ -489,7 +489,7 @@ ShardStatsSnapshot MakeShard() {
 
 TEST(MetricsExporterTest, GoldenServeJson) {
   EXPECT_EQ(
-      MetricsExporter::ServeToJson(MakeServe()),
+      MetricsExporter::Describe(MakeServe()).ToJson(),
       "{\"schema_version\":1,\"serve\":{\"submitted\":101,\"admitted\":97,"
       "\"shed_capacity\":3,\"shed_expired\":4,\"shed_closed\":5,"
       "\"shed_evicted\":6,\"shed_rate\":0.178217822,\"queue_depth\":7,"
@@ -523,7 +523,7 @@ TEST(MetricsExporterTest, GoldenServeJson) {
 
 TEST(MetricsExporterTest, GoldenServePrometheus) {
   EXPECT_EQ(
-      MetricsExporter::ServeToPrometheus(MakeServe()),
+      MetricsExporter::Describe(MakeServe()).ToPrometheus(),
       "# HELP tsdm_serve_submitted_total Requests offered to the front door.\n"
       "# TYPE tsdm_serve_submitted_total counter\n"
       "tsdm_serve_submitted_total 101\n"
@@ -682,7 +682,7 @@ TEST(MetricsExporterTest, GoldenServePrometheus) {
 
 TEST(MetricsExporterTest, GoldenHealthJson) {
   EXPECT_EQ(
-      MetricsExporter::HealthToJson(MakeHealth()),
+      MetricsExporter::Describe(MakeHealth()).ToJson(),
       "{\"schema_version\":1,\"health\":{\"state\":\"degraded\",\"samples\":21,"
       "\"anomalies_total\":5,\"slo\":{\"objective_seconds\":0.1,"
       "\"violation_fraction\":0.08,\"burn_rate\":1.6},"
@@ -697,7 +697,7 @@ TEST(MetricsExporterTest, GoldenHealthJson) {
 
 TEST(MetricsExporterTest, GoldenHealthPrometheus) {
   EXPECT_EQ(
-      MetricsExporter::HealthToPrometheus(MakeHealth()),
+      MetricsExporter::Describe(MakeHealth()).ToPrometheus(),
       "# HELP tsdm_health_state Self-monitor verdict: 0 healthy, 1 degraded, 2 "
       "unhealthy.\n"
       "# TYPE tsdm_health_state gauge\n"
@@ -733,7 +733,7 @@ TEST(MetricsExporterTest, GoldenHealthPrometheus) {
 
 TEST(MetricsExporterTest, GoldenIngestJson) {
   EXPECT_EQ(
-      MetricsExporter::IngestToJson(MakeIngest()),
+      MetricsExporter::Describe(MakeIngest()).ToJson(),
       "{\"schema_version\":1,\"ingest\":{\"parser\":{\"bytes_consumed\":4096,"
       "\"frames_accepted\":150,\"rejected\":{\"bad_length\":2,\"bad_crc\":3,"
       "\"bad_sensor\":4,\"duplicate_seq\":5,\"out_of_order\":6},"
@@ -748,7 +748,7 @@ TEST(MetricsExporterTest, GoldenIngestJson) {
 
 TEST(MetricsExporterTest, GoldenIngestPrometheus) {
   EXPECT_EQ(
-      MetricsExporter::IngestToPrometheus(MakeIngest()),
+      MetricsExporter::Describe(MakeIngest()).ToPrometheus(),
       "# HELP tsdm_ingest_bytes_consumed_total Feed bytes consumed by the "
       "parser.\n"
       "# TYPE tsdm_ingest_bytes_consumed_total counter\n"
@@ -814,7 +814,7 @@ TEST(MetricsExporterTest, GoldenIngestPrometheus) {
 
 TEST(MetricsExporterTest, GoldenNetJson) {
   EXPECT_EQ(
-      MetricsExporter::NetToJson(MakeNet()),
+      MetricsExporter::Describe(MakeNet()).ToJson(),
       "{\"schema_version\":1,\"net\":{\"connections\":{\"accepted\":31,"
       "\"closed\":29,\"active\":2},\"sheds\":{\"conn_cap\":3,\"queue_full\":4,"
       "\"deadline\":5,\"unavailable\":22,\"closed\":23,\"total\":57},"
@@ -832,7 +832,7 @@ TEST(MetricsExporterTest, GoldenNetJson) {
 
 TEST(MetricsExporterTest, GoldenNetPrometheus) {
   EXPECT_EQ(
-      MetricsExporter::NetToPrometheus(MakeNet()),
+      MetricsExporter::Describe(MakeNet()).ToPrometheus(),
       "# HELP tsdm_net_connections_total Connections accepted since start.\n"
       "# TYPE tsdm_net_connections_total counter\n"
       "tsdm_net_connections_total 31\n"
@@ -905,7 +905,7 @@ TEST(MetricsExporterTest, GoldenNetPrometheus) {
 
 TEST(MetricsExporterTest, GoldenFlightJson) {
   EXPECT_EQ(
-      MetricsExporter::FlightToJson(MakeFlight()),
+      MetricsExporter::Describe(MakeFlight()).ToJson(),
       "{\"schema_version\":1,\"flight\":{\"enabled\":true,\"observed\":500,"
       "\"retained\":{\"slo_breach\":2,\"shed\":3,\"error\":4,\"head_sample\":5,"
       "\"total\":14},\"discarded\":486,\"evicted\":6,"
@@ -915,7 +915,7 @@ TEST(MetricsExporterTest, GoldenFlightJson) {
 
 TEST(MetricsExporterTest, GoldenFlightPrometheus) {
   EXPECT_EQ(
-      MetricsExporter::FlightToPrometheus(MakeFlight()),
+      MetricsExporter::Describe(MakeFlight()).ToPrometheus(),
       "# HELP tsdm_flight_enabled Flight recorder enabled (1) or not (0).\n"
       "# TYPE tsdm_flight_enabled gauge\n"
       "tsdm_flight_enabled 1\n"
@@ -956,7 +956,7 @@ TEST(MetricsExporterTest, GoldenFlightPrometheus) {
 
 TEST(MetricsExporterTest, GoldenShardJson) {
   EXPECT_EQ(
-      MetricsExporter::ShardToJson(MakeShard()),
+      MetricsExporter::Describe(MakeShard()).ToJson(),
       "{\"schema_version\":1,\"shard\":{\"num_shards\":2,\"generation\":3,"
       "\"forwarded\":40,\"scattered\":5,\"probes_sent\":16,"
       "\"probe_transport_failures\":1,\"merges\":4,\"partial_errors\":6,"
@@ -987,7 +987,7 @@ TEST(MetricsExporterTest, GoldenShardPrometheus) {
   // No tsdm_serve_* families here: a scrape takes them from the "serve"
   // source, so repeating the fleet aggregate would duplicate them.
   EXPECT_EQ(
-      MetricsExporter::ShardToPrometheus(MakeShard()),
+      MetricsExporter::Describe(MakeShard()).ToPrometheus(),
       "# HELP tsdm_shard_count Member shards fronted by the router.\n"
       "# TYPE tsdm_shard_count gauge\n"
       "tsdm_shard_count 2\n"
@@ -1043,11 +1043,11 @@ TEST(MetricsExporterTest, GoldenTraceJson) {
   }
   recorder.Disable();
   recorder.FlushCurrentThread();
-  EXPECT_EQ(MetricsExporter::TraceToJson(recorder),
+  EXPECT_EQ(MetricsExporter::Describe(recorder).ToJson(),
             "{\"schema_version\":1,\"trace\":{\"enabled\":false,"
             "\"dropped\":32}}");
   recorder.Enable();
-  EXPECT_EQ(MetricsExporter::TraceToJson(recorder),
+  EXPECT_EQ(MetricsExporter::Describe(recorder).ToJson(),
             "{\"schema_version\":1,\"trace\":{\"enabled\":true,"
             "\"dropped\":32}}");
   recorder.Disable();
@@ -1065,11 +1065,11 @@ TEST(MetricsExporterTest, TenantLabelsUsePrometheusEscapes) {
   tenant.submitted = 3;
   tenant.shed_capacity = 2;
   snap.tenants = {tenant};
-  const std::string json = MetricsExporter::ServeToJson(snap);
+  const std::string json = MetricsExporter::Describe(snap).ToJson();
   EXPECT_NE(json.find("{\"tenant\":\"a\\tb\\\"c\\\\d\\ne\",\"submitted\":3,"),
             std::string::npos)
       << json;
-  const std::string prom = MetricsExporter::ServeToPrometheus(snap);
+  const std::string prom = MetricsExporter::Describe(snap).ToPrometheus();
   EXPECT_NE(prom.find("tsdm_serve_tenant_submitted_total"
                       "{tenant=\"a\tb\\\"c\\\\d\\ne\"} 3\n"),
             std::string::npos)

@@ -351,7 +351,8 @@ TEST(SocketServerTest, HttpMetricsMatchesInProcessExport) {
   const size_t serve_body = serve_at + std::string("# SOURCE serve\n").size();
   const std::string serve_section =
       res.body.substr(serve_body, trace_at - serve_body);
-  EXPECT_EQ(serve_section, MetricsExporter::ServeToPrometheus(serve.Stats()));
+  EXPECT_EQ(serve_section,
+            MetricsExporter::Describe(serve.Stats()).ToPrometheus());
 
   // Net counters move with the scrape itself (its own connection, bytes),
   // but the query/ping counters were frozen before the scrape: the scraped
@@ -1063,6 +1064,69 @@ TEST(SocketServerTest, TraceSpansLinkForHttpQuery) {
 
   TraceRecorder::Global().Disable();
   TraceRecorder::Global().Clear();
+}
+
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// A closing connection serves nothing more. A POST /query held on an
+// unstarted server keeps each connection open after it starts closing: a
+// request pipelined after Connection: close gets no answer, and garbage
+// after a 400 gets no second 400. Stopping the server answers the held
+// queries, and only then do the connections close.
+TEST(SocketServerTest, ClosingConnectionParsesNothingMore) {
+  NetFixture fx;
+  QueryServer::Options sopts;
+  sopts.autoscale_enabled = false;
+  QueryServer serve(&fx.net, fx.BaseModel(), sopts);  // never started
+  SocketServer server(&serve);
+  ASSERT_TRUE(server.Start().ok());
+  auto wait_submitted = [&serve](uint64_t n) {
+    for (int i = 0; i < 1000 && serve.Stats().submitted < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return serve.Stats().submitted == n;
+  };
+  const std::string body = QueryBody(fx.Query(0));
+
+  TimedConnection after_close(server.port(), 5);
+  ASSERT_TRUE(after_close.connected());
+  ASSERT_TRUE(after_close.Send(HttpQueryRequest(body)));  // Connection: close
+  ASSERT_TRUE(wait_submitted(1));
+  ASSERT_TRUE(after_close.Send("GET /health HTTP/1.1\r\nHost: x\r\n\r\n"));
+
+  TimedConnection after_400(server.port(), 5);
+  ASSERT_TRUE(after_400.connected());
+  ASSERT_TRUE(after_400.Send(
+      "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n" + body));
+  ASSERT_TRUE(wait_submitted(2));
+  ASSERT_TRUE(after_400.Send("garbage\r\n\r\n"));
+  for (int i = 0; i < 1000 && server.Stats().http_bad_request == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.Stats().http_bad_request, 1u);
+  ASSERT_TRUE(after_400.Send("more garbage\r\n\r\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  EXPECT_EQ(server.Stats().http_health, 0u);
+  EXPECT_EQ(server.Stats().http_bad_request, 1u);
+  serve.Stop();  // drains both held queries: each gets its 503
+  const std::string first = after_close.ReceiveAll();
+  EXPECT_EQ(CountOf(first, "HTTP/1.1 "), 1u) << first;
+  EXPECT_EQ(first.rfind("HTTP/1.1 503", 0), 0u) << first;
+  const std::string second = after_400.ReceiveAll();
+  EXPECT_EQ(CountOf(second, "HTTP/1.1 400"), 1u) << second;
+  EXPECT_EQ(CountOf(second, "HTTP/1.1 503"), 1u) << second;
+  EXPECT_EQ(server.Stats().http_health, 0u);
+  EXPECT_EQ(server.Stats().http_bad_request, 1u);
+  server.Stop();
 }
 
 TEST(SocketServerTest, ConcurrentClientsAllAnswered) {

@@ -21,7 +21,6 @@ RouteQuery SampleQuery(int i) {
   q.source = 3 + i;
   q.target = 17 + 2 * i;
   q.k = 4;
-  q.snapshot_id = i;
   q.depart_seconds = 8 * 3600.0 + i;
   q.arrival_deadline_seconds = q.depart_seconds + 1500.0;
   return q;
@@ -75,7 +74,6 @@ TEST(NetWireTest, FrameRoundTripAllOpcodes) {
   EXPECT_EQ(q.source, want.source);
   EXPECT_EQ(q.target, want.target);
   EXPECT_EQ(q.k, want.k);
-  EXPECT_EQ(q.snapshot_id, want.snapshot_id);
   EXPECT_DOUBLE_EQ(q.depart_seconds, want.depart_seconds);
   EXPECT_DOUBLE_EQ(q.arrival_deadline_seconds, want.arrival_deadline_seconds);
 

@@ -21,11 +21,10 @@
 namespace tsdm {
 namespace {
 
-ServeRequest MakeRequest(uint64_t id, int snapshot = 0,
+ServeRequest MakeRequest(uint64_t id, int /*snapshot*/ = 0,
                          double budget_seconds = 0.25) {
   ServeRequest req;
   req.id = id;
-  req.query.snapshot_id = snapshot;
   req.enqueue_ns = TraceRecorder::NowNs();
   req.queue_budget_seconds = budget_seconds;
   return req;
@@ -414,7 +413,7 @@ TEST(QueryServerTest, ServeMetricsAppearInExports) {
   server.WaitIdle();
   ServeStatsSnapshot stats = server.Stats();
 
-  std::string prom = MetricsExporter::ServeToPrometheus(stats);
+  std::string prom = MetricsExporter::Describe(stats).ToPrometheus();
   EXPECT_NE(prom.find("tsdm_serve_submitted_total 1"), std::string::npos);
   EXPECT_NE(prom.find("tsdm_serve_admitted_total 1"), std::string::npos);
   EXPECT_NE(prom.find("tsdm_serve_shed_total{reason=\"capacity\"}"),
@@ -424,7 +423,7 @@ TEST(QueryServerTest, ServeMetricsAppearInExports) {
   EXPECT_NE(prom.find("tsdm_serve_workers"), std::string::npos);
   EXPECT_NE(prom.find("tsdm_serve_latency_seconds_count"), std::string::npos);
 
-  std::string json = MetricsExporter::ServeToJson(stats);
+  std::string json = MetricsExporter::Describe(stats).ToJson();
   EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
   EXPECT_NE(json.find("\"serve\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit_rate\""), std::string::npos);
@@ -1009,7 +1008,7 @@ TEST(QueryServerTest, TenantBreakdownSumsToGlobalsAndExports) {
   EXPECT_EQ(FindTenant(snap, "premium")->completed, 20u);
   EXPECT_EQ(FindTenant(snap, "default")->completed, 10u);
 
-  std::string prom = MetricsExporter::ServeToPrometheus(snap);
+  std::string prom = MetricsExporter::Describe(snap).ToPrometheus();
   EXPECT_NE(prom.find("tsdm_serve_tenant_submitted_total{tenant=\"premium\"} 20"),
             std::string::npos);
   EXPECT_NE(prom.find("tsdm_serve_tenant_completed_total{tenant=\"batch\"} 20"),
@@ -1022,7 +1021,7 @@ TEST(QueryServerTest, TenantBreakdownSumsToGlobalsAndExports) {
   EXPECT_NE(prom.find("tsdm_serve_shed_total{reason=\"evicted\"}"),
             std::string::npos);
 
-  std::string json = MetricsExporter::ServeToJson(snap);
+  std::string json = MetricsExporter::Describe(snap).ToJson();
   EXPECT_NE(json.find("\"tenants\""), std::string::npos);
   EXPECT_NE(json.find("\"premium\""), std::string::npos);
   EXPECT_NE(json.find("\"shed_evicted\""), std::string::npos);

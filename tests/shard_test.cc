@@ -404,7 +404,7 @@ TEST(ShardRouterTest, RegistersShardMetricsSource) {
   EXPECT_NE(prom.find("tsdm_shard_routed_total{mode=\"forward\"}"),
             std::string::npos);
   EXPECT_NE(prom.find("tsdm_shard_map_generation"), std::string::npos);
-  std::string json = MetricsExporter::ShardToJson(router.ShardStats());
+  std::string json = MetricsExporter::Describe(router.ShardStats()).ToJson();
   EXPECT_NE(json.find("\"num_shards\":2"), std::string::npos);
   EXPECT_NE(json.find("\"aggregate\":"), std::string::npos);
   router.Stop();
