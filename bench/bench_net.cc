@@ -278,7 +278,8 @@ int main() {
     const double p95 = 1e6 * wire_lat.QuantileSeconds(0.95);
     sweep.Row({FmtInt(conns), Fmt(per_s, 0), Fmt(p50, 1), Fmt(p95, 1),
                Fmt(inproc_per_s > 0.0 ? per_s / inproc_per_s : 0.0, 3)});
-    const std::string tag = "c" + std::to_string(conns);
+    std::string tag = "c";  // appended: g++ 12 -O3 false -Wrestrict
+    tag += std::to_string(conns);
     reporter.Metric("net_" + tag + "_per_s", per_s);
     reporter.Metric(tag + "_p50_us", p50);
     reporter.Metric(tag + "_p95_us", p95);

@@ -225,7 +225,8 @@ int main() {
     sweep.Row({FmtInt(workers), Fmt(res.ServedPerSec(), 0), Fmt(p50, 1),
                Fmt(p95, 1), Fmt(res.stats.ShedRate(), 3),
                Fmt(res.stats.CacheHitRate(), 3)});
-    std::string tag = "w" + std::to_string(workers);
+    std::string tag = "w";  // appended: g++ 12 -O3 false -Wrestrict
+    tag += std::to_string(workers);
     reporter.Metric("serve_" + tag + "_per_s", res.ServedPerSec());
     reporter.Metric(tag + "_p50_us", p50);
     reporter.Metric(tag + "_p95_us", p95);

@@ -55,7 +55,7 @@ Result<TraceReplayer::Report> TraceReplayer::Replay(
   for (size_t i = 0; i < trace.size(); ++i) {
     const TimedQuery& q = trace[i];
     SleepUntilDue(q.at_seconds, options_.speed, start_ns);
-    const std::string tenant = q.tenant.empty() ? "default" : q.tenant;
+    const std::string tenant = TenantOrDefault(q.tenant);
     ++report.offered;
     ++report.tenants[tenant].offered;
 

@@ -51,7 +51,7 @@ const char* ScenarioShapeName(ScenarioShape shape);
 /// always generates the identical stream, which is what makes recorded
 /// scenarios and replay-determinism tests possible.
 struct TenantScenario {
-  std::string tenant = "default";
+  std::string tenant = kDefaultTenant;
   ScenarioShape shape = ScenarioShape::kDiurnalCommute;
   int priority = 0;            ///< scheduling class of every query
   double base_rate_hz = 50.0;  ///< baseline arrival intensity (queries/sec)

@@ -38,7 +38,7 @@ class NetClient {
   /// the pre-tenant protocol.
   struct QueryOptions {
     int priority = 0;        ///< scheduling class, see SubmitOptions
-    std::string tenant_id;   ///< workload tenant ("" = "default")
+    std::string tenant_id;   ///< workload tenant ("" = kDefaultTenant)
   };
 
   /// Synchronous route query: sends one frame, blocks for its answer.

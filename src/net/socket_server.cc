@@ -26,17 +26,6 @@ namespace tsdm {
 namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
-/// Wire request ids live in their own namespace (high bit set) so they can
-/// never collide with in-process serve request ids in one trace.
-constexpr uint64_t kNetRequestBit = 1ull << 63;
-
-/// The next wire request id. Process-wide, so two servers in one process
-/// never hand out the same id: the flight recorder keeps only the first
-/// record of an id.
-uint64_t NextNetRequestId() {
-  static std::atomic<uint64_t> next{1};
-  return kNetRequestBit | next.fetch_add(1, std::memory_order_relaxed);
-}
 
 // GET /debug/traces: default and maximum trace count, and the bound on the
 // query string an introspection endpoint will even look at — anything
@@ -521,13 +510,10 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
   SubmitOptions submit;
   if (frame != nullptr) submit.client_request_id = frame->request_id;
 
-  // Answers on this loop thread: the query never reached the serve layer,
-  // so no callback will.
-  auto reject = [&](Status status, std::atomic<uint64_t>* shed) {
+  // Answers on this loop thread: the query never reached a worker, so no
+  // callback will.
+  auto reject = [&](const RouteAnswer& answer, std::atomic<uint64_t>* shed) {
     if (shed != nullptr) shed->fetch_add(1, std::memory_order_relaxed);
-    RouteAnswer answer;
-    answer.status = std::move(status);
-    answer.client_request_id = submit.client_request_id;
     CountAnswer(protocol, answer.status);
     const size_t before = conn->out.size();
     EncodeAnswer(protocol, answer, &conn->out);
@@ -539,22 +525,17 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
   // its flight record is completed here, at shard -1. With tracing on it
   // gets a request id and its net/read span; otherwise request id 0.
   auto shed = [&](Status status, std::atomic<uint64_t>* counter) {
-    if (FlightRecorder::Enabled()) {
-      uint64_t request_id = 0;
-      if (TraceRecorder::Enabled()) {
-        request_id = NextNetRequestId();
-        TraceRecorder::Global().RecordSpan(
-            "net/read", start_ns, now_ns,
-            TraceContext{request_id, TraceRecorder::Global().NextSpanId()},
-            static_cast<int64_t>(submit.client_request_id));
-      }
-      RouteAnswer answer;
-      answer.status = status;
-      answer.client_request_id = submit.client_request_id;
-      answer.tenant_id = submit.tenant_id;
-      FlightRecorder::MaybeComplete(request_id, -1, answer);
+    uint64_t request_id = 0;
+    if (FlightRecorder::Enabled() && TraceRecorder::Enabled()) {
+      request_id = TraceRecorder::Global().NextRequestId();
+      TraceRecorder::Global().RecordSpan(
+          "net/read", start_ns, now_ns,
+          TraceContext{request_id, TraceRecorder::Global().NextSpanId()},
+          static_cast<int64_t>(submit.client_request_id));
     }
-    reject(std::move(status), counter);
+    reject(AnswerUnserved(std::move(status), request_id, -1,
+                          submit.client_request_id, submit.tenant_id),
+           counter);
   };
 
   // These three run BEFORE the query is decoded, so a shed costs framing
@@ -597,7 +578,7 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
   uint64_t net_request_id = 0;
   uint64_t root_span_id = 0;
   if (TraceRecorder::Enabled()) {
-    net_request_id = NextNetRequestId();
+    net_request_id = TraceRecorder::Global().NextRequestId();
     root_span_id = TraceRecorder::Global().NextSpanId();
     TraceRecorder::Global().RecordSpan(
         "net/read", start_ns, now_ns,
@@ -640,7 +621,10 @@ void SocketServer::Admit(Connection* conn, const NetFrame* frame,
   router->in_flight.fetch_sub(1, std::memory_order_acq_rel);
   --conn->in_flight;
   const StatusCode code = admitted.code();
-  reject(std::move(admitted),
+  RouteAnswer answer;
+  answer.status = std::move(admitted);
+  answer.client_request_id = submit.client_request_id;
+  reject(answer,
          code == StatusCode::kResourceExhausted    ? &shed_queue_full_
          : code == StatusCode::kUnavailable        ? &shed_unavailable_
          : code == StatusCode::kFailedPrecondition ? &shed_closed_

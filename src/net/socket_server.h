@@ -57,8 +57,8 @@ namespace tsdm {
 /// InvalidArgument (HTTP 400), not shed.
 ///
 /// Tracing: each route query, on either protocol, roots a `net/request`
-/// span (request id namespaced with the high bit: (1<<63) | counter) with
-/// children `net/read` (first byte -> request complete), the serve layer's
+/// span (under a TraceRecorder::NextRequestId id, unique process-wide
+/// across every front door) with children `net/read` (first byte -> request complete), the serve layer's
 /// own `serve/submit` subtree (linked via SubmitOptions::trace_parent), and
 /// `net/write` (completion applied -> bytes handed to the kernel).
 class SocketServer {

@@ -93,8 +93,8 @@ void EncodeNetFrame(uint64_t request_id, NetOpcode opcode,
 /// Extended form (34 + tenant_len bytes) appends the scheduling fields:
 ///   ... | u8 priority | u8 tenant_len | tenant_len bytes of tenant id
 /// Decoders accept both — a legacy frame means priority 0 and an empty
-/// tenant (the reserved "default"), so old clients keep working against a
-/// tenant-aware server and vice versa.
+/// tenant (the reserved kDefaultTenant), so old clients keep working
+/// against a tenant-aware server and vice versa.
 inline constexpr size_t kRouteQueryPayloadSize = kRouteQueryFieldsSize;
 inline constexpr size_t kRouteQueryMaxTenantLen = 255;
 void EncodeRouteQueryPayload(const RouteQuery& query,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/obs/metrics_export.h"
+#include "src/serve/query_service.h"
 
 namespace tsdm {
 
@@ -13,23 +14,13 @@ std::atomic<uint64_t> FlightRecorder::span_gate_{0};
 
 namespace {
 
-/// The status codes the serve tier sheds with: queue/quota full or
-/// displaced (ResourceExhausted), closed/draining (FailedPrecondition),
-/// shard down / partial scatter (Unavailable). Same partition the shard
-/// router's transport-failure rule uses.
-bool IsShedCode(StatusCode code) {
-  return code == StatusCode::kResourceExhausted ||
-         code == StatusCode::kFailedPrecondition ||
-         code == StatusCode::kUnavailable;
-}
-
 std::string U64(uint64_t v) { return std::to_string(v); }
 
 /// Fills a new record's completion-side fields (before it is shared).
 void FillOutcome(FlightRecord* rec, int shard, const RouteAnswer& answer,
                  FlightOutcome outcome, FlightRetainReason reason,
                  double e2e_seconds) {
-  rec->tenant = answer.tenant_id.empty() ? "default" : answer.tenant_id;
+  rec->tenant = TenantOrDefault(answer.tenant_id);
   rec->shard = shard;
   rec->outcome = outcome;
   rec->reason = reason;
@@ -437,7 +428,9 @@ void FlightRecorder::BuildDump(const HealthTransition& transition,
     }
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(t.tenant) + "\":{";
+    out += "\"";
+    out += JsonEscape(t.tenant);
+    out += "\":{";
     out += "\"submitted\":" +
            U64(delta(t.submitted, was ? was->submitted : 0));
     out += ",\"shed\":" +

@@ -617,8 +617,6 @@ MetricSet MetricsExporter::Describe(const ShardStatsSnapshot& s) {
   m.Open("shard");
   m.Add("num_shards", r.num_shards, "shard_count", kGauge,
         "Member shards fronted by the router.");
-  m.Add("generation", r.generation, "shard_map_generation", kGauge,
-        "ShardMap placement epoch the routing counters belong to.");
   m.Add("forwarded", r.forwarded, kRouted, {"mode", "forward"});
   m.Add("scattered", r.scattered, kRouted, {"mode", "scatter"});
   m.Add("probes_sent", r.probes_sent, "shard_probes_total", kCounter,

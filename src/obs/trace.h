@@ -136,6 +136,16 @@ class TraceRecorder {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Allocates a process-unique request id (never 0; 0 means "not
+  /// traced"). The one allocator every front door roots a request tree
+  /// with — the socket server, the shard router and the query server — so
+  /// servers sharing a process never hand out the same id, and the flight
+  /// recorder (which keys records by request id) never merges two
+  /// requests' spans or drops one's completion as a duplicate.
+  uint64_t NextRequestId() {
+    return next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// Chrome trace-event JSON ("catapult" format): load the returned string
   /// from chrome://tracing or https://ui.perfetto.dev. One complete ("X")
   /// event per span, ts/dur in microseconds; request/span/parent ids are
@@ -185,6 +195,7 @@ class TraceRecorder {
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint32_t> next_tid_{0};
   std::atomic<uint64_t> next_span_id_{1};
+  std::atomic<uint64_t> next_request_id_{1};
 
   static std::atomic<bool> enabled_;
 };

@@ -86,20 +86,21 @@ ServeRequest QueryServer::MakeRequest(
     RouteQuery query, std::function<void(const RouteAnswer&)> on_done,
     const SubmitOptions& options) {
   ServeRequest req;
-  req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  // Root of this request's span tree; ids are 1-based because request_id 0
-  // means "no request". Every later span — queue wait, batch wait, exec,
-  // path-cost, shed — attaches under this root via req.trace. A caller
-  // with its own root (the wire front door's `net/request`, the shard
-  // router's `shard/scatter`) passes it as trace_parent and the submit
-  // span becomes a child in that tree instead.
-  const TraceContext root = options.trace_parent.ForRequest()
-                                ? options.trace_parent
-                                : TraceContext{req.id + 1, 0};
+  // Root of this request's span tree, under a process-wide request id.
+  // Every later span — queue wait, batch wait, exec, path-cost, shed —
+  // attaches under this root via req.trace. A caller with its own root
+  // (the wire front door's `net/request`, the shard router's
+  // `shard/scatter`) passes it as trace_parent and the submit span becomes
+  // a child in that tree instead.
+  const TraceContext root =
+      options.trace_parent.ForRequest() || !TraceRecorder::Enabled()
+          ? options.trace_parent
+          : TraceContext{TraceRecorder::Global().NextRequestId(), 0};
+  req.id = root.request_id;
   TraceSpan span("serve/submit", root, static_cast<int64_t>(req.id));
-  // Normalize here (not just in the queue) so the submit span, the shed
-  // answer, and the worker-side accounting all see the same tenant name.
-  req.tenant = options.tenant_id.empty() ? "default" : options.tenant_id;
+  // The request enters serve here: normalize once, so the submit span, an
+  // unserved answer, and the worker-side accounting all see one name.
+  req.tenant = TenantOrDefault(options.tenant_id);
   span.SetTenant(req.tenant);
   req.trace = span.ChildContext();
   req.query = query;
@@ -119,25 +120,12 @@ Status QueryServer::Submit(RouteQuery query,
   if (options_.submit_observer) {
     options_.submit_observer(req.query, options, req.enqueue_ns);
   }
-  // A push-shed returns non-OK *without* invoking on_done, so its terminal
-  // answer exists nowhere — synthesize one for the flight recorder. The
-  // identity must be captured before the move into Push.
-  uint64_t flight_rid = 0;
-  uint64_t flight_client_id = 0;
-  std::string flight_tenant;
-  const bool flight = FlightRecorder::Enabled();
-  if (flight) {
-    flight_rid = req.trace.request_id;
-    flight_client_id = req.client_request_id;
-    flight_tenant = req.tenant;
-  }
   Status st = Push(std::move(req));
-  if (flight && !st.ok()) {
-    RouteAnswer shed;
-    shed.status = st;
-    shed.client_request_id = flight_client_id;
-    shed.tenant_id = std::move(flight_tenant);
-    FlightRecorder::MaybeComplete(flight_rid, options.shard, shed);
+  // A push-shed returns non-OK *without* invoking on_done (and leaves req
+  // intact), so its terminal answer is recorded here or nowhere.
+  if (!st.ok()) {
+    AnswerUnserved(st, req.trace.request_id, req.shard, req.client_request_id,
+                   req.tenant);
   }
   return st;
 }
@@ -160,7 +148,7 @@ Status QueryServer::SubmitEnumerate(
   return Push(std::move(req));
 }
 
-Status QueryServer::Push(ServeRequest req) {
+Status QueryServer::Push(ServeRequest&& req) {
   Status st = queue_.Push(std::move(req));
   if (st.ok()) Wake();
   return st;
@@ -409,8 +397,7 @@ void QueryServer::ServeOne(const ServeRequest& req) {
     stage_batch_.Add(1e-9 * static_cast<double>(answer.stages.batch_ns));
     stage_cache_.Add(1e-9 * static_cast<double>(answer.stages.cache_ns));
     stage_exec_.Add(1e-9 * static_cast<double>(answer.stages.exec_ns));
-    TenantWorkerStats& tm =
-        tenant_metrics_[req.tenant.empty() ? "default" : req.tenant];
+    TenantWorkerStats& tm = tenant_metrics_[req.tenant];
     if (answer.status.ok()) {
       ++tm.completed;
     } else {

@@ -182,8 +182,9 @@ class QueryServer : public QueryService {
   ServeRequest MakeRequest(RouteQuery query,
                            std::function<void(const RouteAnswer&)> on_done,
                            const SubmitOptions& options);
-  /// Pushes `req` and wakes a worker when it was admitted.
-  Status Push(ServeRequest req);
+  /// Pushes `req` and wakes a worker when it was admitted; a refused
+  /// `req` is left intact (RequestQueue::Push).
+  Status Push(ServeRequest&& req);
 
   Options options_;
 
@@ -219,7 +220,6 @@ class QueryServer : public QueryService {
   size_t max_batch_seen_ = 0;
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> next_id_{0};
   /// Drain tasks submitted to the pool and not yet released.
   std::atomic<int> drain_tasks_{0};
 

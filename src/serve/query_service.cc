@@ -1,5 +1,7 @@
 #include "src/serve/query_service.h"
 
+#include "src/obs/flight_recorder.h"
+
 namespace tsdm {
 
 void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
@@ -30,6 +32,25 @@ void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
   answer->route = routes[static_cast<size_t>(best)];
   answer->cost_mean_seconds = best_cost.Mean();
   answer->on_time_probability = has_deadline ? best_cost.Cdf(budget) : 0.0;
+}
+
+bool IsShedCode(StatusCode code) {
+  return code == StatusCode::kResourceExhausted ||
+         code == StatusCode::kFailedPrecondition ||
+         code == StatusCode::kUnavailable;
+}
+
+RouteAnswer AnswerUnserved(Status status, uint64_t request_id, int shard,
+                           uint64_t client_request_id, std::string tenant,
+                           uint64_t queued_ns, bool record) {
+  RouteAnswer answer;
+  answer.status = std::move(status);
+  answer.client_request_id = client_request_id;
+  answer.tenant_id = std::move(tenant);
+  answer.queue_seconds = 1e-9 * static_cast<double>(queued_ns);
+  answer.stages.queue_ns = queued_ns;
+  if (record) FlightRecorder::MaybeComplete(request_id, shard, answer);
+  return answer;
 }
 
 }  // namespace tsdm

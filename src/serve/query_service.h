@@ -2,6 +2,7 @@
 #define TSDM_SERVE_QUERY_SERVICE_H_
 
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,7 +29,7 @@ struct SubmitOptions {
   /// queued lower-priority request. 0 = best-effort.
   int priority = 0;
   /// Workload tenant this request is accounted to ("" = the reserved
-  /// "default" tenant). Tenants get their own weighted-fair sub-queue,
+  /// kDefaultTenant). Tenants get their own weighted-fair sub-queue,
   /// quota, shed counters, latency histogram, `tsdm_serve_tenant_*`
   /// metric families, and span attribute; the id is echoed on every
   /// terminal answer as RouteAnswer::tenant_id.
@@ -96,6 +97,26 @@ class QueryService {
 void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
                      const std::vector<Result<Histogram>>& costs,
                      RouteAnswer* answer);
+
+/// True for the codes a request is shed with rather than answered:
+/// ResourceExhausted (queue or quota full, displaced, expired in queue),
+/// FailedPrecondition (stopped, draining) and Unavailable (shard stopped,
+/// partial scatter). The flight recorder files these as sheds, and the
+/// shard router reads a probe failing with one as a lost shard, not as a
+/// segment the model cannot cost.
+bool IsShedCode(StatusCode code);
+
+/// The terminal answer of a request no worker served — shed at the socket
+/// before Submit, refused by a stopped shard or at Push, or expired,
+/// drained or displaced in queue: `status`, the caller's correlation id
+/// and tenant, and `queued_ns` as its whole (queue-stage) latency. No
+/// worker will ever complete such a request, so this also completes its
+/// flight record under (request_id, shard) — unless `record` is false: a
+/// probe or enumeration belongs to a scatter whose record the shard router
+/// completes.
+RouteAnswer AnswerUnserved(Status status, uint64_t request_id, int shard,
+                           uint64_t client_request_id, std::string tenant,
+                           uint64_t queued_ns = 0, bool record = true);
 
 }  // namespace tsdm
 

@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "src/common/bytes.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
+#include "src/serve/query_service.h"
 
 namespace tsdm {
 
@@ -23,20 +23,11 @@ void AnswerShed(const ServeRequest& req, Status status) {
                                      req.trace,
                                      static_cast<int64_t>(status.code()),
                                      req.tenant);
-  RouteAnswer answer;
-  answer.status = std::move(status);
-  answer.client_request_id = req.client_request_id;
-  answer.tenant_id = req.tenant;
-  answer.queue_seconds = 1e-9 * static_cast<double>(now_ns - req.enqueue_ns);
-  answer.stages.queue_ns = now_ns >= req.enqueue_ns
-                               ? now_ns - req.enqueue_ns
-                               : 0;  // all of a shed request's time is queue
-  // Flight-recorder completion: expired/drained/displaced requests are
-  // exactly the tail evidence retroactive retention exists for. Probes and
-  // enumerations are excluded — the shard router completes their caller.
-  if (req.kind == RequestKind::kRoute) {
-    FlightRecorder::MaybeComplete(req.trace.request_id, req.shard, answer);
-  }
+  RouteAnswer answer = AnswerUnserved(
+      std::move(status), req.trace.request_id, req.shard,
+      req.client_request_id, req.tenant,
+      now_ns >= req.enqueue_ns ? now_ns - req.enqueue_ns : 0,
+      req.kind == RequestKind::kRoute);
   if (req.on_done) req.on_done(answer);
 }
 
@@ -104,12 +95,9 @@ ServeRequest RequestQueue::PopHighest(Tenant* t) {
   return ServeRequest{};
 }
 
-Status RequestQueue::Push(ServeRequest req) {
+Status RequestQueue::Push(ServeRequest&& req) {
   req.priority = ClampPriority(req.priority);
-  // Unattributed requests belong to the reserved "default" tenant — every
-  // request is owned by exactly one tenant, so per-tenant shed/admission
-  // counters always sum to the globals.
-  if (req.tenant.empty()) req.tenant = "default";
+  if (req.tenant.empty()) req.tenant = kDefaultTenant;
   ServeRequest victim;
   bool have_victim = false;
   {

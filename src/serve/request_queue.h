@@ -95,6 +95,16 @@ enum class RequestKind {
   kEnumerate,  ///< the candidate routes of `query` (RouteAnswer::candidates)
 };
 
+/// The reserved tenant of requests that name none. Every request is owned
+/// by exactly one tenant, so per-tenant counters always sum to the globals.
+constexpr char kDefaultTenant[] = "default";
+
+/// `tenant`, or kDefaultTenant when it is empty. Applied once where a
+/// request enters serve (QueryServer, RequestQueue) or shard (ShardRouter).
+inline std::string TenantOrDefault(const std::string& tenant) {
+  return tenant.empty() ? kDefaultTenant : tenant;
+}
+
 /// A queued request: the query plus its admission timestamp, queueing
 /// budget, and completion callback. The callback is invoked exactly once —
 /// on a worker thread for served requests and requests expired in queue,
@@ -102,7 +112,7 @@ enum class RequestKind {
 /// displacing producer's thread for requests evicted by a higher-priority
 /// arrival under overload.
 struct ServeRequest {
-  uint64_t id = 0;
+  uint64_t id = 0;  ///< the request's trace id (0 = not traced)
   RouteQuery query;
   uint64_t enqueue_ns = 0;        ///< TraceRecorder::NowNs at admission
   uint64_t dequeue_ns = 0;        ///< set by PopBatch when a worker pops
@@ -195,12 +205,12 @@ class RequestQueue {
 
   /// Admits `req` or sheds it. OK means the request is queued and its
   /// callback will eventually fire; ResourceExhausted means queue-full or
-  /// quota shed; FailedPrecondition means the queue is closed. The callback
-  /// of a shed *arrival* is NOT invoked — the caller still owns it. A
-  /// successful Push may displace an already-admitted lower-priority
-  /// request, whose callback fires (once) with a typed shed before Push
-  /// returns.
-  Status Push(ServeRequest req);
+  /// quota shed; FailedPrecondition means the queue is closed. A shed
+  /// *arrival* is left intact and its callback is NOT invoked — the caller
+  /// still owns both. A successful Push may displace an already-admitted
+  /// lower-priority request, whose callback fires (once) with a typed shed
+  /// before Push returns.
+  Status Push(ServeRequest&& req);
 
   /// Pops up to `max_n` unexpired requests (as of `now_ns`) by deficit
   /// round-robin across tenants, appending to *out. Expired requests

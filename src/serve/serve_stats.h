@@ -110,7 +110,7 @@ struct ServeStatsSnapshot : AdmissionCounters {
   LatencyHistogram stage_exec;   ///< remaining worker execution
 
   /// Per-tenant breakdown, sorted by tenant name. Requests submitted
-  /// without a tenant id land under the reserved name "default", so the
+  /// without a tenant id land under the reserved kDefaultTenant, so the
   /// per-tenant counters always sum to the globals.
   std::vector<TenantServeStats> tenants;
 

@@ -24,16 +24,12 @@ namespace tsdm {
 /// the new shard's points, so every key either keeps its owner or moves to
 /// shard N. No key ever migrates between two pre-existing shards.
 ///
-/// `generation` names the epoch of this map. It does not affect placement;
-/// routers stamp it into stats/metrics so a future resharding protocol
-/// (hand-off between generations) can tell stale placements from current
-/// ones. Immutable after construction, hence freely shared across threads.
+/// Immutable after construction, hence freely shared across threads.
 class ShardMap {
  public:
   struct Options {
     int num_shards = 1;   ///< shards on the ring (clamped to >= 1)
     int vnodes = 32;      ///< ring points per shard (clamped to >= 1)
-    uint64_t generation = 1;  ///< epoch of this placement
   };
 
   ShardMap() : ShardMap(Options()) {}
@@ -41,7 +37,6 @@ class ShardMap {
 
   int num_shards() const { return options_.num_shards; }
   int vnodes() const { return options_.vnodes; }
-  uint64_t generation() const { return options_.generation; }
 
   /// Owner shard of an already-hashed key (ring walk only).
   int OwnerOfHash(uint64_t hash) const;

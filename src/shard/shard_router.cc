@@ -17,16 +17,6 @@ namespace tsdm {
 
 namespace {
 
-/// Probe failures that mean "the shard could not be reached / could not
-/// accept work", as opposed to the model having no answer for a segment.
-/// Transport failures poison the whole scatter into a typed Unavailable;
-/// model errors flow into candidate scoring exactly like on a single node.
-bool IsTransportFailure(StatusCode code) {
-  return code == StatusCode::kFailedPrecondition ||
-         code == StatusCode::kResourceExhausted ||
-         code == StatusCode::kUnavailable;
-}
-
 struct SegmentHash {
   size_t operator()(const std::vector<int>& v) const {
     return static_cast<size_t>(ShardMap::HashSubpath(v));
@@ -87,7 +77,6 @@ ShardRouter::ShardRouter(const RoadNetwork* network, PathCostModel base_model,
         std::make_unique<QueryServer>(network, base_model, shard_options));
   }
   stats_.num_shards = n;
-  stats_.generation = map_.generation();
   stats_.forwarded_per_shard.assign(static_cast<size_t>(n), 0);
   stats_.probes_per_shard.assign(static_cast<size_t>(n), 0);
 }
@@ -166,12 +155,16 @@ Status ShardRouter::Submit(RouteQuery query,
   if (!running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("ShardRouter: not running");
   }
-  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  const TraceContext root = options.trace_parent.ForRequest()
-                                ? options.trace_parent
-                                : TraceContext{id + 1, 0};
-  TraceSpan span("shard/submit", root, static_cast<int64_t>(id));
+  const TraceContext root =
+      options.trace_parent.ForRequest() || !TraceRecorder::Enabled()
+          ? options.trace_parent
+          : TraceContext{TraceRecorder::Global().NextRequestId(), 0};
+  TraceSpan span("shard/submit", root, static_cast<int64_t>(root.request_id));
   const TraceContext ctx = span.ChildContext();
+  // The request enters shard here: normalize once, so a forwarded, a
+  // scattered and a refused answer all carry the same tenant.
+  SubmitOptions inner = options;
+  inner.tenant_id = TenantOrDefault(options.tenant_id);
 
   // Queries whose endpoints are not network nodes cannot be placed by
   // region; forward them deterministically to shard 0, whose worker then
@@ -187,14 +180,8 @@ Status ShardRouter::Submit(RouteQuery query,
   // Rejected before any shard saw it: on_done is not retained, so the
   // synthesized answer is the request's only terminal record.
   auto reject = [&](Status st, int shard) {
-    if (FlightRecorder::Enabled()) {
-      RouteAnswer dead;
-      dead.status = st;
-      dead.client_request_id = options.client_request_id;
-      dead.tenant_id =
-          options.tenant_id.empty() ? "default" : options.tenant_id;
-      FlightRecorder::MaybeComplete(ctx.request_id, shard, dead);
-    }
+    AnswerUnserved(st, ctx.request_id, shard, inner.client_request_id,
+                   inner.tenant_id);
     return st;
   };
 
@@ -204,7 +191,6 @@ Status ShardRouter::Submit(RouteQuery query,
                                       " is stopped"),
                   s);
   }
-  SubmitOptions inner = options;
   inner.shard = s;
   if (s == target_owner) {
     TraceSpan forward("shard/forward", ctx, s);
@@ -356,7 +342,7 @@ void ShardRouter::OnProbeDone(const std::shared_ptr<ScatterState>& state,
 void ShardRouter::ApplyProbe(const std::shared_ptr<ScatterState>& state,
                              size_t index, const RouteAnswer& probe_answer) {
   if (!probe_answer.status.ok()) {
-    if (IsTransportFailure(probe_answer.status.code())) {
+    if (IsShedCode(probe_answer.status.code())) {
       state->seg_transport[index] = Status::Unavailable(
           "shard: segment " + std::to_string(index) + " probe on shard " +
           std::to_string(state->seg_shard[index]) + " failed: " +
@@ -445,9 +431,7 @@ void ShardRouter::Finish(const std::shared_ptr<ScatterState>& state,
                          RouteAnswer answer) {
   const SubmitOptions& caller = state->sub_options;
   answer.client_request_id = caller.client_request_id;
-  // Same normalization the serve tier applies, so a scattered answer
-  // carries the tenant exactly like a forwarded one would.
-  answer.tenant_id = caller.tenant_id.empty() ? "default" : caller.tenant_id;
+  answer.tenant_id = caller.tenant_id;
   answer.service_seconds =
       1e-9 * static_cast<double>(TraceRecorder::NowNs() - state->submit_ns);
   // The scatter's canonical flight-recorder completion: its enumeration

@@ -164,7 +164,6 @@ class ShardRouter : public QueryService {
   mutable std::mutex stats_mu_;
   ShardRouterStats stats_;
 
-  std::atomic<uint64_t> next_id_{0};
   std::atomic<uint64_t> outstanding_scatters_{0};
   std::atomic<bool> running_{false};
   mutable std::mutex lifecycle_mu_;

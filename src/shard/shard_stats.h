@@ -17,7 +17,6 @@ namespace tsdm {
 /// and how much cache heat crossed shard boundaries.
 struct ShardRouterStats {
   int num_shards = 0;
-  uint64_t generation = 0;  ///< ShardMap epoch the counters belong to
 
   uint64_t forwarded = 0;  ///< single-shard queries pinned to their owner
   uint64_t scattered = 0;  ///< cross-shard queries decomposed into probes
@@ -82,6 +81,11 @@ inline HealthSnapshot AggregateFleetHealth(
   HealthSnapshot fleet;
   for (size_t i = 0; i < members.size(); ++i) {
     const HealthSnapshot& m = members[i];
+    // Built by append: g++ 12 at -O3 flags the chained
+    // `"s" + std::to_string(i) + "/"` temporaries with a false -Wrestrict.
+    std::string prefix = "s";
+    prefix += std::to_string(i);
+    prefix += '/';
     if (static_cast<int>(m.state) > static_cast<int>(fleet.state)) {
       fleet.state = m.state;
     }
@@ -93,11 +97,11 @@ inline HealthSnapshot AggregateFleetHealth(
     if (m.burn_rate > fleet.burn_rate) fleet.burn_rate = m.burn_rate;
     if (m.top_offender_share > fleet.top_offender_share) {
       fleet.top_offender_share = m.top_offender_share;
-      fleet.top_offender = "s" + std::to_string(i) + "/" + m.top_offender;
+      fleet.top_offender = prefix + m.top_offender;
     }
     for (const MetricVerdict& v : m.metrics) {
       MetricVerdict prefixed = v;
-      prefixed.name = "s" + std::to_string(i) + "/" + v.name;
+      prefixed.name = prefix + v.name;
       fleet.metrics.push_back(std::move(prefixed));
     }
   }

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "src/obs/health.h"
 #include "src/obs/trace.h"
 #include "src/serve/query_server.h"
+#include "src/shard/shard_router.h"
 #include "src/sim/road_gen.h"
 #include "src/sim/traffic_sim.h"
 
@@ -149,7 +151,9 @@ TEST_F(DebugEndpointTest, DebugTracesMatchesTraceRecorderExportByteForByte) {
                   .ok());
   EXPECT_EQ(res.status_code, 200);
   for (const auto& h : res.headers) {
-    if (h.first == "content-type") EXPECT_EQ(h.second, "application/json");
+    if (h.first == "content-type") {
+      EXPECT_EQ(h.second, "application/json");
+    }
   }
 
   // One request in flight, one request retained: the wire body, the flight
@@ -521,6 +525,72 @@ TEST_F(DebugEndpointTest, SocketShedsBeforeSubmitAreInTheFlightDump) {
           << record;
     }
   }
+}
+
+// Every front door roots its trees under one process-wide request-id
+// allocator. Two QueryServers and a 2-shard ShardRouter in one process
+// answer one query each with every completion retained: three records under
+// three distinct request ids, each holding exactly its own request's span
+// tree — one root, and every parent span inside the same record.
+TEST_F(DebugEndpointTest, FrontDoorsInOneProcessNeverShareARequestId) {
+  const DebugFixture fx;
+  FlightRecorder::Options fopts;
+  fopts.slo_threshold_seconds = 0;  // retain every completion
+  FlightRecorder::Global().Configure(fopts);
+  FlightRecorder::Global().Enable();
+
+  QueryServer::Options sopts;
+  sopts.initial_workers = 1;
+  sopts.autoscale_enabled = false;
+  ShardRouter::Options ropts;
+  ropts.map.num_shards = 2;
+  ropts.server = sopts;
+  std::atomic<int> answered{0};
+  auto count_ok = [&answered](const RouteAnswer& a) {
+    EXPECT_TRUE(a.status.ok()) << a.status.ToString();
+    answered.fetch_add(1);
+  };
+  {
+    QueryServer first(&fx.net, fx.BaseModel(), sopts);
+    QueryServer second(&fx.net, fx.BaseModel(), sopts);
+    ShardRouter router(&fx.net, fx.BaseModel(), ropts);
+    ASSERT_TRUE(first.Start().ok());
+    ASSERT_TRUE(second.Start().ok());
+    ASSERT_TRUE(router.Start().ok());
+    ASSERT_TRUE(first.Submit(fx.Query(0), count_ok).ok());
+    first.WaitIdle();
+    ASSERT_TRUE(second.Submit(fx.Query(1), count_ok).ok());
+    second.WaitIdle();
+    ASSERT_TRUE(router.Submit(fx.Query(0), count_ok).ok());
+    router.WaitIdle();
+  }
+  ASSERT_EQ(answered.load(), 3);
+
+  FlightStatsSnapshot fs = FlightRecorder::Global().Stats();
+  EXPECT_EQ(fs.observed, 3u);
+  EXPECT_EQ(fs.discarded, 0u);
+  const std::vector<FlightRecord> records = FlightRecorder::Global().Retained(8);
+  ASSERT_EQ(records.size(), 3u);
+  std::set<uint64_t> request_ids;
+  for (const FlightRecord& rec : records) {
+    SCOPED_TRACE("request " + std::to_string(rec.request_id));
+    EXPECT_NE(rec.request_id, 0u);
+    request_ids.insert(rec.request_id);
+    std::set<uint64_t> span_ids;
+    int roots = 0;
+    for (const TraceEvent& ev : rec.spans) {
+      EXPECT_EQ(ev.request_id, rec.request_id) << ev.name;
+      span_ids.insert(ev.span_id);
+      if (ev.parent_span_id == 0) ++roots;
+    }
+    EXPECT_EQ(roots, 1);
+    for (const TraceEvent& ev : rec.spans) {
+      if (ev.parent_span_id != 0) {
+        EXPECT_EQ(span_ids.count(ev.parent_span_id), 1u) << ev.name;
+      }
+    }
+  }
+  EXPECT_EQ(request_ids.size(), 3u);
 }
 
 }  // namespace

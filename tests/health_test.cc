@@ -209,7 +209,9 @@ TEST(HealthMonitorTest, SloBurnDrivesUnhealthy) {
   EXPECT_GE(snap.burn_rate, HealthMonitor::kBurnUnhealthy);
   // Latency mean jumped 50x too — the detector sees it.
   for (const MetricVerdict& v : snap.metrics) {
-    if (v.name == "latency_mean") EXPECT_TRUE(v.anomalous);
+    if (v.name == "latency_mean") {
+      EXPECT_TRUE(v.anomalous);
+    }
   }
 
   // The transition ring recorded when the degradation started, with the

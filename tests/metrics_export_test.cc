@@ -460,7 +460,6 @@ FlightStatsSnapshot MakeFlight() {
 ShardStatsSnapshot MakeShard() {
   ShardStatsSnapshot s;
   s.router.num_shards = 2;
-  s.router.generation = 3;
   s.router.forwarded = 40;
   s.router.scattered = 5;
   s.router.probes_sent = 16;
@@ -957,7 +956,7 @@ TEST(MetricsExporterTest, GoldenFlightPrometheus) {
 TEST(MetricsExporterTest, GoldenShardJson) {
   EXPECT_EQ(
       MetricsExporter::Describe(MakeShard()).ToJson(),
-      "{\"schema_version\":1,\"shard\":{\"num_shards\":2,\"generation\":3,"
+      "{\"schema_version\":1,\"shard\":{\"num_shards\":2,"
       "\"forwarded\":40,\"scattered\":5,\"probes_sent\":16,"
       "\"probe_transport_failures\":1,\"merges\":4,\"partial_errors\":6,"
       "\"replicated\":7,\"enumeration_failures\":8,\"per_shard\":[{"
@@ -991,10 +990,6 @@ TEST(MetricsExporterTest, GoldenShardPrometheus) {
       "# HELP tsdm_shard_count Member shards fronted by the router.\n"
       "# TYPE tsdm_shard_count gauge\n"
       "tsdm_shard_count 2\n"
-      "# HELP tsdm_shard_map_generation ShardMap placement epoch the routing "
-      "counters belong to.\n"
-      "# TYPE tsdm_shard_map_generation gauge\n"
-      "tsdm_shard_map_generation 3\n"
       "# HELP tsdm_shard_routed_total Queries routed, by mode (forward = "
       "single-shard pinned, scatter = cross-shard probe fan-out).\n"
       "# TYPE tsdm_shard_routed_total counter\n"

@@ -719,14 +719,10 @@ TEST(SocketServerTest, TraceSpansLinkNetReadServeSubmitNetWrite) {
   }
 
   const std::vector<TraceEvent> events = TraceRecorder::Global().Snapshot();
-  // The wire request's id is namespaced with the high bit so it can never
-  // collide with in-process request ids.
-  const uint64_t kNetBit = 1ull << 63;
   uint64_t net_request_id = 0;
   uint64_t root_span = 0;
   for (const TraceEvent& e : events) {
     if (e.name == "net/request") {
-      EXPECT_GE(e.request_id, kNetBit);
       net_request_id = e.request_id;
       root_span = e.span_id;
     }
@@ -1046,7 +1042,6 @@ TEST(SocketServerTest, TraceSpansLinkForHttpQuery) {
   uint64_t root_span = 0;
   for (const TraceEvent& e : events) {
     if (e.name == "net/request") {
-      EXPECT_GE(e.request_id, 1ull << 63);
       net_request_id = e.request_id;
       root_span = e.span_id;
     }

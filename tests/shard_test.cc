@@ -56,22 +56,6 @@ TEST(ShardMapTest, PlacementIsDeterministicAcrossInstances) {
   }
 }
 
-TEST(ShardMapTest, GenerationIsStampedButNeverMovesKeys) {
-  ShardMap::Options g1;
-  g1.num_shards = 4;
-  g1.generation = 1;
-  ShardMap::Options g9 = g1;
-  g9.generation = 9;
-  ShardMap a(g1);
-  ShardMap b(g9);
-  EXPECT_EQ(a.generation(), 1u);
-  EXPECT_EQ(b.generation(), 9u);
-  // The epoch names the placement; it must not change it.
-  for (int64_t bucket = 0; bucket < 2000; ++bucket) {
-    ASSERT_EQ(a.OwnerOfBucket(bucket), b.OwnerOfBucket(bucket));
-  }
-}
-
 TEST(ShardMapTest, EveryKeyHasExactlyOneOwnerAndLoadIsBalanced) {
   const int kShards = 4;
   const int kKeys = 20000;
@@ -403,7 +387,6 @@ TEST(ShardRouterTest, RegistersShardMetricsSource) {
   EXPECT_NE(prom.find("tsdm_shard_count 2"), std::string::npos);
   EXPECT_NE(prom.find("tsdm_shard_routed_total{mode=\"forward\"}"),
             std::string::npos);
-  EXPECT_NE(prom.find("tsdm_shard_map_generation"), std::string::npos);
   std::string json = MetricsExporter::Describe(router.ShardStats()).ToJson();
   EXPECT_NE(json.find("\"num_shards\":2"), std::string::npos);
   EXPECT_NE(json.find("\"aggregate\":"), std::string::npos);
