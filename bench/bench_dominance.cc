@@ -76,7 +76,8 @@ void BM_DecideAllUtilitiesFullSet(benchmark::State& state) {
   auto bank = UtilityBank();
   for (auto _ : state) {
     for (const auto& u : bank) {
-      benchmark::DoNotOptimize(BestByExpectedUtility(g_candidates, *u));
+      benchmark::DoNotOptimize(
+          Decide(g_candidates, DecisionRule::Utility(*u)).index);
     }
   }
 }
@@ -90,7 +91,7 @@ void BM_DecideAllUtilitiesPruned(benchmark::State& state) {
     std::vector<Histogram> pruned;
     for (int s : survivors) pruned.push_back(g_candidates[s]);
     for (const auto& u : bank) {
-      benchmark::DoNotOptimize(BestByExpectedUtility(pruned, *u));
+      benchmark::DoNotOptimize(Decide(pruned, DecisionRule::Utility(*u)).index);
     }
   }
 }
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
     // pruned candidate and an equally good survivor are not regret).
     int regret = 0;
     for (const auto& u : UtilityBank(60)) {
-      int best_full = BestByExpectedUtility(candidates, *u);
+      int best_full = Decide(candidates, DecisionRule::Utility(*u)).index;
       double eu_full = ExpectedUtility(candidates[best_full], *u);
       double eu_surv = -1e300;
       for (int s : survivors) {

@@ -14,7 +14,6 @@
 #include "src/analytics/forecast/forecaster.h"
 #include "src/analytics/forecast/metrics.h"
 #include "src/core/pipeline.h"
-#include "src/decision/routing/stochastic_router.h"
 #include "src/governance/uncertainty/travel_cost_models.h"
 #include "src/sim/inject.h"
 #include "src/sim/road_gen.h"

@@ -106,7 +106,7 @@ int main() {
        std::vector<const UtilityFunction*>{&neutral, &averse, &loving,
                                            &on_time}) {
     std::printf("  %-22s -> route %d\n", u->Name().c_str(),
-                BestByExpectedUtility(costs, *u));
+                Decide(costs, DecisionRule::Utility(*u)).index);
   }
 
   // --- Multi-objective skyline over (time, distance) --------------------

@@ -40,7 +40,7 @@ GATED_TESTS=(executor_test inject_recovery_test pipeline_report_test
              shard_equivalence_test load_test flight_recorder_test
              debug_endpoint_test k_shortest_equivalence_test
              metrics_export_test histogram_test route_tree_reuse_test
-             path_cost_cache_test)
+             path_cost_cache_test routing_decision_test)
 
 for SAN in "${SANITIZERS[@]}"; do
   BUILD="$ROOT/build-${SAN/thread/tsan}"

@@ -34,12 +34,6 @@ std::vector<double> Matrix::Col(size_t c) const {
   return out;
 }
 
-void Matrix::SetRow(size_t r, const std::vector<double>& values) {
-  for (size_t c = 0; c < cols_ && c < values.size(); ++c) {
-    (*this)(r, c) = values[c];
-  }
-}
-
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {
@@ -72,21 +66,9 @@ std::vector<double> Matrix::MatVec(const std::vector<double>& v) const {
   return out;
 }
 
-Matrix Matrix::Add(const Matrix& other) const {
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
 Matrix Matrix::Subtract(const Matrix& other) const {
   Matrix out = *this;
   for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::Scale(double s) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= s;
   return out;
 }
 

@@ -43,16 +43,13 @@ class Matrix {
   std::vector<double> Row(size_t r) const;
   /// Returns column c as a vector copy.
   std::vector<double> Col(size_t c) const;
-  void SetRow(size_t r, const std::vector<double>& values);
 
   Matrix Transpose() const;
   /// Matrix product; requires cols() == other.rows().
   Matrix MatMul(const Matrix& other) const;
   /// Matrix-vector product; requires cols() == v.size().
   std::vector<double> MatVec(const std::vector<double>& v) const;
-  Matrix Add(const Matrix& other) const;
   Matrix Subtract(const Matrix& other) const;
-  Matrix Scale(double s) const;
 
   /// Frobenius norm.
   double FrobeniusNorm() const;

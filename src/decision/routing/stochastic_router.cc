@@ -24,33 +24,4 @@ Result<std::vector<RouteCandidate>> StochasticRouter::Candidates(
   return candidates;
 }
 
-int StochasticRouter::BestByOnTime(
-    const std::vector<RouteCandidate>& candidates, double deadline_seconds) {
-  int best = -1;
-  double best_p = -1.0;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    double p = candidates[i].cost.Cdf(deadline_seconds);
-    if (p > best_p) {
-      best_p = p;
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
-int StochasticRouter::BestByUtility(
-    const std::vector<RouteCandidate>& candidates,
-    const UtilityFunction& utility) {
-  int best = -1;
-  double best_value = 0.0;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    double value = ExpectedUtility(candidates[i].cost, utility);
-    if (best < 0 || value > best_value) {
-      best = static_cast<int>(i);
-      best_value = value;
-    }
-  }
-  return best;
-}
-
 }  // namespace tsdm

@@ -1,12 +1,11 @@
 #ifndef TSDM_DECISION_ROUTING_STOCHASTIC_ROUTER_H_
 #define TSDM_DECISION_ROUTING_STOCHASTIC_ROUTER_H_
 
-#include <functional>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/decision/uncertain/utility.h"
 #include "src/governance/uncertainty/histogram.h"
+#include "src/governance/uncertainty/travel_cost_models.h"
 #include "src/spatial/road_network.h"
 #include "src/spatial/shortest_path.h"
 
@@ -18,14 +17,9 @@ struct RouteCandidate {
   Histogram cost;
 };
 
-/// Maps an edge path + departure time to a travel-time distribution —
-/// satisfied by EdgeCentricModel / PathCentricModel (governance layer).
-using PathCostModel = std::function<Result<Histogram>(
-    const std::vector<int>& edge_path, double depart_seconds)>;
-
 /// Stochastic route selection (§II-D): enumerate K shortest candidate
-/// paths by free-flow time, attach cost distributions from the model, then
-/// decide under a utility function or deadline.
+/// paths by free-flow time and attach cost distributions from the model.
+/// The decision over them is Decide (src/decision/uncertain/utility.h).
 class StochasticRouter {
  public:
   /// The network must outlive the router.
@@ -38,14 +32,6 @@ class StochasticRouter {
   Result<std::vector<RouteCandidate>> Candidates(int source, int target,
                                                  int k,
                                                  double depart_seconds) const;
-
-  /// Index of the candidate maximizing on-time probability for a deadline.
-  static int BestByOnTime(const std::vector<RouteCandidate>& candidates,
-                          double deadline_seconds);
-
-  /// Index of the candidate maximizing expected utility.
-  static int BestByUtility(const std::vector<RouteCandidate>& candidates,
-                           const UtilityFunction& utility);
 
  private:
   const RoadNetwork* network_;

@@ -34,18 +34,45 @@ double ExpectedUtility(const Histogram& cost,
   return acc;
 }
 
-int BestByExpectedUtility(const std::vector<Histogram>& candidates,
-                          const UtilityFunction& utility) {
-  int best = -1;
-  double best_value = 0.0;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    double value = ExpectedUtility(candidates[i], utility);
-    if (best < 0 || value > best_value) {
-      best = static_cast<int>(i);
-      best_value = value;
+double DecisionRule::Score(const Histogram& cost) const {
+  if (kind == kOnTime) return cost.Cdf(budget_seconds);
+  if (kind == kMeanCost) return -cost.Mean();
+  return ExpectedUtility(cost, *utility);
+}
+
+namespace {
+
+const Histogram* CostOf(const Histogram& cost) { return &cost; }
+const Histogram* CostOf(const Result<Histogram>& cost) {
+  return cost.ok() ? &cost.value() : nullptr;
+}
+
+// The one loop body behind both Decide overloads.
+template <typename Cost>
+Decision DecideOver(const std::vector<Cost>& costs, const DecisionRule& rule) {
+  Decision decision;
+  for (size_t i = 0; i < costs.size(); ++i) {
+    const Histogram* cost = CostOf(costs[i]);
+    if (cost == nullptr) continue;
+    ++decision.num_scored;
+    const double score = rule.Score(*cost);
+    if (decision.index < 0 || score > decision.score) {
+      decision.index = static_cast<int>(i);
+      decision.score = score;
     }
   }
-  return best;
+  return decision;
+}
+
+}  // namespace
+
+Decision Decide(const std::vector<Histogram>& costs, const DecisionRule& rule) {
+  return DecideOver(costs, rule);
+}
+
+Decision Decide(const std::vector<Result<Histogram>>& costs,
+                const DecisionRule& rule) {
+  return DecideOver(costs, rule);
 }
 
 }  // namespace tsdm

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/governance/uncertainty/histogram.h"
 
 namespace tsdm {
@@ -58,9 +59,43 @@ class DeadlineUtility : public UtilityFunction {
 /// E[u(X)] under a histogram cost distribution.
 double ExpectedUtility(const Histogram& cost, const UtilityFunction& utility);
 
-/// Index of the candidate maximizing expected utility (-1 if empty).
-int BestByExpectedUtility(const std::vector<Histogram>& candidates,
-                          const UtilityFunction& utility);
+/// What Decide maximizes over one candidate's cost distribution.
+struct DecisionRule {
+  enum Kind { kOnTime, kMeanCost, kExpectedUtility };
+
+  /// P(cost <= budget): the budget is a travel time (a deadline minus the
+  /// departure), not a time of day.
+  static DecisionRule OnTime(double budget) { return {kOnTime, budget}; }
+  /// -E[cost].
+  static DecisionRule MeanCost() { return {kMeanCost}; }
+  /// E[u(cost)]; `utility` must outlive the rule.
+  static DecisionRule Utility(const UtilityFunction& utility) {
+    return {kExpectedUtility, 0.0, &utility};
+  }
+
+  /// Higher is better.
+  double Score(const Histogram& cost) const;
+
+  Kind kind;
+  double budget_seconds = 0.0;
+  const UtilityFunction* utility = nullptr;
+};
+
+/// What Decide chose: the winner's index (-1 when no candidate had a cost
+/// distribution), its score, and how many candidates had one.
+struct Decision {
+  int index = -1;
+  double score = 0.0;
+  int num_scored = 0;
+};
+
+/// The decision step (§II-D) of the routing library and the serving tier.
+/// Scans the candidates in order; one without a distribution (a failed
+/// Result) is skipped and not counted. Strict `>` keeps the first best, so
+/// exact ties go to the lowest index and no merge order changes the answer.
+Decision Decide(const std::vector<Histogram>& costs, const DecisionRule& rule);
+Decision Decide(const std::vector<Result<Histogram>>& costs,
+                const DecisionRule& rule);
 
 }  // namespace tsdm
 

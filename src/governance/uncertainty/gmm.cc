@@ -117,15 +117,6 @@ double GaussianMixture::Mean() const {
   return acc;
 }
 
-double GaussianMixture::Variance() const {
-  double m = Mean();
-  double acc = 0.0;
-  for (const auto& c : components_) {
-    acc += c.weight * (c.stddev * c.stddev + (c.mean - m) * (c.mean - m));
-  }
-  return acc;
-}
-
 double GaussianMixture::Sample(Rng* rng) const {
   std::vector<double> weights(components_.size());
   for (size_t i = 0; i < components_.size(); ++i) {

@@ -34,7 +34,6 @@ class GaussianMixture {
   double Pdf(double x) const;
   double Cdf(double x) const;
   double Mean() const;
-  double Variance() const;
   double Sample(Rng* rng) const;
 
   /// Average log-likelihood of the samples under the mixture.

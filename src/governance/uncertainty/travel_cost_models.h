@@ -1,6 +1,7 @@
 #ifndef TSDM_GOVERNANCE_UNCERTAINTY_TRAVEL_COST_MODELS_H_
 #define TSDM_GOVERNANCE_UNCERTAINTY_TRAVEL_COST_MODELS_H_
 
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -9,6 +10,11 @@
 #include "src/governance/uncertainty/time_varying.h"
 
 namespace tsdm {
+
+/// Maps an edge path + departure time to a travel-time distribution —
+/// satisfied by EdgeCentricModel / PathCentricModel below.
+using PathCostModel = std::function<Result<Histogram>(
+    const std::vector<int>& edge_path, double depart_seconds)>;
 
 /// One observed trip: the traversed edges, the realized per-edge travel
 /// times, and the departure time of day. Produced by map-matched GPS

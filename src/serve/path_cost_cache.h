@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "src/common/lru_map.h"
-#include "src/decision/routing/stochastic_router.h"
 #include "src/governance/uncertainty/histogram.h"
+#include "src/governance/uncertainty/travel_cost_models.h"
 #include "src/obs/trace.h"
 
 namespace tsdm {
@@ -195,13 +195,6 @@ class CachedPathCostModel {
       parts.push_back(std::forward<decltype(cost)>(cost).value());
     }
     return ComposeSegments(std::move(parts), result_bins);
-  }
-
-  /// Adapter so a StochasticRouter can use this as its PathCostModel.
-  PathCostModel AsModel() const {
-    return [this](const std::vector<int>& edges, double depart) {
-      return Query(edges, depart);
-    };
   }
 
   const Options& options() const { return options_; }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/decision/routing/stochastic_router.h"
 #include "src/serve/autoscale_controller.h"
 #include "src/serve/path_cost_cache.h"
 #include "src/serve/query_service.h"

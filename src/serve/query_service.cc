@@ -1,5 +1,6 @@
 #include "src/serve/query_service.h"
 
+#include "src/decision/uncertain/utility.h"
 #include "src/obs/flight_recorder.h"
 
 namespace tsdm {
@@ -11,27 +12,19 @@ void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
   // time, so a route is on time when its travel time fits the budget.
   const bool has_deadline = query.arrival_deadline_seconds > 0.0;
   const double budget = query.arrival_deadline_seconds - query.depart_seconds;
-  int best = -1;
-  double best_score = 0.0;
-  for (size_t i = 0; i < costs.size(); ++i) {
-    if (!costs[i].ok()) continue;  // model has no coverage for this path
-    ++answer->num_candidates;
-    double score = has_deadline ? costs[i].value().Cdf(budget)
-                                : -costs[i].value().Mean();
-    if (best < 0 || score > best_score) {
-      best = static_cast<int>(i);
-      best_score = score;
-    }
-  }
-  if (best < 0) {
+  const Decision decision =
+      Decide(costs, has_deadline ? DecisionRule::OnTime(budget)
+                                 : DecisionRule::MeanCost());
+  answer->num_candidates = decision.num_scored;
+  if (decision.index < 0) {
     answer->status =
         Status::NotFound("serve: no candidate route has a cost distribution");
     return;
   }
-  const Histogram& best_cost = costs[static_cast<size_t>(best)].value();
-  answer->route = routes[static_cast<size_t>(best)];
-  answer->cost_mean_seconds = best_cost.Mean();
-  answer->on_time_probability = has_deadline ? best_cost.Cdf(budget) : 0.0;
+  const size_t best = static_cast<size_t>(decision.index);
+  answer->route = routes[best];
+  answer->cost_mean_seconds = costs[best].value().Mean();
+  answer->on_time_probability = has_deadline ? decision.score : 0.0;
 }
 
 bool IsShedCode(StatusCode code) {

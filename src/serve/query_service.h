@@ -82,18 +82,13 @@ class QueryService {
   virtual void WaitIdle() const = 0;
 };
 
-/// The one candidate-scoring rule of the serving tier, shared by the
-/// single-node worker path and the shard router's scatter merge so both
-/// produce bitwise-identical decisions. Fills the decision fields of
-/// *answer (status, route, cost_mean_seconds, on_time_probability,
-/// num_candidates) from candidate routes and their cost results:
-/// score = P(travel time <= arrival_deadline_seconds - depart_seconds)
-/// when a deadline is set (the deadline is a time of day, the cost
-/// histograms are over travel time), -mean cost otherwise; candidates
-/// without a cost distribution are skipped; NotFound when none scored.
-/// Tie-break is stable — strict `>` scanning in candidate order, so the
-/// lowest-indexed best candidate wins and no completion/merge order can
-/// change the answer.
+/// The serving tier's decision step, shared by the single-node worker path
+/// and the shard router's merge so both decide bitwise-identically: Decide
+/// with on-time probability over the travel budget (deadline minus
+/// departure; the deadline is a time of day) when a deadline is set, mean
+/// cost otherwise. Fills the decision fields of *answer (status, route,
+/// cost_mean_seconds, on_time_probability, num_candidates); NotFound when
+/// no candidate has a cost distribution.
 void ScoreCandidates(const RouteQuery& query, const std::vector<Path>& routes,
                      const std::vector<Result<Histogram>>& costs,
                      RouteAnswer* answer);

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#include "src/decision/routing/stochastic_router.h"
 #include "src/serve/query_server.h"
 #include "src/serve/query_service.h"
 #include "src/shard/shard_map.h"
@@ -29,17 +28,18 @@ namespace tsdm {
 ///             its callback, on the owner's worker, splits the candidates
 ///             into PathCostCache-granularity segments and probes each on
 ///             the shard owning the sub-path; the merge composes per
-///             candidate in segment order and scores (ScoreCandidates).
+///             candidate in segment order and decides (ScoreCandidates).
 ///
 /// Answer equivalence is structural, not coincidental: enumeration,
-/// segment split, per-segment cost, composition, and scoring are the very
+/// segment split, per-segment cost, composition, and decision are the very
 /// functions the single-node path runs (RouteCache,
 /// CachedPathCostModel::{SplitSegments, SegmentCost, FoldSegments},
-/// ScoreCandidates), so a scattered answer is bitwise-identical to the
-/// single-node answer for the same query — the property the equivalence
-/// suite locks in across 1/2/4/8 shards. The merge keys every result by
-/// segment *index*: no completion order, adversarial or otherwise, can
-/// change the answer (permutation invariance by construction).
+/// ScoreCandidates over Decide), so a scattered answer is bitwise-identical
+/// to the single-node answer for the same query — the property the
+/// equivalence suite locks in across 1/2/4/8 shards. The merge keys every
+/// result by segment *index*: no completion order, adversarial or
+/// otherwise, can change the answer (permutation invariance by
+/// construction).
 ///
 /// Admission, either kind, is the source owner's typed Push result
 /// (Unavailable when it is stopped); the shards a scatter will probe are

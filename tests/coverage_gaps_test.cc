@@ -6,7 +6,6 @@
 
 #include "src/common/rng.h"
 #include "src/data/sensor_graph.h"
-#include "src/decision/routing/stochastic_router.h"
 #include "src/decision/uncertain/utility.h"
 #include "src/governance/uncertainty/histogram.h"
 #include "src/sim/road_gen.h"
@@ -76,10 +75,11 @@ TEST(TrafficSimTest, MeanEdgeTimeMatchesMonteCarlo) {
   EXPECT_NEAR(mc, analytic, 0.05 * analytic);
 }
 
-TEST(RouterTest, BestSelectorsOnEmptyInput) {
-  EXPECT_EQ(StochasticRouter::BestByOnTime({}, 100.0), -1);
+TEST(DecideTest, EmptyInputHasNoWinner) {
+  const std::vector<Histogram> none;
+  EXPECT_EQ(Decide(none, DecisionRule::OnTime(100.0)).index, -1);
   RiskNeutralUtility u;
-  EXPECT_EQ(StochasticRouter::BestByUtility({}, u), -1);
+  EXPECT_EQ(Decide(none, DecisionRule::Utility(u)).index, -1);
 }
 
 TEST(UtilityTest, ExponentialUtilityIsMonotoneDecreasing) {

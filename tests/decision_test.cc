@@ -51,13 +51,14 @@ TEST(UtilityTest, DeadlineUtilityIsOnTimeProbability) {
   EXPECT_NEAR(ExpectedUtility(h, generous), 1.0, 1e-6);
 }
 
-TEST(UtilityTest, BestByExpectedUtilityPicksDominantOption) {
+TEST(UtilityTest, DecidePicksDominantOption) {
   std::vector<Histogram> options = {GaussianHist(120.0, 5.0, 7),
                                     GaussianHist(100.0, 5.0, 8),
                                     GaussianHist(140.0, 5.0, 9)};
   RiskNeutralUtility u;
-  EXPECT_EQ(BestByExpectedUtility(options, u), 1);
-  EXPECT_EQ(BestByExpectedUtility({}, u), -1);
+  EXPECT_EQ(Decide(options, DecisionRule::Utility(u)).index, 1);
+  EXPECT_EQ(Decide(std::vector<Histogram>{}, DecisionRule::Utility(u)).index,
+            -1);
 }
 
 TEST(DominanceTest, ClearlyBetterOptionPrunesWorse) {
@@ -98,7 +99,7 @@ TEST(DominanceTest, PruningNeverRemovesAnyUtilityOptimum) {
   DeadlineUtility deadline(110.0);
   utilities = {&neutral, &averse, &loving, &deadline};
   for (const UtilityFunction* u : utilities) {
-    int best = BestByExpectedUtility(options, *u);
+    int best = Decide(options, DecisionRule::Utility(*u)).index;
     double eu_full = ExpectedUtility(options[best], *u);
     double eu_survivors = -1e300;
     for (int s : survivors) {

@@ -97,7 +97,7 @@ TEST(IntegrationTest, TrafficScenarioEndToEnd) {
   ExponentialUtility averse(2.0, costs[0].Mean());
   for (const UtilityFunction* u :
        std::vector<const UtilityFunction*>{&neutral, &averse}) {
-    int best = BestByExpectedUtility(costs, *u);
+    int best = Decide(costs, DecisionRule::Utility(*u)).index;
     double eu_full = ExpectedUtility(costs[best], *u);
     double eu_survivors = -1e300;
     for (int s : survivors) {
@@ -108,17 +108,16 @@ TEST(IntegrationTest, TrafficScenarioEndToEnd) {
 
   // The chosen route actually arrives on time most often under ground
   // truth (Monte Carlo check against the simulator).
-  double deadline = costs[StochasticRouter::BestByOnTime(*candidates,
-                                                         1e18)]
-                        .Quantile(0.9);
-  int chosen = StochasticRouter::BestByOnTime(*candidates, deadline);
+  double budget =
+      costs[Decide(costs, DecisionRule::OnTime(1e18)).index].Quantile(0.9);
+  int chosen = Decide(costs, DecisionRule::OnTime(budget)).index;
   ASSERT_GE(chosen, 0);
   int on_time = 0;
   const int kTrials = 300;
   for (int i = 0; i < kTrials; ++i) {
     double t = traffic.SamplePathTime((*candidates)[chosen].path.edges,
                                       8 * 3600, &rng);
-    if (t <= deadline) ++on_time;
+    if (t <= budget) ++on_time;
   }
   EXPECT_GT(static_cast<double>(on_time) / kTrials, 0.5);
 }

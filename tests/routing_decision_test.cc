@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -7,7 +10,9 @@
 #include "src/decision/multiobj/pareto.h"
 #include "src/decision/personal/context_preference.h"
 #include "src/decision/routing/stochastic_router.h"
+#include "src/decision/uncertain/utility.h"
 #include "src/governance/uncertainty/travel_cost_models.h"
+#include "src/serve/query_service.h"
 #include "src/sim/road_gen.h"
 #include "src/sim/traffic_sim.h"
 #include "src/sim/traj_sim.h"
@@ -71,15 +76,177 @@ TEST_F(RoutingFixture, TightDeadlineCanChangeTheChoice) {
   ASSERT_TRUE(candidates.ok());
   // With an extremely generous deadline every route is on time; with the
   // minimal mean the fastest-expected route should win a neutral utility.
-  int by_deadline = StochasticRouter::BestByOnTime(*candidates, 1e9);
+  std::vector<Histogram> costs;
+  for (const auto& c : *candidates) costs.push_back(c.cost);
+  int by_deadline = Decide(costs, DecisionRule::OnTime(1e9)).index;
   EXPECT_GE(by_deadline, 0);
   RiskNeutralUtility neutral;
-  int by_utility = StochasticRouter::BestByUtility(*candidates, neutral);
+  int by_utility = Decide(costs, DecisionRule::Utility(neutral)).index;
   ASSERT_GE(by_utility, 0);
   double best_mean = (*candidates)[by_utility].cost.Mean();
   for (const auto& c : *candidates) {
     EXPECT_GE(c.cost.Mean(), best_mean - 1e-6);
   }
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// One bin over [lo, hi]: mean (lo + hi) / 2, Cdf linear from lo to hi.
+Histogram Uniform(double lo, double hi) {
+  Histogram h = *Histogram::Create(lo, hi, 1);
+  h.Add(0.5 * (lo + hi));
+  return h;
+}
+
+// Paths with distinct edge lists, so an answer's route names its index.
+std::vector<Path> NumberedRoutes(size_t n) {
+  std::vector<Path> routes(n);
+  for (size_t i = 0; i < n; ++i) routes[i].edges = {static_cast<int>(i)};
+  return routes;
+}
+
+// Means 200, 170, 160; P(cost <= 180) = 0.4, 0.75, 0.5625.
+std::vector<Histogram> ThreeCandidates() {
+  return {Uniform(100.0, 300.0), Uniform(150.0, 190.0), Uniform(0.0, 320.0)};
+}
+
+TEST(DecisionRuleTest, OnTimePicksTheLikeliestWithinTheBudget) {
+  const std::vector<Histogram> costs = ThreeCandidates();
+  const Decision d = Decide(costs, DecisionRule::OnTime(180.0));
+  EXPECT_EQ(d.index, 1);
+  EXPECT_EQ(d.score, 0.75);
+  EXPECT_EQ(d.num_scored, 3);
+}
+
+TEST(DecisionRuleTest, MeanCostPicksTheLowestMean) {
+  const std::vector<Histogram> costs = ThreeCandidates();
+  const Decision d = Decide(costs, DecisionRule::MeanCost());
+  EXPECT_EQ(d.index, 2);
+  EXPECT_EQ(d.score, -160.0);
+}
+
+TEST(DecisionRuleTest, UtilityPicksTheHighestExpectedUtility) {
+  const std::vector<Histogram> costs = ThreeCandidates();
+  RiskNeutralUtility neutral;
+  const Decision by_mean = Decide(costs, DecisionRule::Utility(neutral));
+  EXPECT_EQ(by_mean.index, 2);
+  EXPECT_EQ(by_mean.score, -160.0);
+  // Only candidate 0's bin center (200) misses the deadline; candidates 1
+  // and 2 tie at 1 and the lower index wins.
+  DeadlineUtility on_time(180.0);
+  EXPECT_EQ(Decide(costs, DecisionRule::Utility(on_time)).index, 1);
+}
+
+TEST(DecisionRuleTest, ExactTiesGoToTheLowestIndex) {
+  const std::vector<Histogram> costs = {
+      Uniform(100.0, 300.0), Uniform(150.0, 190.0), Uniform(150.0, 190.0),
+      Uniform(100.0, 300.0)};
+  RiskNeutralUtility neutral;
+  for (const DecisionRule& rule :
+       {DecisionRule::OnTime(180.0), DecisionRule::MeanCost(),
+        DecisionRule::Utility(neutral)}) {
+    EXPECT_EQ(Decide(costs, rule).index, 1);
+  }
+  const std::vector<Histogram> same(3, Uniform(100.0, 300.0));
+  EXPECT_EQ(Decide(same, DecisionRule::OnTime(180.0)).index, 0);
+  EXPECT_EQ(Decide(same, DecisionRule::MeanCost()).index, 0);
+}
+
+TEST(DecisionRuleTest, CandidateWithoutDistributionIsSkippedAndNotCounted) {
+  const std::vector<Result<Histogram>> costs = {
+      Status::NotFound("no coverage"), Uniform(150.0, 190.0),
+      Status::NotFound("no coverage"), Uniform(100.0, 300.0)};
+  const Decision d = Decide(costs, DecisionRule::MeanCost());
+  EXPECT_EQ(d.index, 1);
+  EXPECT_EQ(d.num_scored, 2);
+
+  RouteQuery q;
+  RouteAnswer answer;
+  ScoreCandidates(q, NumberedRoutes(costs.size()), costs, &answer);
+  ASSERT_TRUE(answer.status.ok());
+  EXPECT_EQ(answer.route.edges, std::vector<int>{1});
+  EXPECT_EQ(answer.num_candidates, 2);
+  EXPECT_EQ(answer.cost_mean_seconds, 170.0);
+  EXPECT_EQ(answer.on_time_probability, 0.0);
+}
+
+TEST(DecisionRuleTest, NoDistributionAtAllIsNotFound) {
+  const std::vector<Result<Histogram>> costs = {
+      Status::NotFound("no coverage"), Status::NotFound("no coverage")};
+  EXPECT_EQ(Decide(costs, DecisionRule::MeanCost()).index, -1);
+
+  RouteQuery q;
+  RouteAnswer answer;
+  ScoreCandidates(q, NumberedRoutes(costs.size()), costs, &answer);
+  EXPECT_EQ(answer.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(answer.num_candidates, 0);
+  EXPECT_TRUE(answer.route.edges.empty());
+
+  RouteAnswer empty;
+  ScoreCandidates(q, {}, {}, &empty);
+  EXPECT_EQ(empty.status.code(), StatusCode::kNotFound);
+}
+
+TEST(DecisionRuleTest, ServeBudgetIsDeadlineMinusDeparture) {
+  // The deadline is a time of day: evaluated at the deadline itself every
+  // candidate would be on time and candidate 0 would win the tie.
+  const std::vector<Histogram> hists = ThreeCandidates();
+  const std::vector<Result<Histogram>> costs(hists.begin(), hists.end());
+  RouteQuery q;
+  q.depart_seconds = 10.0 * 3600;
+  q.arrival_deadline_seconds = q.depart_seconds + 180.0;
+  RouteAnswer answer;
+  ScoreCandidates(q, NumberedRoutes(costs.size()), costs, &answer);
+  ASSERT_TRUE(answer.status.ok());
+  EXPECT_EQ(answer.route.edges, std::vector<int>{1});
+  EXPECT_EQ(answer.on_time_probability, 0.75);
+  EXPECT_EQ(answer.cost_mean_seconds, 170.0);
+  EXPECT_EQ(answer.num_candidates, 3);
+}
+
+TEST_F(RoutingFixture, LibraryAndServeDecideAlike) {
+  const double depart = 8.0 * 3600;
+  StochasticRouter router(&net_, CostModel());
+  Result<std::vector<RouteCandidate>> candidates =
+      router.Candidates(0, 35, 6, depart);
+  ASSERT_TRUE(candidates.ok());
+  ASSERT_GE(candidates->size(), 2u);
+  std::vector<Path> routes;
+  std::vector<Histogram> costs;
+  for (const RouteCandidate& c : *candidates) {
+    routes.push_back(c.path);
+    costs.push_back(c.cost);
+  }
+  const std::vector<Result<Histogram>> served(costs.begin(), costs.end());
+
+  RouteQuery q;
+  q.source = 0;
+  q.target = 35;
+  q.k = 6;
+  q.depart_seconds = depart;
+  q.arrival_deadline_seconds = depart + costs[0].Quantile(0.5);
+  const double budget = q.arrival_deadline_seconds - q.depart_seconds;
+  RouteAnswer on_time;
+  ScoreCandidates(q, routes, served, &on_time);
+  ASSERT_TRUE(on_time.status.ok());
+  const Decision by_budget = Decide(costs, DecisionRule::OnTime(budget));
+  ASSERT_GE(by_budget.index, 0);
+  EXPECT_EQ(on_time.route.edges, routes[by_budget.index].edges);
+  EXPECT_EQ(Bits(on_time.on_time_probability), Bits(by_budget.score));
+  EXPECT_EQ(on_time.num_candidates, by_budget.num_scored);
+
+  q.arrival_deadline_seconds = 0.0;
+  RouteAnswer by_mean;
+  ScoreCandidates(q, routes, served, &by_mean);
+  ASSERT_TRUE(by_mean.status.ok());
+  const Decision mean = Decide(costs, DecisionRule::MeanCost());
+  ASSERT_GE(mean.index, 0);
+  EXPECT_EQ(by_mean.route.edges, routes[mean.index].edges);
+  EXPECT_EQ(Bits(by_mean.cost_mean_seconds), Bits(-mean.score));
 }
 
 TEST_F(RoutingFixture, SkylineContainsScalarizedOptimum) {
