@@ -9,11 +9,14 @@
 // than as producer stalls. A final pair of runs demonstrates the tracing
 // instrumentation: with the recorder disabled (the default) the span
 // checks cost well under 2% of a tick; enabling it prices the full
-// Chrome-trace capture.
+// Chrome-trace capture. Every run checks its accounting: each pushed tick
+// is accepted (kDropOldest) and either processed or counted dropped; the
+// program exits non-zero otherwise.
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -45,6 +48,8 @@ double TickValue(size_t sensor, size_t step, Rng* rng) {
 
 struct RunStats {
   double wall = 0.0;
+  uint64_t pushed = 0;
+  uint64_t accepted = 0;
   size_t processed = 0;
   uint64_t dropped = 0;
   uint64_t alarms = 0;
@@ -56,6 +61,23 @@ struct RunStats {
     return wall > 0.0 ? static_cast<double>(processed) / wall : 0.0;
   }
 };
+
+/// Under kDropOldest every push is admitted, and every admitted tick is
+/// processed or evicted. Prints a run that breaks this; returns whether it
+/// held.
+bool CheckAccounting(const std::string& run, const RunStats& stats) {
+  if (stats.accepted == stats.pushed &&
+      stats.processed + stats.dropped == stats.pushed) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "FAIL %s: pushed %llu, accepted %llu, processed %zu, "
+               "dropped %llu\n",
+               run.c_str(), static_cast<unsigned long long>(stats.pushed),
+               static_cast<unsigned long long>(stats.accepted),
+               stats.processed, static_cast<unsigned long long>(stats.dropped));
+  return false;
+}
 
 RunStats RunOnce(int producers) {
   StreamBuffer buffer(kSensors, kCapacity, DropPolicy::kDropOldest);
@@ -70,7 +92,7 @@ RunStats RunOnce(int producers) {
 
   // Each producer owns the sensors congruent to its id, so ticks of one
   // sensor arrive in order and producers contend only on the buffer's
-  // per-sensor mutexes they actually share with the consumer.
+  // per-sensor ring locks they share with the consumer.
   std::vector<std::thread> threads;
   size_t ticks_per_sensor = kTotalTicks / kSensors;
   for (int p = 0; p < producers; ++p) {
@@ -106,6 +128,8 @@ RunStats RunOnce(int producers) {
 
   RunStats stats;
   stats.wall = watch.Seconds();
+  stats.pushed = ticks_per_sensor * kSensors;
+  stats.accepted = buffer.accepted();
   stats.processed = processed;
   stats.dropped = buffer.dropped();
   stats.alarms =
@@ -146,8 +170,11 @@ int main() {
                "dropped", "alarms"});
 
   std::string last_metrics;
+  bool accounted = true;
   for (int producers : {1, 2, 4, 8}) {
     RunStats stats = RunOnce(producers);
+    accounted &= CheckAccounting(std::to_string(producers) + " producers",
+                                 stats);
     table.Row({std::to_string(producers), Fmt(stats.wall),
                Fmt(stats.TicksPerSec(), 0), Fmt(stats.p50_us, 2),
                Fmt(stats.p95_us, 2), std::to_string(stats.dropped),
@@ -176,6 +203,8 @@ int main() {
   TraceRecorder::Global().Enable();
   RunStats on = RunOnce(1);
   TraceRecorder::Global().Disable();
+  accounted &= CheckAccounting("trace off", off);
+  accounted &= CheckAccounting("trace on", on);
   uint64_t trace_events =
       TraceRecorder::Global().Snapshot().size() +
       TraceRecorder::Global().dropped();
@@ -210,5 +239,11 @@ int main() {
       "synthetic feed; disabled tracing stays within its 2%% budget.\n",
       static_cast<size_t>(8));
   reporter.Write();
+  if (!accounted) {
+    std::fprintf(stderr, "FAIL: tick accounting broken (see above)\n");
+    return 1;
+  }
+  std::printf("accounting: every run pushed = accepted = processed + "
+              "dropped\n");
   return 0;
 }

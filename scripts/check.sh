@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the concurrency layer plus the bench regression gate.
 # Sanitizer runs build the executor, fault-injection, streaming, ingest/WAL,
-# and trace tests under ThreadSanitizer and AddressSanitizer and fail on any
-# report
+# trace and hostile-input tests under ThreadSanitizer, AddressSanitizer and
+# UndefinedBehaviorSanitizer and fail on any report
 # (multi-producer StreamBuffer ingestion and the trace ring are exactly
 # where TSan earns its keep). Run from anywhere; builds land in build-tsan/,
 # build-asan/ and build-ubsan/ next to the normal build/.
 #
-#   scripts/check.sh              # TSan and ASan
+#   scripts/check.sh              # TSan, ASan and UBSan
 #   scripts/check.sh thread       # TSan only
 #   scripts/check.sh address      # ASan only
 #   scripts/check.sh undefined    # UBSan + _GLIBCXX_ASSERTIONS only
@@ -30,7 +30,7 @@ fi
 
 SANITIZERS=("${@:-thread}" )
 if [[ $# -eq 0 ]]; then
-  SANITIZERS=(thread address)
+  SANITIZERS=(thread address undefined)
 fi
 
 GATED_TESTS=(executor_test inject_recovery_test pipeline_report_test

@@ -1,5 +1,7 @@
 #include "src/stream/stream_buffer.h"
 
+#include <algorithm>
+
 namespace tsdm {
 
 namespace {
@@ -11,6 +13,60 @@ void Bump(std::atomic<uint64_t>* counter) {
                  std::memory_order_relaxed);
 }
 
+// Spin iterations before a contended locker parks. A ring's critical
+// section is a handful of loads and stores, so a holder that is running
+// releases well within this; one that was preempted is waited out parked.
+constexpr int kSpinIterations = 128;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+// Holds a ring's lock word for its scope: the three-state futex mutex of
+// Drepper's "Futexes Are Tricky" (0 free, 1 held, 2 held with waiters),
+// with a bounded spin before parking. Unlock wakes a waiter only when the
+// word says one may be parked.
+class RingLock {
+ public:
+  explicit RingLock(std::atomic<uint32_t>& word) : word_(word) {
+    uint32_t state = 0;
+    if (word_.compare_exchange_strong(state, 1, std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+      return;
+    }
+    for (int i = 0; i < kSpinIterations; ++i) {
+      CpuRelax();
+      state = word_.load(std::memory_order_relaxed);
+      if (state == 0 &&
+          word_.compare_exchange_weak(state, 1, std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+        return;
+      }
+    }
+    // Park. Taking the word as 2 keeps the next unlock waking a waiter,
+    // since others may still be parked behind this one.
+    if (state != 2) state = word_.exchange(2, std::memory_order_acquire);
+    while (state != 0) {
+      word_.wait(2, std::memory_order_relaxed);
+      state = word_.exchange(2, std::memory_order_acquire);
+    }
+  }
+
+  ~RingLock() {
+    if (word_.exchange(0, std::memory_order_release) == 2) word_.notify_one();
+  }
+
+  RingLock(const RingLock&) = delete;
+  RingLock& operator=(const RingLock&) = delete;
+
+ private:
+  std::atomic<uint32_t>& word_;
+};
+
 }  // namespace
 
 StreamBuffer::StreamBuffer(size_t num_sensors, size_t capacity,
@@ -18,16 +74,16 @@ StreamBuffer::StreamBuffer(size_t num_sensors, size_t capacity,
     : rings_(num_sensors),
       capacity_(capacity == 0 ? 1 : capacity),
       policy_(policy) {
-  for (Ring& ring : rings_) {
-    ring.timestamps.resize(capacity_);
-    ring.values.resize(capacity_);
+  slots_.resize(num_sensors * capacity_);
+  for (size_t s = 0; s < num_sensors; ++s) {
+    rings_[s].slots = slots_.data() + s * capacity_;
   }
 }
 
 bool StreamBuffer::Push(const Tick& tick) {
   if (tick.sensor >= rings_.size()) return false;
   Ring& ring = rings_[tick.sensor];
-  std::lock_guard<std::mutex> lock(ring.mu);
+  RingLock lock(ring.lock);
   if (ring.unconsumed == capacity_) {
     Bump(&ring.dropped);
     if (policy_ == DropPolicy::kDropNewest) return false;
@@ -35,30 +91,28 @@ bool StreamBuffer::Push(const Tick& tick) {
     // is reclaimed by the write below once head wraps onto it.
     --ring.unconsumed;
   }
-  ring.timestamps[ring.head] = tick.timestamp;
-  ring.values[ring.head] = tick.value;
-  ring.head = (ring.head + 1) % capacity_;
-  if (ring.fill < capacity_) ++ring.fill;
+  ring.slots[ring.head] = Slot{tick.timestamp, tick.value};
+  if (++ring.head == capacity_) ring.head = 0;
   ++ring.unconsumed;
   Bump(&ring.accepted);
   return true;
 }
 
 bool StreamBuffer::Poll(Tick* out) {
-  size_t n = rings_.size();
-  if (n == 0) return false;
-  size_t start = poll_cursor_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) {
-    size_t s = (start + i) % n;
+  const size_t n = rings_.size();
+  size_t s = poll_cursor_.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < n; ++i, s = s + 1 == n ? 0 : s + 1) {
     Ring& ring = rings_[s];
-    std::lock_guard<std::mutex> lock(ring.mu);
+    RingLock lock(ring.lock);
     if (ring.unconsumed == 0) continue;
-    size_t idx = (ring.head + capacity_ - ring.unconsumed) % capacity_;
+    const size_t idx = ring.head >= ring.unconsumed
+                           ? ring.head - ring.unconsumed
+                           : ring.head + capacity_ - ring.unconsumed;
     out->sensor = s;
-    out->timestamp = ring.timestamps[idx];
-    out->value = ring.values[idx];
+    out->timestamp = ring.slots[idx].timestamp;
+    out->value = ring.slots[idx].value;
     --ring.unconsumed;
-    poll_cursor_.store((s + 1) % n, std::memory_order_relaxed);
+    poll_cursor_.store(s + 1 == n ? 0 : s + 1, std::memory_order_relaxed);
     return true;
   }
   return false;
@@ -83,7 +137,7 @@ uint64_t StreamBuffer::dropped() const {
 size_t StreamBuffer::NumUnconsumed() const {
   size_t total = 0;
   for (const Ring& ring : rings_) {
-    std::lock_guard<std::mutex> lock(ring.mu);
+    RingLock lock(ring.lock);
     total += ring.unconsumed;
   }
   return total;
@@ -91,8 +145,8 @@ size_t StreamBuffer::NumUnconsumed() const {
 
 size_t StreamBuffer::SensorFill(size_t s) const {
   if (s >= rings_.size()) return 0;
-  std::lock_guard<std::mutex> lock(rings_[s].mu);
-  return rings_[s].fill;
+  return static_cast<size_t>(std::min<uint64_t>(
+      rings_[s].accepted.load(std::memory_order_relaxed), capacity_));
 }
 
 void StreamBuffer::SnapshotSensor(size_t s, std::vector<double>* values,
@@ -100,15 +154,20 @@ void StreamBuffer::SnapshotSensor(size_t s, std::vector<double>* values,
   values->clear();
   if (timestamps != nullptr) timestamps->clear();
   if (s >= rings_.size()) return;
+  // Reserved before the lock, so the copy below never allocates while
+  // producers wait.
+  values->reserve(capacity_);
+  if (timestamps != nullptr) timestamps->reserve(capacity_);
   const Ring& ring = rings_[s];
-  std::lock_guard<std::mutex> lock(ring.mu);
-  values->reserve(ring.fill);
-  if (timestamps != nullptr) timestamps->reserve(ring.fill);
-  size_t oldest = (ring.head + capacity_ - ring.fill) % capacity_;
-  for (size_t i = 0; i < ring.fill; ++i) {
-    size_t idx = (oldest + i) % capacity_;
-    values->push_back(ring.values[idx]);
-    if (timestamps != nullptr) timestamps->push_back(ring.timestamps[idx]);
+  RingLock lock(ring.lock);
+  const size_t fill = static_cast<size_t>(std::min<uint64_t>(
+      ring.accepted.load(std::memory_order_relaxed), capacity_));
+  size_t idx = ring.head >= fill ? ring.head - fill
+                                 : ring.head + capacity_ - fill;
+  for (size_t i = 0; i < fill; ++i) {
+    values->push_back(ring.slots[idx].value);
+    if (timestamps != nullptr) timestamps->push_back(ring.slots[idx].timestamp);
+    if (++idx == capacity_) idx = 0;
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace tsdm {
@@ -28,7 +27,7 @@ enum class DropPolicy {
 };
 
 /// Fixed-capacity per-sensor tick rings: the ingest edge of the streaming
-/// subsystem. Producers Push concurrently (one mutex per sensor, so
+/// subsystem. Producers Push concurrently (one lock per sensor, so
 /// producers on different sensors do not contend); a consumer Polls ticks
 /// out in per-sensor FIFO order and feeds them to a StreamPipeline.
 ///
@@ -38,14 +37,20 @@ enum class DropPolicy {
 /// hand a live stream to the batch Fig. 1 pipeline.
 ///
 /// No allocation after construction: Push, Poll, and the drop bookkeeping
-/// all run on preallocated storage.
+/// all run on preallocated storage, and no lock is held across an
+/// allocation.
 ///
-/// Nothing two threads write shares a cache line unless they must: each
-/// ring is cache-line aligned, so producers on neighbouring sensors do not
-/// false-share; the accepted/dropped counters live in the ring they count
-/// (written under its lock) and are summed on read; and the consumer's
-/// poll cursor sits on its own line. accepted() and dropped() take no lock
-/// — each is a sum of relaxed loads, exact once producers have quiesced.
+/// A ring's whole state is one 64-byte line: its lock word, head, unconsumed
+/// count, accepted/dropped counters and a pointer to its {timestamp, value}
+/// slots, so Push and Poll touch that line plus one slot line. Rings are
+/// cache-line aligned, so producers on neighbouring sensors do not
+/// false-share, and the consumer's poll cursor sits on its own line. The
+/// ring lock spins a bounded number of `pause` iterations and then parks on
+/// the lock word (futex-backed `std::atomic::wait`), so a critical section
+/// of a few stores is waited out on the CPU, while a holder that was
+/// preempted costs its waiters no CPU. accepted() and dropped() take no
+/// lock: each is a sum of relaxed loads, exact once producers have
+/// quiesced.
 class StreamBuffer {
  public:
   StreamBuffer(size_t num_sensors, size_t capacity,
@@ -89,19 +94,27 @@ class StreamBuffer {
                       std::vector<int64_t>* timestamps = nullptr) const;
 
  private:
+  struct Slot {
+    int64_t timestamp;
+    double value;
+  };
+
   struct alignas(64) Ring {
-    mutable std::mutex mu;
-    std::vector<int64_t> timestamps;
-    std::vector<double> values;
+    // 0 free, 1 held, 2 held with waiters parked on it.
+    mutable std::atomic<uint32_t> lock{0};
+    Slot* slots = nullptr;  // capacity slots in slots_
     size_t head = 0;        // next write slot
-    size_t fill = 0;        // retained ticks, <= capacity
-    size_t unconsumed = 0;  // admitted but not yet polled, <= fill
-    // Written only under mu; atomic so accepted()/dropped() read lock-free.
+    size_t unconsumed = 0;  // admitted but not yet polled
+    // Written only under the lock; atomic so accepted()/dropped() and
+    // SensorFill read lock-free. Retention never shrinks, so a ring's fill
+    // is min(accepted, capacity).
     std::atomic<uint64_t> accepted{0};
     std::atomic<uint64_t> dropped{0};
   };
+  static_assert(sizeof(Ring) == 64, "a ring's state is one cache line");
 
   std::vector<Ring> rings_;
+  std::vector<Slot> slots_;  // num_sensors x capacity, ring-major
   size_t capacity_;
   DropPolicy policy_;
   alignas(64) std::atomic<size_t> poll_cursor_{0};  // consumer-only

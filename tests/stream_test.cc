@@ -1,7 +1,11 @@
 #include "src/stream/stream_buffer.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -34,6 +38,11 @@ TEST(StreamBufferTest, RingWraparoundRetainsNewest) {
     EXPECT_DOUBLE_EQ(values[i], 6.0 + i);  // the last four, in order
     EXPECT_EQ(timestamps[i], 6 + i);
   }
+  EXPECT_EQ(buf.SensorFill(0), 4u);  // polling all leaves retention full
+  Tick t;
+  while (buf.Poll(&t)) {
+  }
+  EXPECT_EQ(buf.SensorFill(0), 4u);
 }
 
 TEST(StreamBufferTest, DropNewestRejectsWhenFull) {
@@ -42,9 +51,17 @@ TEST(StreamBufferTest, DropNewestRejectsWhenFull) {
   EXPECT_FALSE(buf.Push(0, 4, 5.0));  // rejected, ring keeps 1..4
   EXPECT_EQ(buf.dropped(), 1u);
   EXPECT_EQ(buf.accepted(), 4u);
+  EXPECT_EQ(buf.SensorFill(0), 4u);  // a rejected tick is not retained
   Tick t;
   ASSERT_TRUE(buf.Poll(&t));
   EXPECT_DOUBLE_EQ(t.value, 1.0);  // the oldest survived
+  // Polling frees a slot: the next push lands and overwrites the polled
+  // tick, so the window still holds four.
+  EXPECT_TRUE(buf.Push(0, 5, 6.0));
+  EXPECT_EQ(buf.SensorFill(0), 4u);
+  std::vector<double> values;
+  buf.SnapshotSensor(0, &values);
+  EXPECT_EQ(values, (std::vector<double>{2.0, 3.0, 4.0, 6.0}));
 }
 
 TEST(StreamBufferTest, DropOldestEvictsOldestUnconsumed) {
@@ -228,6 +245,160 @@ TEST(StreamBufferTest, FanInDropOldestKeepsPerSensorOrderAndAccounts) {
 
 TEST(StreamBufferTest, FanInDropNewestKeepsPerSensorOrderAndAccounts) {
   RunFanIn(DropPolicy::kDropNewest);
+}
+
+// Many producers on one sensor, more of them than CPUs, so ring lock
+// holders get preempted and waiters park; a consumer and a snapshotter
+// share the ring. Each value encodes (producer, index): every producer's
+// ticks must come out of the shared ring in the order it pushed them, and
+// every push must be accounted as polled or dropped.
+void RunSharedRing(DropPolicy policy) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int kProducers = static_cast<int>(std::max(2u, std::min(2 * hw, 16u)));
+  constexpr int64_t kTicksPerProducer = 10000;
+  constexpr size_t kCapacity = 16;
+  StreamBuffer buf(1, kCapacity, policy);
+
+  std::atomic<bool> done{false};
+  uint64_t polled = 0;
+  uint64_t order_violations = 0;
+  std::thread consumer([&] {
+    std::vector<int64_t> last(static_cast<size_t>(kProducers), -1);
+    Tick t;
+    for (;;) {
+      if (!buf.Poll(&t)) {
+        if (done.load(std::memory_order_acquire) && buf.NumUnconsumed() == 0) {
+          break;
+        }
+        std::this_thread::yield();
+        continue;
+      }
+      ++polled;
+      const auto code = static_cast<int64_t>(t.value);
+      const auto p = static_cast<size_t>(code / kTicksPerProducer);
+      const int64_t index = code % kTicksPerProducer;
+      if (p >= last.size() || t.timestamp != index || index <= last[p]) {
+        ++order_violations;
+      } else {
+        last[p] = index;
+      }
+    }
+  });
+  uint64_t snapshot_violations = 0;
+  std::thread snapshotter([&] {
+    std::vector<double> values;
+    std::vector<int64_t> timestamps;
+    while (!done.load(std::memory_order_acquire)) {
+      buf.SnapshotSensor(0, &values, &timestamps);
+      if (values.size() > kCapacity || values.size() != timestamps.size()) {
+        ++snapshot_violations;
+      }
+      // The window is oldest -> newest, so each producer's indices rise.
+      std::vector<int64_t> last(static_cast<size_t>(kProducers), -1);
+      for (double v : values) {
+        const auto code = static_cast<int64_t>(v);
+        const auto p = static_cast<size_t>(code / kTicksPerProducer);
+        if (p >= last.size() || code % kTicksPerProducer <= last[p]) {
+          ++snapshot_violations;
+          break;
+        }
+        last[p] = code % kTicksPerProducer;
+      }
+      std::this_thread::yield();
+    }
+  });
+  // Producers start together, so their pushes overlap.
+  std::atomic<int> ready{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&buf, &ready, p, kProducers] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kProducers) {
+        std::this_thread::yield();
+      }
+      for (int64_t i = 0; i < kTicksPerProducer; ++i) {
+        buf.Push(0, i, static_cast<double>(p * kTicksPerProducer + i));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  done.store(true, std::memory_order_release);
+  consumer.join();
+  snapshotter.join();
+
+  const uint64_t pushed = static_cast<uint64_t>(kProducers) * kTicksPerProducer;
+  EXPECT_EQ(order_violations, 0u);
+  EXPECT_EQ(snapshot_violations, 0u);
+  EXPECT_EQ(buf.NumUnconsumed(), 0u);
+  EXPECT_EQ(buf.SensorFill(0), kCapacity);
+  if (policy == DropPolicy::kDropOldest) {
+    EXPECT_EQ(buf.accepted(), pushed);
+    EXPECT_EQ(polled + buf.dropped(), pushed);
+  } else {
+    EXPECT_EQ(buf.accepted() + buf.dropped(), pushed);
+    EXPECT_EQ(polled, buf.accepted());
+  }
+}
+
+TEST(StreamBufferTest, SharedRingDropOldestKeepsPerProducerFifoAndAccounts) {
+  RunSharedRing(DropPolicy::kDropOldest);
+}
+
+TEST(StreamBufferTest, SharedRingDropNewestKeepsPerProducerFifoAndAccounts) {
+  RunSharedRing(DropPolicy::kDropNewest);
+}
+
+// A snapshot of a large ring holds its lock far longer than a locker spins,
+// so producers pushing while it runs park on the lock word. Each unlock that
+// finds parked waiters must wake one: a lost wake-up leaves a producer
+// parked for good, which the watchdog reports instead of hanging.
+TEST(StreamBufferTest, ProducersParkedBehindLongSnapshotsAreWoken) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int kProducers = static_cast<int>(std::max(2u, std::min(2 * hw, 16u)));
+  constexpr int kSnapshots = 50;
+  constexpr size_t kCapacity = size_t{1} << 17;
+  StreamBuffer buf(1, kCapacity, DropPolicy::kDropOldest);
+  for (size_t i = 0; i < kCapacity; ++i) buf.Push(0, 0, 0.0);
+
+  std::atomic<bool> snapshots_done{false};
+  std::atomic<int> finished{0};
+  std::atomic<uint64_t> pushed{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&] {
+      uint64_t n = 0;
+      while (!snapshots_done.load(std::memory_order_acquire)) {
+        buf.Push(0, static_cast<int64_t>(n), 1.0);
+        ++n;
+      }
+      pushed.fetch_add(n, std::memory_order_relaxed);
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  // Pauses between snapshots: back to back, the snapshotter would retake
+  // the lock before a woken producer runs, and starve the producers.
+  std::thread snapshotter([&] {
+    std::vector<double> values;
+    for (int i = 0; i < kSnapshots; ++i) {
+      buf.SnapshotSensor(0, &values);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    snapshots_done.store(true, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load(std::memory_order_acquire) < kProducers) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "%d of %d producers still parked after 60 s\n",
+                   kProducers - finished.load(), kProducers);
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& t : producers) t.join();
+  snapshotter.join();
+  EXPECT_EQ(buf.accepted(), kCapacity + pushed.load());
+  EXPECT_EQ(buf.dropped(), pushed.load());  // the ring was full throughout
 }
 
 // -------------------------------------------------------------- pipeline
